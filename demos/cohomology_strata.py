@@ -9,7 +9,6 @@ count hold at every point of the relation variety.
 import numpy as np
 
 from surfrep import (
-    RepPoint,
     build_complex,
     classify_orbit_type,
     conjugation_isomorphism_check,
@@ -21,16 +20,15 @@ from surfrep import (
     su2,
     surface_presentation,
 )
+from surfrep.reports import irreducible_rep
 
 group = su2()
 pres = surface_presentation(2)
 
-a = group.exp(np.array([0.7, 0.2, -0.4]))
-b = group.exp(np.array([-0.3, 0.8, 0.5]))
 reps = {
     "central": rep_from_name(pres, group, "central:[+,+,+,+]"),
     "torus": rep_from_name(pres, group, "torus:[0.7,1.1,-0.5,0.3]"),
-    "irreducible": RepPoint(group, [a, b, b, a]),
+    "irreducible": irreducible_rep(group),
 }
 
 print("-- cohomology dimensions per stratum --")

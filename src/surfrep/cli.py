@@ -1,15 +1,15 @@
 """Command-line front end for the representation-variety computations.
 
-Each subcommand wraps one library capability, resolves its options from the
-command line and an optional JSON config file, and emits a report either as
-indented JSON (``--json``) or as a plain-text mirror of the same payload.
-Reports are deterministic for a fixed seed: wall time goes to stderr only.
+Each subcommand is one builder from ``surfrep.reports``: its options are
+resolved from the command line over an optional JSON config file over the
+defaults below, and the report it returns is emitted either as indented JSON
+(``--json``) or as a plain-text mirror of the same payload. Reports are
+deterministic for a fixed seed: wall time goes to stderr only.
 
 Exit codes: 0 all asserted invariants passed (or nothing was asserted),
 2 invariant failure, 3 input error, 4 numerical non-convergence.
 """
 
-import itertools
 import json
 import sys
 import time
@@ -17,107 +17,46 @@ import time
 import click
 import numpy as np
 
-from .cohomology import (
-    ConvergenceError,
-    RepPoint,
-    build_complex,
-    classify_orbit_type,
-    enumerate_central_reps,
-    obstruction_quadratic,
-    relator_defect,
-    rep_from_name,
-    sample_cone_directions,
-    sample_stabilizer,
-    stabilizer_fixed_subspace,
-)
-from .groups import group_from_name, su2
-from .holonomy import (
-    PathConnection,
-    Variation,
-    conjugation_invariance_check,
-    holonomy,
-    holonomy_derivative,
-    holonomy_derivative_fd,
-)
-from .reduction import (
-    check_relations,
-    hilbert_map,
-    sample_zero_locus,
-    so2_cone_model_report,
-    so2_model,
-    so3_model,
-    stratum_label,
-    zariski_dim_at_origin,
-)
-from .words import (
-    format_ring,
-    format_word,
-    fox_derivative,
-    parse_word,
-    surface_presentation,
-    verify_fox_identity,
-)
+from . import reports
+from .cohomology import ConvergenceError
 
 # malformed flags and arguments are input errors, not invariant failures
 click.UsageError.exit_code = 3
 
-DEFAULT_RANK_TOL = 1e-8
-DEFAULT_DEFECT_TOL = 1e-9
-DEFAULT_FD_STEP = 1e-4
-DEFAULT_SAMPLES = 200
-
-_CONFIG_KEYS = {
-    "group", "genus", "rep", "seed", "samples", "rank_tol", "defect_tol",
-    "fd_step", "nodes", "b", "n", "word", "model",
+# key: (flag, type, default, help). The key is also the config-file entry and
+# the report builder's parameter; keys without a flag come from a config only.
+OPTIONS = {
+    "group": ("--group", str, "SU2", "Group name (default SU2)."),
+    "genus": ("--genus", int, 2, "Surface genus (default 2)."),
+    "rep": ("--rep", str, None,
+            'Representation: "central:[+,...]", "torus:[angles]", "random:seed" '
+            "(default: all generators central +1)."),
+    "seed": ("--seed", int, 0, "Sampling seed (default 0)."),
+    "samples": ("--samples", int, 200, "Sample count (default 200)."),
+    "rank_tol": ("--tol-rank", float, 1e-8, "Relative singular-value cutoff (default 1e-8)."),
+    "defect_tol": ("--tol-defect", float, 1e-9,
+                   "Largest relator defect or residual accepted (default 1e-9)."),
+    "nodes": (None, int, 7, None),
+    "b": (None, float, 1.0, None),
+    "fd_step": (None, float, 1e-4, None),
 }
+TOLERANCES = ("rank_tol", "defect_tol", "fd_step")
 
 
-def _input_error(message):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(3)
-
-
-def _run(body):
-    try:
-        body()
-    except ConvergenceError as exc:
-        click.echo(f"error: failed to converge: {exc}", err=True)
-        sys.exit(4)
-    except ValueError as exc:
-        _input_error(exc)
-
-
-def _load_config(path):
+def _load_config(path, accepted):
     if path is None:
         return {}
     try:
         with open(path) as handle:
             config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        _input_error(f"cannot read config: {exc}")
+        raise ValueError(f"cannot read config: {exc}") from exc
     if not isinstance(config, dict):
-        _input_error("config must be a JSON object")
-    unknown = sorted(set(config) - _CONFIG_KEYS)
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(config) - set(accepted))
     if unknown:
-        _input_error(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return config
-
-
-def _resolve(config, key, flag_value, default):
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
-
-
-def _tolerances(config, rank_tol, defect_tol):
-    resolved = {
-        "rank_tol": float(_resolve(config, "rank_tol", rank_tol, DEFAULT_RANK_TOL)),
-        "defect_tol": float(_resolve(config, "defect_tol", defect_tol, DEFAULT_DEFECT_TOL)),
-        "fd_step": float(config.get("fd_step", DEFAULT_FD_STEP)),
-    }
-    if min(resolved.values()) <= 0.0:
-        _input_error("tolerances must be positive")
-    return resolved
 
 
 def _jsonable(value):
@@ -125,14 +64,8 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _jsonable(value.tolist())
     return value
 
 
@@ -146,27 +79,57 @@ def _print_table(obj, indent=0):
             click.echo(f"{pad}{key}: {value}")
 
 
-def _finish(command, tolerances, payload, status, as_json, started):
-    """Emit the report and exit with the code the status implies."""
-    report = _jsonable({
-        "command": command,
-        "tolerances": tolerances,
-        "payload": payload,
-        "status": status,
-    })
-    if as_json:
-        click.echo(json.dumps(report, indent=2))
-    else:
-        _print_table(report)
-    click.echo(f"wall_time_s: {time.perf_counter() - started:.3f}", err=True)
-    sys.exit(0 if status == "pass" or status.startswith("skipped") else 2)
+def _fail(message, code):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
 
 
-def _first_failure(checks):
-    for name, ok in checks.items():
-        if not ok:
-            return f"fail: {name}"
-    return "pass"
+def command(name, build, keys, params=(), takes_config=True):
+    """Register `name` running `build`: a flag per key that has one, then
+    --config (accepting exactly `keys`) and --json."""
+
+    def run(as_json, config=None, **given):
+        started = time.perf_counter()
+        try:
+            entries = _load_config(config, keys)
+            values = {}
+            for key in keys:
+                _, kind, default, _ = OPTIONS[key]
+                value = given.pop(key, None)
+                if value is None:
+                    value = entries.get(key, default)
+                values[key] = None if value is None else kind(value)
+            tolerances = {key: values.get(key, OPTIONS[key][2]) for key in TOLERANCES}
+            if min(tolerances.values()) <= 0.0:
+                raise ValueError("tolerances must be positive")
+            payload, status = build(**given, **values)
+        except ConvergenceError as exc:
+            _fail(f"failed to converge: {exc}", 4)
+        except ValueError as exc:
+            _fail(exc, 3)
+        report = _jsonable({
+            "command": name,
+            "tolerances": tolerances,
+            "payload": payload,
+            "status": status,
+        })
+        if as_json:
+            click.echo(json.dumps(report, indent=2))
+        else:
+            _print_table(report)
+        click.echo(f"wall_time_s: {time.perf_counter() - started:.3f}", err=True)
+        sys.exit(0 if status == "pass" or status.startswith("skipped") else 2)
+
+    options = [click.Option([OPTIONS[key][0], key], type=OPTIONS[key][1], default=None,
+                            help=OPTIONS[key][3])
+               for key in keys if OPTIONS[key][0]]
+    if takes_config:
+        options.append(click.Option(["--config"], type=click.Path(), default=None,
+                                    help="JSON file of option values; flags win."))
+    options.append(click.Option(["--json", "as_json"], is_flag=True,
+                                help="Emit the report as JSON."))
+    main.add_command(click.Command(name, callback=run, params=[*params, *options],
+                                   help=build.__doc__))
 
 
 @click.group()
@@ -174,476 +137,25 @@ def main():
     """Finite-dimensional structure of surface-group representation spaces."""
 
 
-# ---------------------------------------------------------------------------
-# fox
-
-
-@main.command()
-@click.argument("word_text", metavar="WORD")
-@click.option("--n", "n_gens", type=int, default=None,
-              help="Number of generators (default: largest index in the word).")
-@click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
-def fox(word_text, n_gens, as_json):
-    """Print all Fox derivatives of WORD and verify the fundamental identity."""
-    started = time.perf_counter()
-
-    def body():
-        word = parse_word(word_text)
-        n = n_gens if n_gens is not None else max((g for g, _ in word.letters), default=1)
-        if n < 1:
-            _input_error("--n must be at least 1")
-        over = [g for g, _ in word.letters if g > n]
-        if over:
-            _input_error(f"word uses generator x{max(over)} beyond --n {n}")
-        derivatives = {
-            f"x{j}": format_ring(fox_derivative(word, j)) for j in range(1, n + 1)
-        }
-        identity_ok = verify_fox_identity(word)
-        payload = {
-            "word": format_word(word),
-            "n": n,
-            "derivatives": derivatives,
-            "identity_ok": identity_ok,
-        }
-        tolerances = {"rank_tol": DEFAULT_RANK_TOL, "defect_tol": DEFAULT_DEFECT_TOL,
-                      "fd_step": DEFAULT_FD_STEP}
-        status = "pass" if identity_ok else "fail: fox identity"
-        _finish("fox", tolerances, payload, status, as_json, started)
-
-    _run(body)
-
-
-# ---------------------------------------------------------------------------
-# cohomology / stratify
-
-
-def _resolve_rep(config, group_name, genus, rep_text):
-    group = group_from_name(str(_resolve(config, "group", group_name, "SU2")))
-    genus = int(_resolve(config, "genus", genus, 2))
-    if genus < 1:
-        _input_error("genus must be at least 1")
-    pres = surface_presentation(genus)
-    default_rep = "central:[" + ",".join(["+"] * pres.n) + "]"
-    rep_text = str(_resolve(config, "rep", rep_text, default_rep))
-    rep = rep_from_name(pres, group, rep_text)
-    return group, genus, pres, rep_text, rep
-
-
-def _cohomology_payload(pres, genus, rep, tolerances):
-    data = build_complex(pres, rep, rank_tol=tolerances["rank_tol"])
-    defect = relator_defect(pres, rep)
-    on_variety = defect <= tolerances["defect_tol"]
-    k, stratum = classify_orbit_type(rep)
-    h0, h1, h2 = data.h_dims
-    d = rep.group.dim
-    euler_ok = (h0 - h1 + h2) == (1 - pres.n + pres.m) * d
-    payload = {
-        "h_dims": list(data.h_dims),
-        "ranks": [data.rank0, data.rank1],
-        "centralizer_dim": k,
-        "stratum": stratum,
-        "relator_defect": defect,
-        "on_variety": on_variety,
-        "euler_ok": euler_ok,
-    }
-    if on_variety:
-        payload["duality_ok"] = (h0 == h2) and (h1 == 2 * h0 + (2 * genus - 2) * d)
-    else:
-        payload["duality_ok"] = "skipped: rep off the variety"
-    return data, payload
-
-
-@main.command()
-@click.option("--group", "group_name", default=None, help="Group name (default SU2).")
-@click.option("--genus", type=int, default=None, help="Surface genus (default 2).")
-@click.option("--rep", "rep_text", default=None,
-              help='Representation: "central:[+,...]", "torus:[angles]", "random:seed".')
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--tol-rank", "rank_tol", type=float, default=None)
-@click.option("--tol-defect", "defect_tol", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def cohomology(group_name, genus, rep_text, config_path, rank_tol, defect_tol, as_json):
-    """Twisted cohomology dimensions and orbit type at a representation."""
-    started = time.perf_counter()
-
-    def body():
-        config = _load_config(config_path)
-        tolerances = _tolerances(config, rank_tol, defect_tol)
-        group, g, pres, text, rep = _resolve_rep(config, group_name, genus, rep_text)
-        _, payload = _cohomology_payload(pres, g, rep, tolerances)
-        payload = {"group": group.name, "genus": g, "rep": text, **payload}
-        if payload["on_variety"]:
-            status = _first_failure({
-                "euler": payload["euler_ok"],
-                "duality": payload["duality_ok"],
-            })
-        else:
-            status = "pass" if payload["euler_ok"] else "fail: euler"
-        _finish("cohomology", tolerances, payload, status, as_json, started)
-
-    _run(body)
-
-
-@main.command()
-@click.option("--group", "group_name", default=None)
-@click.option("--genus", type=int, default=None)
-@click.option("--rep", "rep_text", default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None, help="Seed for stabilizer sampling.")
-@click.option("--tol-rank", "rank_tol", type=float, default=None)
-@click.option("--tol-defect", "defect_tol", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def stratify(group_name, genus, rep_text, config_path, seed, rank_tol, defect_tol, as_json):
-    """Orbit-type stratum of a representation and its fixed subspace in H1."""
-    started = time.perf_counter()
-
-    def body():
-        config = _load_config(config_path)
-        tolerances = _tolerances(config, rank_tol, defect_tol)
-        the_seed = int(_resolve(config, "seed", seed, 0))
-        group, g, pres, text, rep = _resolve_rep(config, group_name, genus, rep_text)
-        data, payload = _cohomology_payload(pres, g, rep, tolerances)
-        elements = sample_stabilizer(rep, count=8, seed=the_seed)
-        fixed = stabilizer_fixed_subspace(pres, rep, elements,
-                                          rank_tol=tolerances["rank_tol"])
-        payload = {
-            "group": group.name, "genus": g, "rep": text, "seed": the_seed,
-            "stratum": payload["stratum"],
-            "centralizer_dim": payload["centralizer_dim"],
-            "h_dims": payload["h_dims"],
-            "fixed_subspace_dim": fixed,
-            "stabilizer_sample_count": len(elements),
-            "relator_defect": payload["relator_defect"],
-            "on_variety": payload["on_variety"],
-        }
-        _finish("stratify", tolerances, payload, "pass", as_json, started)
-
-    _run(body)
-
-
-# ---------------------------------------------------------------------------
-# cone-span
-
-
-@main.command("cone-span")
-@click.option("--group", "group_name", default=None)
-@click.option("--genus", type=int, default=None)
-@click.option("--rep", "rep_text", default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--tol-rank", "rank_tol", type=float, default=None)
-@click.option("--tol-defect", "defect_tol", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def cone_span(group_name, genus, rep_text, config_path, seed, samples, rank_tol,
-              defect_tol, as_json):
-    """Span of the obstruction cone inside cocycles and harmonic space."""
-    started = time.perf_counter()
-
-    def body():
-        config = _load_config(config_path)
-        tolerances = _tolerances(config, rank_tol, defect_tol)
-        the_seed = int(_resolve(config, "seed", seed, 0))
-        count = int(_resolve(config, "samples", samples, DEFAULT_SAMPLES))
-        if count < 1:
-            _input_error("--samples must be at least 1")
-        group, g, pres, text, rep = _resolve_rep(config, group_name, genus, rep_text)
-        defect = relator_defect(pres, rep)
-        if defect > tolerances["defect_tol"]:
-            _input_error(f"representation is off the variety (defect {defect:.3e})")
-        data = build_complex(pres, rep, rank_tol=tolerances["rank_tol"])
-        eps = 1e-3
-        directions, span_z1, span_h1 = sample_cone_directions(
-            pres, rep, count=count, seed=the_seed, eps=eps,
-            rank_tol=tolerances["rank_tol"])
-        q_max = 0.0
-        for direction in directions:
-            q_val = obstruction_quadratic(pres, rep, eps * direction, data=data)
-            q_max = max(q_max, float(np.linalg.norm(q_val)))
-        dim_z1 = data.basis_Z1.shape[1]
-        h1 = data.h_dims[1]
-        success_rate = len(directions) / count
-        payload = {
-            "group": group.name, "genus": g, "rep": text,
-            "seed": the_seed, "samples": count,
-            "span_dim_Z1": span_z1, "dim_Z1": dim_z1,
-            "span_dim_H1": span_h1, "h1": h1,
-            "success_count": len(directions),
-            "success_rate": success_rate,
-            "obstruction_residual_max": q_max,
-        }
-        status = _first_failure({
-            "span_Z1": span_z1 == dim_z1,
-            "span_H1": span_h1 == h1,
-            "success_rate": success_rate >= 0.95,
-            "obstruction_residual": q_max <= 1e-8,
-        })
-        _finish("cone-span", tolerances, payload, status, as_json, started)
-
-    _run(body)
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-
-@main.command()
-@click.argument("model_name", metavar="MODEL",
-                type=click.Choice(["so2", "so3"], case_sensitive=False))
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--tol-defect", "defect_tol", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def reduction(model_name, config_path, seed, samples, defect_tol, as_json):
-    """Zero-locus sampling, relation residuals and Zariski dimension of a model."""
-    started = time.perf_counter()
-
-    def body():
-        config = _load_config(config_path)
-        tolerances = _tolerances(config, None, defect_tol)
-        the_seed = int(_resolve(config, "seed", seed, 0))
-        count = int(_resolve(config, "samples", samples, DEFAULT_SAMPLES))
-        model = so2_model() if model_name.lower() == "so2" else so3_model()
-        if count < 2 * model.invariant_count:
-            _input_error(f"--samples must be at least {2 * model.invariant_count}")
-        points = sample_zero_locus(model, count, seed=the_seed)
-        residual_max = 0.0
-        histogram = {}
-        for point in points:
-            residual_max = max(residual_max, max(check_relations(model, point).values()))
-            label = stratum_label(model, hilbert_map(model, point.w))
-            histogram[label] = histogram.get(label, 0) + 1
-        payload = {
-            "model": model.name,
-            "samples": count,
-            "zariski_dim": zariski_dim_at_origin(model, points),
-            "relation_residual_max": residual_max,
-            "stratum_histogram": dict(sorted(histogram.items())),
-        }
-        status = _first_failure({
-            "relation_residuals": residual_max < tolerances["defect_tol"],
-            "zariski_dim": payload["zariski_dim"] == model.invariant_count,
-        })
-        _finish("reduction", tolerances, payload, status, as_json, started)
-
-    _run(body)
-
-
-# ---------------------------------------------------------------------------
-# holonomy-check
-
-
-@main.command("holonomy-check")
-@click.option("--group", "group_name", default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def holonomy_check(group_name, config_path, seed, samples, as_json):
-    """Exactness, derivative and gauge checks for path holonomy."""
-    started = time.perf_counter()
-
-    def body():
-        config = _load_config(config_path)
-        tolerances = {"rank_tol": DEFAULT_RANK_TOL, "defect_tol": DEFAULT_DEFECT_TOL,
-                      "fd_step": float(config.get("fd_step", DEFAULT_FD_STEP))}
-        the_seed = int(_resolve(config, "seed", seed, 0))
-        count = int(_resolve(config, "samples", samples, DEFAULT_SAMPLES))
-        nodes = int(config.get("nodes", 7))
-        length = float(config.get("b", 1.0))
-        if nodes < 2:
-            _input_error("nodes must be at least 2")
-        group = group_from_name(str(_resolve(config, "group", group_name, "SU2")))
-        rng = np.random.default_rng(the_seed)
-
-        closed_max = 0.0
-        for _ in range(min(count, 50)):
-            u = group.random_algebra_vector(rng)
-            conn = PathConnection(group, length, np.tile(u, (nodes, 1)))
-            err = np.linalg.norm(holonomy(conn) - group.exp(-length * u))
-            closed_max = max(closed_max, float(err))
-
-        fd_max = 0.0
-        for _ in range(min(count, 20)):
-            conn = PathConnection(group, length, rng.standard_normal((nodes, group.dim)))
-            var = Variation(conn, rng.standard_normal((nodes, group.dim)))
-            exact = holonomy_derivative(conn, var)
-            approx = holonomy_derivative_fd(conn, var, s=tolerances["fd_step"])
-            fd_max = max(fd_max, float(np.linalg.norm(exact - approx)))
-
-        conj_max = 0.0
-        for _ in range(min(count, 10)):
-            conn = PathConnection(group, length, rng.standard_normal((nodes, group.dim)))
-            x = group.random_element(rng)
-            conj_max = max(conj_max, float(conjugation_invariance_check(conn, x)))
-
-        conn = PathConnection(group, length, rng.standard_normal((nodes, group.dim)))
-        reference = holonomy(conn, n_sub=256)
-        coarse = np.linalg.norm(holonomy(conn, n_sub=4) - reference)
-        fine = np.linalg.norm(holonomy(conn, n_sub=8) - reference)
-        order = float(np.log2(coarse / fine)) if fine > 0 else np.inf
-
-        payload = {
-            "group": group.name, "seed": the_seed, "nodes": nodes, "b": length,
-            "closed_form_max_error": closed_max,
-            "fd_derivative_max_error": fd_max,
-            "conjugation_max_error": conj_max,
-            "refinement_order": order,
-        }
-        status = _first_failure({
-            "closed_form": closed_max <= 1e-10,
-            "fd_derivative": fd_max <= 1e-6,
-            "conjugation": conj_max <= 1e-9,
-            "refinement_order": order >= 3.5,
-        })
-        _finish("holonomy-check", tolerances, payload, status, as_json, started)
-
-    _run(body)
-
-
-# ---------------------------------------------------------------------------
-# genus2-su2-report
-
-
-def _irreducible_rep(group):
-    # two generic rotations arranged so both commutators cancel exactly
-    a = group.exp(np.array([0.7, 0.2, -0.4]))
-    b = group.exp(np.array([-0.3, 0.8, 0.5]))
-    return RepPoint(group, [a, b, b, a])
-
-
-def _measure_obstruction_constant(pres, rep, count, seed):
-    """Fit q = c * (u1 x u2 + u3 x u4) and return (c, max relative error)."""
-    data = build_complex(pres, rep)
-    rng = np.random.default_rng(seed)
-    constant = None
-    worst = 0.0
-    for _ in range(count):
-        u = rng.standard_normal(4 * 3)
-        blocks = u.reshape(4, 3)
-        reference = np.cross(blocks[0], blocks[1]) + np.cross(blocks[2], blocks[3])
-        reference = data.basis_H2.T @ reference
-        q_val = obstruction_quadratic(pres, rep, u, data=data)
-        if constant is None:
-            constant = float((q_val @ reference) / (reference @ reference))
-        err = np.linalg.norm(q_val - constant * reference) / np.linalg.norm(q_val)
-        worst = max(worst, float(err))
-    return constant, worst
-
-
-@main.command("genus2-su2-report")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--tol-rank", "rank_tol", type=float, default=None)
-@click.option("--tol-defect", "defect_tol", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def genus2_su2_report(config_path, seed, samples, rank_tol, defect_tol, as_json):
-    """Consolidated reproduction of the genus-2 SU(2) worked example."""
-    started = time.perf_counter()
-
-    def body():
-        config = _load_config(config_path)
-        tolerances = _tolerances(config, rank_tol, defect_tol)
-        the_seed = int(_resolve(config, "seed", seed, 0))
-        count = int(_resolve(config, "samples", samples, DEFAULT_SAMPLES))
-        group = su2()
-        pres = surface_presentation(2)
-        eps = 1e-3
-
-        central = enumerate_central_reps(pres, group)
-        checks = {"central_count": len(central) == 16}
-
-        reps = {
-            "central": ("central:[+,+,+,+]",
-                        rep_from_name(pres, group, "central:[+,+,+,+]")),
-            "torus": ("torus:[0.7,1.1,-0.5,0.3]",
-                      rep_from_name(pres, group, "torus:[0.7,1.1,-0.5,0.3]")),
-            "irreducible": ("constructed commuting-free pair", _irreducible_rep(group)),
-        }
-        expected = {
-            "central": {"h_dims": [3, 12, 3], "fixed": 0, "stratum": "G"},
-            "torus": {"h_dims": [1, 8, 1], "fixed": 4, "stratum": "(T)"},
-            "irreducible": {"h_dims": [0, 6, 0], "fixed": 6, "stratum": "Z"},
-        }
-
-        strata = {}
-        for offset, (name, (text, rep)) in enumerate(reps.items()):
-            data = build_complex(pres, rep, rank_tol=tolerances["rank_tol"])
-            _, stratum = classify_orbit_type(rep)
-            elements = sample_stabilizer(rep, count=8, seed=the_seed)
-            fixed = stabilizer_fixed_subspace(pres, rep, elements,
-                                              rank_tol=tolerances["rank_tol"])
-            directions, span_z1, span_h1 = sample_cone_directions(
-                pres, rep, count=count, seed=the_seed + offset, eps=eps,
-                rank_tol=tolerances["rank_tol"])
-            entry = {
-                "rep": text,
-                "h_dims": list(data.h_dims),
-                "stratum": stratum,
-                "fixed_subspace_dim": fixed,
-                "span_dim_Z1": span_z1,
-                "dim_Z1": data.basis_Z1.shape[1],
-                "span_dim_H1": span_h1,
-                "success_rate": len(directions) / count,
-            }
-            want = expected[name]
-            checks[f"h_dims_{name}"] = entry["h_dims"] == want["h_dims"]
-            checks[f"stratum_{name}"] = entry["stratum"] == want["stratum"]
-            checks[f"fixed_subspace_{name}"] = fixed == want["fixed"]
-            checks[f"cone_span_Z1_{name}"] = span_z1 == entry["dim_Z1"]
-            checks[f"cone_span_H1_{name}"] = span_h1 == entry["h_dims"][1]
-            checks[f"cone_success_{name}"] = entry["success_rate"] >= 0.95
-            strata[name] = entry
-
-        # local models at the three strata: deep point, middle stratum, top
-        model = so3_model()
-        points = sample_zero_locus(model, max(count, 2 * model.invariant_count),
-                                   seed=the_seed)
-        so3_residual = max(
-            max(check_relations(model, point).values()) for point in points
-        )
-        deep_dim = zariski_dim_at_origin(model, points)
-        middle = so2_cone_model_report(count=max(40, count // 5), seed=the_seed)
-        top_dim = strata["irreducible"]["h_dims"][1]
-        local_models = {
-            "deep_zariski_dim": deep_dim,
-            "middle_zariski_dim": middle["total_dim"],
-            "top_zariski_dim": top_dim,
-            "so3_relation_residual_max": so3_residual,
-            "so2_relation_residual_max": middle["relation_residual_max"],
-        }
-        checks["zariski_deep"] = deep_dim == 10
-        checks["zariski_middle"] = middle["total_dim"] == 7
-        checks["zariski_top"] = top_dim == 6
-        checks["so3_relations"] = so3_residual < tolerances["defect_tol"]
-
-        constant, rel_err = _measure_obstruction_constant(
-            pres, reps["central"][1], count=100, seed=the_seed)
-        irr_data = build_complex(pres, reps["irreducible"][1],
-                                 rank_tol=tolerances["rank_tol"])
-        obstruction = {
-            "constant": constant,
-            "max_relative_error": rel_err,
-            "irreducible_h2": irr_data.h_dims[2],
-        }
-        checks["obstruction_constant"] = rel_err <= 1e-8
-        checks["obstruction_vanishes_irreducible"] = irr_data.h_dims[2] == 0
-
-        payload = {
-            "seed": the_seed,
-            "samples": count,
-            "central_count": len(central),
-            "strata": strata,
-            "local_models": local_models,
-            "obstruction": obstruction,
-            "checks": checks,
-        }
-        _finish("genus2-su2-report", tolerances, payload,
-                _first_failure(checks), as_json, started)
-
-    _run(body)
+command("fox", reports.fox_report, (), takes_config=False, params=[
+    click.Argument(["word"], metavar="WORD"),
+    click.Option(["--n"], type=int, default=None,
+                 help="Number of generators (default: largest index in the word)."),
+])
+command("cohomology", reports.cohomology_report,
+        ("group", "genus", "rep", "rank_tol", "defect_tol"))
+command("stratify", reports.stratify_report,
+        ("group", "genus", "rep", "seed", "rank_tol", "defect_tol"))
+command("cone-span", reports.cone_span_report,
+        ("group", "genus", "rep", "seed", "samples", "rank_tol", "defect_tol"))
+command("reduction", reports.reduction_report, ("seed", "samples", "defect_tol"), params=[
+    click.Argument(["model"], metavar="MODEL",
+                   type=click.Choice(["so2", "so3"], case_sensitive=False)),
+])
+command("holonomy-check", reports.holonomy_check_report,
+        ("group", "seed", "samples", "nodes", "b", "fd_step"))
+command("genus2-su2-report", reports.genus2_su2_report,
+        ("seed", "samples", "rank_tol", "defect_tol"))
 
 
 if __name__ == "__main__":

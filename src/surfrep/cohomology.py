@@ -324,22 +324,6 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3,
     return dirs, span_z1, span_h1
 
 
-class ObstructionModel:
-    """The quadratic obstruction at a representation, with a sampled cone."""
-
-    def __init__(self, pres, rep, cone_count=40, seed=0, c=None):
-        self.pres = pres
-        self.rep = rep
-        self.data = build_complex(pres, rep)
-        cone, self.span_dim_Z1, self.span_dim_H1 = sample_cone_directions(
-            pres, rep, c=c, count=cone_count, seed=seed,
-        )
-        self.sampled_cone = cone
-
-    def q(self, u):
-        return obstruction_quadratic(self.pres, self.rep, u, self.data)
-
-
 def sample_stabilizer(rep, count=8, seed=0):
     """Center elements plus exponentials of random centralizer directions."""
     group = rep.group

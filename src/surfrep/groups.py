@@ -58,9 +58,6 @@ class LieGroupModel:
         traces = np.einsum("aij,bji->ab", self._basis_arr, self._basis_arr)
         return -self._scales[:, None] * traces.real
 
-    def inner(self, x, y):
-        return float(np.dot(np.asarray(x), np.asarray(y)))
-
     # exp / log
 
     def exp(self, coords):

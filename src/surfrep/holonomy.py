@@ -11,7 +11,17 @@ holonomy.
 
 import numpy as np
 
+from .cohomology import ConvergenceError
+
 MAX_SUBSTEPS = 1024
+
+
+def _interpolate(conn, values, t):
+    """Linear interpolation at time t of samples on conn's uniform grid."""
+    cell = conn.b / (len(values) - 1)
+    i = int(np.clip(np.floor(t / cell), 0, len(values) - 2))
+    frac = (t - conn.times[i]) / cell
+    return values[i] + frac * (values[i + 1] - values[i])
 
 
 class PathConnection:
@@ -34,10 +44,7 @@ class PathConnection:
 
     def at(self, t):
         """Linearly interpolated algebra value at time t."""
-        cell = self.b / (len(self.values) - 1)
-        i = int(np.clip(np.floor(t / cell), 0, len(self.values) - 2))
-        frac = (t - self.times[i]) / cell
-        return self.values[i] + frac * (self.values[i + 1] - self.values[i])
+        return _interpolate(self, self.values, t)
 
 
 class Variation:
@@ -55,10 +62,7 @@ class Variation:
         self.values = values
 
     def at(self, t):
-        cell = self.conn.b / (len(self.values) - 1)
-        i = int(np.clip(np.floor(t / cell), 0, len(self.values) - 2))
-        frac = (t - self.conn.times[i]) / cell
-        return self.values[i] + frac * (self.values[i + 1] - self.values[i])
+        return _interpolate(self.conn, self.values, t)
 
 
 def _rk4_step(conn, a, t, h):
@@ -92,8 +96,25 @@ def _transport_nodes(conn, t_end, n_sub):
     return np.array(ts), mats
 
 
+def _refine(compute, tol):
+    """compute(n_sub) at n_sub = 2, 4, 8, ... until two successive results agree
+    to tol; raises ConvergenceError when MAX_SUBSTEPS is reached first."""
+    prev = compute(2)
+    n = 4
+    while n <= MAX_SUBSTEPS:
+        cur = compute(n)
+        if np.linalg.norm(cur - prev) < tol:
+            return cur
+        prev = cur
+        n *= 2
+    raise ConvergenceError(
+        f"successive refinements still differ by more than {tol:g} "
+        f"at {MAX_SUBSTEPS} substeps per cell")
+
+
 def horizontal_transport(conn, t, n_sub=None, tol=1e-10):
-    """Group element a(t) solving a' = -A a, a(0) = e; refines until stable to tol."""
+    """Group element a(t) solving a' = -A a, a(0) = e; refines until stable to tol
+    (ConvergenceError if it is not by MAX_SUBSTEPS)."""
     if not -1e-12 <= t <= conn.b + 1e-12:
         raise ValueError(f"t = {t} outside [0, {conn.b}]")
     t = float(np.clip(t, 0.0, conn.b))
@@ -101,15 +122,7 @@ def horizontal_transport(conn, t, n_sub=None, tol=1e-10):
         return conn.group.identity()
     if n_sub is not None:
         return _transport_nodes(conn, t, n_sub)[1][-1]
-    prev = _transport_nodes(conn, t, 2)[1][-1]
-    n = 4
-    while n <= MAX_SUBSTEPS:
-        cur = _transport_nodes(conn, t, n)[1][-1]
-        if np.linalg.norm(cur - prev) < tol:
-            return cur
-        prev = cur
-        n *= 2
-    return prev
+    return _refine(lambda n: _transport_nodes(conn, t, n)[1][-1], tol)
 
 
 def holonomy(conn, n_sub=None, tol=1e-10):
@@ -139,15 +152,7 @@ def holonomy_derivative(conn, var, n_sub=None, tol=1e-10):
     to the algebra: the integral of Ad(a(t)^-1) theta(t) dt over [0, b]."""
     if n_sub is not None:
         return _twisted_integral(conn, var, n_sub)
-    prev = _twisted_integral(conn, var, 2)
-    n = 4
-    while n <= MAX_SUBSTEPS:
-        cur = _twisted_integral(conn, var, n)
-        if np.linalg.norm(cur - prev) < tol:
-            return cur
-        prev = cur
-        n *= 2
-    return prev
+    return _refine(lambda n: _twisted_integral(conn, var, n), tol)
 
 
 def holonomy_derivative_fd(conn, var, s=1e-4, tol=1e-10):

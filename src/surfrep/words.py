@@ -217,7 +217,7 @@ def parse_word(text: str) -> Word:
     stripped = text.strip()
     if not stripped:
         return Word()
-    letters = []
+    powers = []
     pos = 0
     for chunk in text.split("*"):
         term = chunk.strip()
@@ -229,10 +229,12 @@ def parse_word(text: str) -> Word:
         if g < 1:
             raise ValueError(f"generator index must be >= 1 at position {at}")
         e = int(m.group(2)) if m.group(2) is not None else 1
-        sign = 1 if e >= 0 else -1
-        letters += [(g, sign)] * abs(e)
+        powers.append((g, e))
         pos += len(chunk) + 1
-    return reduce(letters)
+    # the raw letter count reduce() bounds, checked before any letter is made
+    if sum(abs(e) for _, e in powers) > MAX_WORD_LEN:
+        raise ValueError(f"word length exceeds {MAX_WORD_LEN}")
+    return reduce((g, 1 if e >= 0 else -1) for g, e in powers for _ in range(abs(e)))
 
 
 def format_word(w: Word) -> str:

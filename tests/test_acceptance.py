@@ -46,17 +46,12 @@ from surfrep.reduction import (
     spanning_configurations,
     zariski_dim_at_origin,
 )
+from surfrep.reports import irreducible_rep, measure_obstruction_constant
 from surfrep.words import Word, reduce, surface_presentation, verify_fox_identity
 
 
 def _report(number, name):
     print(f"criterion {number:02d} {name}: PASS")
-
-
-def _irreducible_rep(group):
-    a = group.exp(np.array([0.7, 0.2, -0.4]))
-    b = group.exp(np.array([-0.3, 0.8, 0.5]))
-    return RepPoint(group, [a, b, b, a])
 
 
 def test_criterion_01_fox_identity_suite():
@@ -108,7 +103,7 @@ def _on_variety_test_reps():
         angles = rng.uniform(0.2, 1.3, size=4) * rng.choice((-1, 1), size=4)
         text = "torus:[" + ",".join(f"{t:.6f}" for t in angles) + "]"
         reps.append((2, pres2, rep_from_name(pres2, group, text)))
-    reps.append((2, pres2, _irreducible_rep(group)))
+    reps.append((2, pres2, irreducible_rep(group)))
     for seed in (5, 6):
         reps.append((2, pres2, rep_from_name(pres2, group, f"random:{seed}")))
     x = group.random_element(rng)
@@ -149,7 +144,7 @@ def test_criterion_04_worked_example_reproduction():
     cases = [
         (rep_from_name(pres, group, "central:[+,+,+,+]"), (3, 12, 3), 0),
         (rep_from_name(pres, group, "torus:[0.7,1.1,-0.5,0.3]"), (1, 8, 1), 4),
-        (_irreducible_rep(group), (0, 6, 0), 6),
+        (irreducible_rep(group), (0, 6, 0), 6),
     ]
     for rep, h_expected, fixed_expected in cases:
         data = build_complex(pres, rep, rank_tol=1e-8)
@@ -205,7 +200,7 @@ def test_criterion_07_cone_spans():
     cases = [
         (rep_from_name(pres, group, "central:[+,+,+,+]"), 12, 12),
         (rep_from_name(pres, group, "torus:[0.7,1.1,-0.5,0.3]"), 8, 10),
-        (_irreducible_rep(group), 6, 9),
+        (irreducible_rep(group), 6, 9),
     ]
     for rep, h1_expected, z1_expected in cases:
         data = build_complex(pres, rep, rank_tol=1e-8)
@@ -224,20 +219,10 @@ def test_criterion_08_obstruction_cross_check():
     group = su2()
     pres = surface_presentation(2)
     rep = rep_from_name(pres, group, "central:[+,+,+,+]")
-    data = build_complex(pres, rep, rank_tol=1e-8)
     rng = np.random.default_rng(16)
-    constant = None
-    for _ in range(100):
-        u = rng.standard_normal(4 * group.dim)
-        blocks = u.reshape(4, group.dim)
-        reference = data.basis_H2.T @ (
-            np.cross(blocks[0], blocks[1]) + np.cross(blocks[2], blocks[3]))
-        q_val = obstruction_quadratic(pres, rep, u, data=data)
-        if constant is None:
-            constant = float((q_val @ reference) / (reference @ reference))
-        err = np.linalg.norm(q_val - constant * reference)
-        assert err <= 1e-8 * np.linalg.norm(q_val), err
-    irreducible = _irreducible_rep(group)
+    constant, worst = measure_obstruction_constant(pres, rep, count=100, seed=rng)
+    assert worst <= 1e-8, worst
+    irreducible = irreducible_rep(group)
     irr_data = build_complex(pres, irreducible, rank_tol=1e-8)
     assert irr_data.h_dims[2] == 0
     for _ in range(10):

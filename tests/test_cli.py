@@ -232,6 +232,25 @@ def test_config_unknown_key_rejected(tmp_path):
     assert invoke("cohomology", "--config", str(config)).exit_code == 3
 
 
+@pytest.mark.parametrize("args,config", [
+    # keys no command reads
+    (["cohomology"], {"n": 3}),
+    (["cohomology"], {"word": "x1"}),
+    (["reduction", "so3"], {"model": "so2"}),
+    # keys other commands read, which this one would ignore
+    (["reduction", "so3"], {"rep": "central:[+,+,+,+]", "genus": 3, "rank_tol": 5}),
+    (["cohomology"], {"fd_step": 1e-3}),
+    (["holonomy-check"], {"rank_tol": 1e-6}),
+], ids=["n", "word", "model", "reduction-rank_tol", "cohomology-fd_step",
+        "holonomy-rank_tol"])
+def test_config_key_the_command_does_not_read_rejected(tmp_path, args, config):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    result = invoke(*args, "--config", str(path), "--json")
+    assert result.exit_code == 3
+    assert "unknown config keys" in result.stderr
+
+
 def test_config_unreadable_rejected(tmp_path):
     assert invoke("cohomology", "--config", str(tmp_path / "no.json")).exit_code == 3
 

@@ -11,11 +11,11 @@ from surfrep.words import (
     reduce,
     surface_presentation,
 )
+from surfrep import reports
 from surfrep.groups import su2, u1
 from surfrep.cohomology import (
     BundleClass,
     ConvergenceError,
-    ObstructionModel,
     RepPoint,
     build_complex,
     classify_orbit_type,
@@ -48,10 +48,7 @@ def torus_rep(angles=(0.7, 1.1, -0.5, 0.3)):
 
 
 def irreducible_rep():
-    # (a, b, b, a) kills the genus-2 relator exactly: [a,b][b,a] = e
-    a = G.exp([0.7, 0.2, -0.4])
-    b = G.exp([-0.3, 0.8, 0.5])
-    return RepPoint(G, [a, b, b, a])
+    return reports.irreducible_rep(G)
 
 
 def conjugated(rep, x):
@@ -403,15 +400,6 @@ def test_cone_directions_are_nearly_flat():
         for d in dirs:
             q = obstruction_quadratic(P2, rep, eps * d, data)
             assert np.linalg.norm(q) < 1e-8
-
-
-def test_obstruction_model_bundles_the_pieces():
-    rep = torus_rep()
-    model = ObstructionModel(P2, rep, cone_count=12, seed=6)
-    u = build_complex(P2, rep).basis_Z1[:, 1]
-    assert np.allclose(model.q(2 * u), 4 * model.q(u), atol=1e-9)
-    assert model.rep is rep
-    assert len(model.sampled_cone) >= 11
 
 
 # ------------------------------------------------------------------- strata

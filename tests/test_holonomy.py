@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from surfrep.cohomology import ConvergenceError
 from surfrep.groups import so3, su2, u1
 from surfrep.holonomy import (
     PathConnection,
@@ -133,3 +134,14 @@ def test_connection_needs_two_nodes():
         PathConnection(su2(), 1.0, np.zeros((1, 3)))
     with pytest.raises(ValueError):
         PathConnection(su2(), 1.0, np.array([[np.nan, 0, 0], [0, 0, 0]]))
+
+
+def test_refinement_cap_raises_instead_of_returning_last_iterate():
+    # on this stiff path the last two refinements differ by about 4e-8, and the
+    # capped answer lies 2.6e-9 from the 4096-substep one: tol=1e-14 is unmet
+    conn = PathConnection(su2(), 1.0, 40 * np.random.default_rng(0).standard_normal((3, 3)))
+    var = Variation(conn, np.ones((3, 3)))
+    with pytest.raises(ConvergenceError):
+        holonomy(conn, tol=1e-14)
+    with pytest.raises(ConvergenceError):
+        holonomy_derivative(conn, var, tol=1e-14)

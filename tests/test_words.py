@@ -224,6 +224,21 @@ def test_parse_roundtrip_through_format():
         assert parse_word(words.format_word(parse_word(text))) == parse_word(text)
 
 
+@pytest.mark.parametrize("text", ["x1^11", "x1^100000", "x1^4*x2^-4*x1^3"])
+def test_parse_word_checks_length_before_expanding(monkeypatch, text):
+    # one term over the budget, or terms that add up past it, are rejected
+    # before any letter reaches reduce()
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 10)
+    assert len(parse_word("x1^6*x2^-4")) == 10
+
+    def expanded(letters):
+        raise AssertionError("letters were expanded past the length budget")
+
+    monkeypatch.setattr(words, "reduce", expanded)
+    with pytest.raises(ValueError, match="exceeds 10"):
+        parse_word(text)
+
+
 def test_parse_errors_carry_position():
     for bad in ("x0", "y1", "x1**x2", "x1^", "x1*", "*x1", "x", "x1^2^3"):
         with pytest.raises(ValueError) as err:
