@@ -41,6 +41,13 @@ OPTIONS = {
     "fd_step": (None, float, 1e-4, None),
 }
 TOLERANCES = ("rank_tol", "defect_tol", "fd_step")
+# the JSON values a config may give an option of each type (booleans never)
+JSON_TYPES = {
+    int: (lambda v: isinstance(v, int), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and abs(v) <= sys.float_info.max,
+            "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
 
 
 def _load_config(path, accepted):
@@ -56,6 +63,10 @@ def _load_config(path, accepted):
     unknown = sorted(set(config) - set(accepted))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in config.items():
+        accepts, name = JSON_TYPES[OPTIONS[key][1]]
+        if isinstance(value, bool) or not accepts(value):
+            raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
     return config
 
 
@@ -100,8 +111,8 @@ def command(name, build, keys, params=(), takes_config=True):
                     value = entries.get(key, default)
                 values[key] = None if value is None else kind(value)
             tolerances = {key: values.get(key, OPTIONS[key][2]) for key in TOLERANCES}
-            if min(tolerances.values()) <= 0.0:
-                raise ValueError("tolerances must be positive")
+            if not all(np.isfinite(t) and t > 0.0 for t in tolerances.values()):
+                raise ValueError("tolerances must be finite and positive")
             payload, status = build(**given, **values)
         except ConvergenceError as exc:
             _fail(f"failed to converge: {exc}", 4)

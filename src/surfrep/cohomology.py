@@ -12,7 +12,8 @@ import itertools
 
 import numpy as np
 
-from .words import fox_derivative
+from .groups import _rank
+from .words import fox_terms
 
 
 class ConvergenceError(RuntimeError):
@@ -74,10 +75,11 @@ def _class_matrix(group, c):
     return np.asarray(c, dtype=complex)
 
 
-def _value(group, values, w):
-    """Evaluate a word at the representation (inverses via conjugate transpose)."""
+def _value(group, values, letters):
+    """Evaluate a word's letters at the representation (inverses via conjugate
+    transpose), left to right."""
     g = group.identity()
-    for j, e in w.letters:
+    for j, e in letters:
         if j > len(values):
             raise ValueError(f"word uses generator x{j} but only {len(values)} values given")
         y = values[j - 1]
@@ -91,22 +93,22 @@ def evaluate_group_ring(e, rep):
     group = rep.group
     out = np.zeros((group.dim, group.dim))
     for w, c in e.terms.items():
-        g = _value(group, rep.values, w)
+        g = _value(group, rep.values, w.letters)
         out += c * group.Ad_matrix(g.conj().T)
     return out
 
 
 def _operators(pres, group, values):
+    """D0 and D1 at the point. Block (i, j) of D1 is dr_i/dx_j evaluated as in
+    evaluate_group_ring, summed term by term in one walk over r_i's letters."""
     d = group.dim
     eye = np.eye(d)
     D0 = np.vstack([eye - group.Ad_matrix(y.conj().T) for y in values])
-    rep = RepPoint.__new__(RepPoint)
-    rep.group, rep.values, rep.n = group, values, len(values)
-    rows = []
-    for r in pres.relators:
-        row = [evaluate_group_ring(fox_derivative(r, j), rep) for j in range(1, pres.n + 1)]
-        rows.append(np.hstack(row))
-    D1 = np.vstack(rows)
+    D1 = np.zeros((pres.m * d, pres.n * d))
+    for i, r in enumerate(pres.relators):
+        for j, sign, start in fox_terms(r):
+            g = _value(group, values, r.letters[start:])
+            D1[i * d:(i + 1) * d, (j - 1) * d:j * d] += sign * group.Ad_matrix(g.conj().T)
     return D0, D1
 
 
@@ -116,14 +118,6 @@ def _svd(M):
         p, q = M.shape
         return np.eye(p), np.zeros(min(p, q)), np.eye(q)
     return np.linalg.svd(M)
-
-
-def _rank(s, tol):
-    # relative cutoff, floored at the operators' natural O(1) scale so that
-    # pure-roundoff matrices (sigma_1 ~ 1e-16) count as rank zero
-    if len(s) == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > tol * max(s[0], 1.0)))
 
 
 def build_complex(pres, rep, rank_tol=1e-8):
@@ -151,13 +145,16 @@ def build_complex(pres, rep, rank_tol=1e-8):
                        basis_B1, basis_H1, basis_H2, rank_tol)
 
 
+def _relators_at(pres, group, values, cm):
+    """Relator values at the point and their largest Frobenius distance to the
+    central target cm."""
+    rels = [_value(group, values, r.letters) for r in pres.relators]
+    return rels, max(float(np.linalg.norm(v - cm)) for v in rels)
+
+
 def relator_defect(pres, rep, c=None):
     """Largest Frobenius distance between a relator value and the central target."""
-    cm = _class_matrix(rep.group, c)
-    return max(
-        float(np.linalg.norm(_value(rep.group, rep.values, r) - cm))
-        for r in pres.relators
-    )
+    return _relators_at(pres, rep.group, rep.values, _class_matrix(rep.group, c))[1]
 
 
 def finite_diff_check_d1(pres, rep, u, h):
@@ -172,9 +169,9 @@ def finite_diff_check_d1(pres, rep, u, h):
     minus = [y @ group.exp(-h * u[j]) for j, y in enumerate(rep.values)]
     worst = 0.0
     for i, r in enumerate(pres.relators):
-        g0i = _value(group, rep.values, r).conj().T
-        xi = (group.log(g0i @ _value(group, plus, r))
-              - group.log(g0i @ _value(group, minus, r))) / (2 * h)
+        g0i = _value(group, rep.values, r.letters).conj().T
+        xi = (group.log(g0i @ _value(group, plus, r.letters))
+              - group.log(g0i @ _value(group, minus, r.letters))) / (2 * h)
         worst = max(worst, float(np.linalg.norm(xi - lin[i * d:(i + 1) * d])))
     return worst
 
@@ -236,18 +233,14 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60,
     cmi = cm.conj().T
     d = group.dim
 
-    def defect(vals):
-        return max(float(np.linalg.norm(_value(group, vals, r) - cm)) for r in pres.relators)
+    def residual(rels):
+        return np.concatenate([group.log(v @ cmi) for v in rels])
 
-    def residual(vals):
-        return np.concatenate([
-            group.log(_value(group, vals, r) @ cmi) for r in pres.relators
-        ])
-
-    if defect(start.values) < tol:
+    rels, defect = _relators_at(pres, group, start.values, cm)
+    if defect < tol:
         return start
     values = [v.copy() for v in start.values]
-    F = residual(values)
+    F = residual(rels)
     for _ in range(max_iter):
         _, D1 = _operators(pres, group, values)
         if slice_basis is None:
@@ -263,7 +256,8 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60,
                 for j, y in enumerate(values)
             ]
             try:
-                Ft = residual(trial)
+                rels, defect = _relators_at(pres, group, trial, cm)
+                Ft = residual(rels)
             except ValueError:
                 alpha /= 2
                 continue
@@ -273,7 +267,7 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60,
         else:
             raise ConvergenceError("line search stalled before reaching tolerance")
         values, F = trial, Ft
-        if defect(values) < tol:
+        if defect < tol:
             return RepPoint(group, values)
     raise ConvergenceError(f"no convergence after {max_iter} iterations")
 
@@ -344,7 +338,7 @@ def stabilizer_fixed_subspace(pres, rep, elements, tol=1e-9, rank_tol=1e-8):
         worst = max(float(np.linalg.norm(s @ y - y @ s)) for y in rep.values)
         if worst > tol:
             raise ValueError(f"element does not stabilize the representation ({worst:.3e})")
-    data = build_complex(pres, rep)
+    data = build_complex(pres, rep, rank_tol)
     H1 = data.basis_H1
     h1 = H1.shape[1]
     if h1 == 0:
@@ -397,12 +391,8 @@ def enumerate_central_reps(pres, group, c=None, tol=1e-9):
     cm = _class_matrix(group, c)
     out = []
     for combo in itertools.product(group.center_elements, repeat=pres.n):
-        vals = list(combo)
-        worst = max(
-            float(np.linalg.norm(_value(group, vals, r) - cm)) for r in pres.relators
-        )
-        if worst <= tol:
-            out.append(RepPoint(group, [v.copy() for v in vals]))
+        if _relators_at(pres, group, combo, cm)[1] <= tol:
+            out.append(RepPoint(group, [v.copy() for v in combo]))
     return out
 
 

@@ -16,6 +16,16 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _CUT_MARGIN = 1e-6
 
 
+def _rank(s, tol):
+    """Numerical rank from descending singular values (or eigenvalue magnitudes):
+    the count above tol * max(s[0], 1). The cutoff is relative, floored at the
+    O(1) scale of the package's operators so that roundoff-only spectra
+    (s[0] ~ 1e-16) count as rank zero. Every rank decision goes through here."""
+    if len(s) == 0 or s[0] <= 0:
+        return 0
+    return int(np.sum(s > tol * max(s[0], 1.0)))
+
+
 class LieGroupModel:
     """A compact matrix group with algebra basis, exp/log, Ad, brackets, and sampling.
 
@@ -141,10 +151,7 @@ class LieGroupModel:
             return np.eye(self.dim)
         rows = np.vstack([self.Ad_matrix(y) - np.eye(self.dim) for y in elements])
         _, s, vt = np.linalg.svd(rows)
-        # floor the cutoff at the natural O(1) scale of Ad - I so that
-        # roundoff-only stacks count as rank zero
-        rank = int(np.sum(s > rank_tol * max(s[0], 1.0))) if s[0] > 0 else 0
-        return vt[rank:].T
+        return vt[_rank(s, rank_tol):].T
 
     # sampling (Haar per group, deterministic per seed)
 

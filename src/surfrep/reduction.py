@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 
 from .cohomology import ConvergenceError
+from .groups import _rank
 
 RESIDUAL_TOL = 1e-10
 
@@ -319,8 +320,7 @@ def zariski_dim_at_origin(model, samples):
     if len(samples) < 2 * model.invariant_count:
         raise ValueError("not enough samples to trust the span rank")
     rows = np.array([hilbert_map(model, pt.w).ravel() for pt in samples])
-    s = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(s > 1e-8 * max(s[0], 1.0)))
+    return _rank(np.linalg.svd(rows, compute_uv=False), 1e-8)
 
 
 def spanning_configurations(v=None):
@@ -351,8 +351,7 @@ def psd_rank_stratum(image, tol=1e-9):
     eig = np.linalg.eigvalsh((S + S.T) / 2.0)
     if eig[0] < -tol:
         return "outside"
-    mags = np.sort(np.abs(eig))[::-1]
-    rank = int(np.sum(mags > tol * max(mags[0], 1.0)))
+    rank = _rank(np.sort(np.abs(eig))[::-1], tol)
     return rank if rank <= 2 else "outside"
 
 

@@ -260,6 +260,8 @@ def reduction_report(model, seed, samples, defect_tol):
 
 def holonomy_check_report(group, seed, samples, nodes, b, fd_step):
     """Exactness, derivative and gauge checks for path holonomy."""
+    if samples < 1:
+        raise ValueError("--samples must be at least 1")
     if nodes < 2:
         raise ValueError("nodes must be at least 2")
     group = group_from_name(group)
@@ -319,6 +321,8 @@ _WORKED_STRATA = {
 
 def genus2_su2_report(seed, samples, rank_tol, defect_tol):
     """Consolidated reproduction of the genus-2 SU(2) worked example."""
+    if samples < 1:
+        raise ValueError("--samples must be at least 1")
     group = su2()
     pres = surface_presentation(2)
 

@@ -147,26 +147,28 @@ class GroupRingElement:
         return format_ring(self)
 
 
-def fox_derivative(w: Word, j: int) -> GroupRingElement:
-    """Right Fox derivative dw/dx_j, satisfying 1 - w = sum_j (1 - x_j) dw/dx_j.
+def fox_terms(w: Word):
+    """The right-Fox suffix rule, one term per letter in letter order: yields
+    (j, sign, start), meaning sign * suffix(start) is a term of dw/dx_j.
 
     Letter-by-letter expansion of the product rule d(uv) = (du)v + dv:
     a positive occurrence of x_j at position k contributes +suffix(k+1),
-    a negative one contributes -x_j^-1 suffix(k+1) = -suffix(k).
+    a negative one contributes -x_j^-1 suffix(k+1) = -suffix(k). In a
+    reduced word no two terms of one derivative share a suffix.
     """
+    for k, (g, e) in enumerate(w.letters):
+        yield (g, 1, k + 1) if e == 1 else (g, -1, k)
+
+
+def fox_derivative(w: Word, j: int) -> GroupRingElement:
+    """Right Fox derivative dw/dx_j, satisfying 1 - w = sum_j (1 - x_j) dw/dx_j."""
     if j < 1:
         raise ValueError(f"generator index must be >= 1, got {j}")
     terms = {}
-    letters = w.letters
-    for k, (g, e) in enumerate(letters):
-        if g != j:
-            continue
-        if e == 1:
-            suffix = Word(letters[k + 1:])
-            terms[suffix] = terms.get(suffix, 0) + 1
-        else:
-            suffix = Word(letters[k:])
-            terms[suffix] = terms.get(suffix, 0) - 1
+    for g, sign, start in fox_terms(w):
+        if g == j:
+            suffix = Word(w.letters[start:])
+            terms[suffix] = terms.get(suffix, 0) + sign
     return GroupRingElement(terms)
 
 

@@ -92,8 +92,20 @@ def test_cohomology_genus_one():
     assert payload["h_dims"] == [3, 6, 3]
 
 
-def test_cohomology_rejects_nonpositive_tolerance():
-    assert invoke("cohomology", "--tol-rank", "-1", "--json").exit_code == 3
+def test_cohomology_rejects_nonpositive_tolerance(tmp_path):
+    for flag in ("--tol-rank", "--tol-defect"):
+        for value in ("-1", "nan", "inf"):
+            result = invoke("cohomology", "--rep", "random:3", flag, value, "--json")
+            assert result.exit_code == 3, (flag, value)
+            assert "finite and positive" in result.stderr
+    # json reads NaN and Infinity; a huge integer does not fit a float
+    path = tmp_path / "job.json"
+    for text in ('{"rank_tol": NaN}', '{"defect_tol": Infinity}',
+                 '{"rank_tol": 1' + 400 * '0' + '}'):
+        path.write_text(text)
+        result = invoke("cohomology", "--config", str(path), "--json")
+        assert result.exit_code == 3, text
+        assert "must be a finite number" in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +192,12 @@ def test_reduction_rejects_tiny_sample_count():
 # holonomy-check
 
 
+def test_holonomy_check_rejects_zero_samples():
+    result = invoke("holonomy-check", "--samples", "0", "--json")
+    assert result.exit_code == 3
+    assert "--samples" in result.stderr
+
+
 def test_holonomy_check_bounds():
     payload = payload_of(invoke("holonomy-check", "--samples", "8",
                                 "--seed", "5", "--json"))
@@ -203,6 +221,13 @@ def test_genus2_report_checks_pass():
     assert payload["local_models"]["deep_zariski_dim"] == 10
     assert payload["local_models"]["middle_zariski_dim"] == 7
     assert payload["obstruction"]["max_relative_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_genus2_report_rejects_nonpositive_samples(samples):
+    result = invoke("genus2-su2-report", "--samples", samples, "--json")
+    assert result.exit_code == 3
+    assert "--samples" in result.stderr
 
 
 def test_genus2_report_byte_deterministic():
@@ -249,6 +274,21 @@ def test_config_key_the_command_does_not_read_rejected(tmp_path, args, config):
     result = invoke(*args, "--config", str(path), "--json")
     assert result.exit_code == 3
     assert "unknown config keys" in result.stderr
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": [1]},
+    {"seed": 1.7},
+    {"seed": True},
+    {"rank_tol": "1e-6"},
+    {"rep": 3},
+], ids=["seed-list", "seed-float", "seed-bool", "rank_tol-string", "rep-int"])
+def test_config_value_of_wrong_type_rejected(tmp_path, config):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    result = invoke("stratify", "--config", str(path), "--json")
+    assert result.exit_code == 3
+    assert f"config key {next(iter(config))!r}" in result.stderr
 
 
 def test_config_unreadable_rejected(tmp_path):

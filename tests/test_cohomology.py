@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from surfrep.words import (
     GroupRingElement,
     Word,
+    fox_derivative,
     reduce,
     surface_presentation,
 )
-from surfrep import reports
-from surfrep.groups import su2, u1
+from surfrep import cohomology, reports
+from surfrep.groups import group_from_name, su2, u1
 from surfrep.cohomology import (
+    _operators,
     BundleClass,
     ConvergenceError,
     RepPoint,
@@ -106,6 +108,37 @@ def test_evaluate_reverses_products(lu, lv, seed):
     av = evaluate_group_ring(GroupRingElement.from_word(v), rep)
     auv = evaluate_group_ring(GroupRingElement.from_word(u * v), rep)
     assert np.allclose(auv, av @ au, atol=1e-10)
+
+
+def fox_evaluated_d1(pres, rep):
+    """D1 assembled block by block from the exact Fox derivatives: the oracle
+    for the single walk over each relator's letters in the operator build."""
+    return np.vstack([
+        np.hstack([evaluate_group_ring(fox_derivative(r, j), rep)
+                   for j in range(1, pres.n + 1)])
+        for r in pres.relators
+    ])
+
+
+@pytest.mark.parametrize("name", ["SU2", "SO3", "U1", "SU2xU1", "SO3xSU2xU1"])
+def test_d1_walk_is_bit_identical_to_fox_evaluation(name):
+    group = group_from_name(name)
+    for genus in range(1, 9):
+        pres = surface_presentation(genus)
+        rng = np.random.default_rng(genus)
+        rep = RepPoint(group, [group.random_element(rng) for _ in range(pres.n)])
+        _, D1 = _operators(pres, group, rep.values)
+        assert np.array_equal(D1, fox_evaluated_d1(pres, rep))
+
+
+def test_d1_walk_is_bit_identical_to_fox_evaluation_at_twisted_point():
+    twist = BundleClass(G, -EYE)
+    rng = np.random.default_rng(31)
+    start = RepPoint(G, [G.random_element(rng) for _ in range(4)])
+    rep = newton_project_to_variety(P2, G, start, c=twist, tol=1e-10, max_iter=200)
+    assert relator_defect(P2, rep, twist) < 1e-10
+    _, D1 = _operators(P2, G, rep.values)
+    assert np.array_equal(D1, fox_evaluated_d1(P2, rep))
 
 
 # -------------------------------------------------------------- the complex
@@ -420,6 +453,21 @@ def test_stabilizer_fixed_subspace_central():
     rep = central_rep()
     els = sample_stabilizer(rep, count=6, seed=0)
     assert stabilizer_fixed_subspace(P2, rep, els) == 0
+
+
+def test_stabilizer_fixed_subspace_builds_with_its_rank_tol(monkeypatch):
+    seen = []
+    real = cohomology.build_complex
+
+    def spy(pres, rep, rank_tol=1e-8):
+        seen.append(rank_tol)
+        return real(pres, rep, rank_tol)
+
+    monkeypatch.setattr(cohomology, "build_complex", spy)
+    rep = torus_rep()
+    els = sample_stabilizer(rep, count=6, seed=0)
+    assert stabilizer_fixed_subspace(P2, rep, els, rank_tol=1e-6) == 4
+    assert seen == [1e-6]
 
 
 def test_stabilizer_rejects_noncommuting_element():

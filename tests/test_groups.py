@@ -6,7 +6,7 @@ from surfrep.groups import direct_product, group_from_name, so3, su2, u1
 
 
 def models():
-    return [su2(), so3(), u1()]
+    return [su2(), so3(), u1(), direct_product(su2(), u1()), group_from_name("SO3xSU2xU1")]
 
 
 # exponential and logarithm
