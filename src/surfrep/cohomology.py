@@ -98,18 +98,22 @@ def evaluate_group_ring(e, rep):
     return out
 
 
-def _operators(pres, group, values):
-    """D0 and D1 at the point. Block (i, j) of D1 is dr_i/dx_j evaluated as in
+def _d0(group, values):
+    """D0 at the point: the stacked I - Ad(y_j^-1), the derivative of conjugation."""
+    eye = np.eye(group.dim)
+    return np.vstack([eye - group.Ad_matrix(y.conj().T) for y in values])
+
+
+def _d1(pres, group, values):
+    """D1 at the point. Block (i, j) is dr_i/dx_j evaluated as in
     evaluate_group_ring, summed term by term in one walk over r_i's letters."""
     d = group.dim
-    eye = np.eye(d)
-    D0 = np.vstack([eye - group.Ad_matrix(y.conj().T) for y in values])
     D1 = np.zeros((pres.m * d, pres.n * d))
     for i, r in enumerate(pres.relators):
         for j, sign, start in fox_terms(r):
             g = _value(group, values, r.letters[start:])
             D1[i * d:(i + 1) * d, (j - 1) * d:j * d] += sign * group.Ad_matrix(g.conj().T)
-    return D0, D1
+    return D1
 
 
 def _svd(M):
@@ -124,7 +128,7 @@ def build_complex(pres, rep, rank_tol=1e-8):
     """Evaluate the complex at the representation and split off cohomology bases."""
     group = rep.group
     d = group.dim
-    D0, D1 = _operators(pres, group, rep.values)
+    D0, D1 = _d0(group, rep.values), _d1(pres, group, rep.values)
 
     u0, s0, vt0 = _svd(D0)
     rank0 = _rank(s0, rank_tol)
@@ -163,7 +167,7 @@ def finite_diff_check_d1(pres, rep, u, h):
     group = rep.group
     d = group.dim
     u = np.asarray(u, dtype=float).reshape(pres.n, d)
-    _, D1 = _operators(pres, group, rep.values)
+    D1 = _d1(pres, group, rep.values)
     lin = D1 @ u.ravel()
     plus = [y @ group.exp(h * u[j]) for j, y in enumerate(rep.values)]
     minus = [y @ group.exp(-h * u[j]) for j, y in enumerate(rep.values)]
@@ -181,7 +185,7 @@ def finite_diff_check_d0(pres, rep, X, h):
     group = rep.group
     d = group.dim
     X = np.asarray(X, dtype=float)
-    D0, _ = _operators(pres, group, rep.values)
+    D0 = _d0(group, rep.values)
     lin = D0 @ X
     ep = group.exp(h * X)
     em = group.exp(-h * X)
@@ -242,7 +246,7 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60,
     values = [v.copy() for v in start.values]
     F = residual(rels)
     for _ in range(max_iter):
-        _, D1 = _operators(pres, group, values)
+        D1 = _d1(pres, group, values)
         if slice_basis is None:
             step, *_ = np.linalg.lstsq(D1, -F, rcond=None)
         else:

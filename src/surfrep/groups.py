@@ -60,7 +60,8 @@ class LieGroupModel:
         return np.tensordot(np.asarray(coords, dtype=float), self._basis_arr, axes=1)
 
     def matrix_to_algebra(self, M):
-        traces = np.einsum("kij,ji->k", self._basis_arr, np.asarray(M, dtype=complex))
+        """Coordinates of an algebra matrix, or of each in a stack (..., m, m)."""
+        traces = np.einsum("kij,...ji->...k", self._basis_arr, np.asarray(M, dtype=complex))
         return -self._scales * traces.real
 
     def gram_matrix(self):

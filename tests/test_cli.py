@@ -7,9 +7,11 @@ exit-code contract (0 pass, 2 invariant failure, 3 input error) is pinned.
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from surfrep import reports
 from surfrep.cli import main
 
 
@@ -198,6 +200,19 @@ def test_holonomy_check_rejects_zero_samples():
     assert "--samples" in result.stderr
 
 
+def test_holonomy_check_rejects_oversized_nodes(tmp_path, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before checking nodes")
+
+    monkeypatch.setattr(reports, "MAX_NODES", 9)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"nodes": 10}))
+    result = invoke("holonomy-check", "--config", str(config), "--json")
+    assert result.exit_code == 3
+    assert "nodes" in result.stderr
+
+
 def test_holonomy_check_bounds():
     payload = payload_of(invoke("holonomy-check", "--samples", "8",
                                 "--seed", "5", "--json"))
@@ -205,6 +220,12 @@ def test_holonomy_check_bounds():
     assert payload["fd_derivative_max_error"] <= 1e-6
     assert payload["conjugation_max_error"] <= 1e-9
     assert payload["refinement_order"] >= 3.5
+
+
+def test_holonomy_check_abelian_group_is_exact():
+    payload = payload_of(invoke("holonomy-check", "--group", "U1", "--samples", "3", "--json"))
+    assert payload["closed_form_max_error"] <= 1e-13
+    assert payload["refinement_order"] == float("inf")
 
 
 # ---------------------------------------------------------------------------

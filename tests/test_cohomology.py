@@ -15,7 +15,7 @@ from surfrep.words import (
 from surfrep import cohomology, reports
 from surfrep.groups import group_from_name, su2, u1
 from surfrep.cohomology import (
-    _operators,
+    _d1,
     BundleClass,
     ConvergenceError,
     RepPoint,
@@ -127,7 +127,7 @@ def test_d1_walk_is_bit_identical_to_fox_evaluation(name):
         pres = surface_presentation(genus)
         rng = np.random.default_rng(genus)
         rep = RepPoint(group, [group.random_element(rng) for _ in range(pres.n)])
-        _, D1 = _operators(pres, group, rep.values)
+        D1 = _d1(pres, group, rep.values)
         assert np.array_equal(D1, fox_evaluated_d1(pres, rep))
 
 
@@ -137,7 +137,7 @@ def test_d1_walk_is_bit_identical_to_fox_evaluation_at_twisted_point():
     start = RepPoint(G, [G.random_element(rng) for _ in range(4)])
     rep = newton_project_to_variety(P2, G, start, c=twist, tol=1e-10, max_iter=200)
     assert relator_defect(P2, rep, twist) < 1e-10
-    _, D1 = _operators(P2, G, rep.values)
+    D1 = _d1(P2, G, rep.values)
     assert np.array_equal(D1, fox_evaluated_d1(P2, rep))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surfrep.cohomology import ConvergenceError
-from surfrep.groups import so3, su2, u1
+from surfrep.groups import direct_product, so3, su2, u1
 from surfrep.holonomy import (
     PathConnection,
     Variation,
@@ -28,14 +28,28 @@ def test_zero_connection_transports_trivially():
 
 
 def test_constant_connection_closed_form():
-    # a' = -X a with constant X integrates to exp(-X t)
-    for model in (su2(), so3(), u1()):
+    # a' = -X a with constant X integrates to exp(-X t); each Magnus step
+    # exponentiates the constant generator exactly, so already at n_sub=2
+    for model in (su2(), so3(), u1(), direct_product(su2(), u1())):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(model.dim)
         for n_nodes in (2, 5):
             conn = PathConnection(model, 1.0, np.tile(x, (n_nodes, 1)))
             assert np.linalg.norm(holonomy(conn) - model.exp(-x)) < 1e-10
+            assert np.linalg.norm(holonomy(conn, n_sub=2) - model.exp(-x)) <= 1e-13
             assert np.linalg.norm(horizontal_transport(conn, 0.5) - model.exp(-0.5 * x)) < 1e-10
+
+
+def test_off_grid_transport_matches_two_node_holonomy():
+    # up to t inside the first cell the path is the two-node segment to conn.at(t)
+    model = su2()
+    conn = random_connection(model, n_nodes=5, seed=15, scale=2.0)
+    t = 0.17
+    segment = PathConnection(model, t, [conn.values[0], conn.at(t)])
+    assert np.linalg.norm(horizontal_transport(conn, t) - holonomy(segment)) < 1e-12
+    for n_sub in (2, 16):
+        assert np.linalg.norm(
+            horizontal_transport(conn, t, n_sub=n_sub) - holonomy(segment, n_sub=n_sub)) < 1e-13
 
 
 def test_transport_concatenation():
@@ -56,9 +70,18 @@ def test_path_reversal_inverts_holonomy():
 
 
 def test_transport_stays_on_group():
-    for model in (su2(), so3()):
+    for model in (su2(), so3(), direct_product(su2(), u1())):
         conn = random_connection(model, seed=4, scale=2.0)
         assert model.group_defect(holonomy(conn)) < 1e-10
+
+
+def test_stiff_transport_stays_on_group_without_projection():
+    # 5 * 1024 steps multiplied together, none projected back onto the group
+    for model in (su2(), so3(), u1(), direct_product(su2(), u1())):
+        values = np.random.default_rng(16).standard_normal((5, model.dim))
+        values *= 20 / np.sqrt(np.mean(values ** 2))
+        conn = PathConnection(model, 1.0, values)
+        assert model.group_defect(holonomy(conn, n_sub=1024)) <= 1e-11
 
 
 def test_derivative_of_zero_variation_is_zero():
@@ -81,7 +104,7 @@ def test_derivative_at_zero_connection_is_plain_integral():
 
 
 def test_derivative_matches_finite_difference():
-    for model in (su2(), so3(), u1()):
+    for model in (su2(), so3(), u1(), direct_product(su2(), u1())):
         conn = random_connection(model, seed=7)
         rng = np.random.default_rng(8)
         var = Variation(conn, rng.standard_normal(conn.values.shape))
@@ -137,8 +160,9 @@ def test_connection_needs_two_nodes():
 
 
 def test_refinement_cap_raises_instead_of_returning_last_iterate():
-    # on this stiff path the last two refinements differ by about 4e-8, and the
-    # capped answer lies 2.6e-9 from the 4096-substep one: tol=1e-14 is unmet
+    # on this stiff path the last two refinements differ by about 3e-10 (2.5e-9
+    # for the derivative), and the capped answer lies 1.9e-11 from the
+    # 4096-substep one: tol=1e-14 is unmet
     conn = PathConnection(su2(), 1.0, 40 * np.random.default_rng(0).standard_normal((3, 3)))
     var = Variation(conn, np.ones((3, 3)))
     with pytest.raises(ConvergenceError):
