@@ -363,11 +363,9 @@ def stabilizer_fixed_subspace(pres, rep, elements, tol=1e-9, rank_tol=1e-8):
 
 
 def classify_orbit_type(rep):
-    """Stabilizer dimension and, for SU2, the stratum label it determines."""
+    """Stabilizer dimension and its stratum label (the dimension where the group names none)."""
     k = rep.group.centralizer_algebra(rep.values).shape[1]
-    if rep.group.name == "SU2":
-        return k, {0: "Z", 1: "(T)", 3: "G"}.get(k, str(k))
-    return k, str(k)
+    return k, rep.group.stratum_labels.get(k, str(k))
 
 
 def conjugation_isomorphism_check(pres, rep, x, tol=1e-8):
@@ -398,16 +396,6 @@ def enumerate_central_reps(pres, group, c=None, tol=1e-9):
         if _relators_at(pres, group, combo, cm)[1] <= tol:
             out.append(RepPoint(group, [v.copy() for v in combo]))
     return out
-
-
-def _torus_element(group, t):
-    if group.name == "SU2":
-        return np.diag([np.exp(1j * t), np.exp(-1j * t)])
-    if group.name == "SO3":
-        return group.exp([0.0, 0.0, t])
-    if group.name == "U1":
-        return np.array([[np.exp(1j * t)]])
-    raise ValueError(f"no torus constructor for group {group.name!r}")
 
 
 def rep_from_name(pres, group, text):
@@ -441,7 +429,9 @@ def rep_from_name(pres, group, text):
             raise ValueError(f"bad angle list {arg!r}") from None
         if len(angles) != pres.n:
             raise ValueError(f"need {pres.n} angles, got {len(angles)}")
-        return RepPoint(group, [_torus_element(group, t) for t in angles])
+        if group.torus is None:
+            raise ValueError(f"no torus constructor for group {group.name!r}")
+        return RepPoint(group, [group.torus(t) for t in angles])
     if kind == "random":
         try:
             seed = int(arg)

@@ -5,6 +5,8 @@ product <X,Y> = -scale * Re tr(XY). Algebra vectors are plain coordinate arrays
 in that basis (the AlgebraVector alias below).
 """
 
+import itertools
+
 import numpy as np
 
 AlgebraVector = np.ndarray
@@ -29,11 +31,15 @@ def _rank(s, tol):
 class LieGroupModel:
     """A compact matrix group with algebra basis, exp/log, Ad, brackets, and sampling.
 
-    Group elements are square complex matrices. Construction goes through the
-    factory functions su2(), so3(), u1(), direct_product().
+    Group elements are square complex matrices. The factory functions su2(),
+    so3(), u1(), direct_product() supply the group's kernels (exp, log,
+    random_element, project, defect), its maximal-torus map t -> element
+    (`torus`, None if it has none) and the names of its orbit-type strata by
+    centralizer dimension (`stratum_labels`).
     """
 
-    def __init__(self, name, basis, scales, center_elements, kind, factors=None):
+    def __init__(self, name, basis, scales, center_elements, *, exp, log, random_element,
+                 project, defect, torus=None, stratum_labels=None):
         self.name = name
         self.algebra_basis = [np.asarray(b, dtype=complex) for b in basis]
         self.matrix_dim = self.algebra_basis[0].shape[0]
@@ -41,15 +47,13 @@ class LieGroupModel:
         self._basis_arr = np.stack(self.algebra_basis)
         self._scales = np.asarray(scales, dtype=float)
         self.center_elements = [np.asarray(c, dtype=complex) for c in center_elements]
-        self._kind = kind
-        self._factors = factors or []
-        # factor slices: (matrix rows, coordinate range)
-        self._slices = []
-        m0, c0 = 0, 0
-        for f in self._factors:
-            self._slices.append((slice(m0, m0 + f.matrix_dim), slice(c0, c0 + f.dim)))
-            m0 += f.matrix_dim
-            c0 += f.dim
+        self._exp = exp
+        self._log = log
+        self._random_element = random_element
+        self._project = project
+        self._defect = defect
+        self.torus = torus
+        self.stratum_labels = stratum_labels or {}
 
     def identity(self):
         return np.eye(self.matrix_dim, dtype=complex)
@@ -72,59 +76,11 @@ class LieGroupModel:
     # exp / log
 
     def exp(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        if self._kind == "SU2":
-            t = np.linalg.norm(coords)
-            s = 0.5 * np.sinc(t / (2 * np.pi))  # sin(t/2)/t
-            return np.cos(t / 2) * np.eye(2) + 1j * s * (
-                coords[0] * _SX + coords[1] * _SY + coords[2] * _SZ
-            )
-        if self._kind == "SO3":
-            t = np.linalg.norm(coords)
-            K = _hat(coords)
-            g = (
-                np.eye(3)
-                + np.sinc(t / np.pi) * K
-                + 0.5 * np.sinc(t / (2 * np.pi)) ** 2 * (K @ K)
-            )
-            return g.astype(complex)
-        if self._kind == "U1":
-            return np.array([[np.exp(1j * coords[0])]])
-        g = np.zeros((self.matrix_dim, self.matrix_dim), dtype=complex)
-        for f, (ms, cs) in zip(self._factors, self._slices):
-            g[ms, ms] = f.exp(coords[cs])
-        return g
+        return self._exp(np.asarray(coords, dtype=float))
 
     def log(self, g):
         """Principal-branch logarithm; raises near the cut locus (rotation angle >= pi)."""
-        g = np.asarray(g, dtype=complex)
-        if self._kind == "SU2":
-            a = g.trace().real / 2
-            B = -1j * (g - a * np.eye(2))
-            b = np.array([B[0, 1].real, B[1, 0].imag, B[0, 0].real])
-            alpha = np.arctan2(np.linalg.norm(b), a)
-            if alpha >= np.pi - _CUT_MARGIN:
-                raise ValueError(f"log undefined near the cut locus (angle {alpha:.6f})")
-            return (2.0 / np.sinc(alpha / np.pi)) * b
-        if self._kind == "SO3":
-            R = g.real
-            ct = np.clip((np.trace(R) - 1) / 2, -1.0, 1.0)
-            theta = np.arccos(ct)
-            if theta >= np.pi - _CUT_MARGIN:
-                raise ValueError(f"log undefined near the cut locus (angle {theta:.6f})")
-            A = (R - R.T) / 2
-            axial = np.array([A[2, 1], A[0, 2], A[1, 0]])
-            return axial / np.sinc(theta / np.pi)
-        if self._kind == "U1":
-            z = g[0, 0]
-            theta = np.arctan2(z.imag, z.real)
-            if abs(theta) >= np.pi - _CUT_MARGIN:
-                raise ValueError(f"log undefined near the cut locus (angle {theta:.6f})")
-            return np.array([theta])
-        out = np.zeros(self.dim)
-        for f, (ms, cs) in zip(self._factors, self._slices):
-            out[cs] = f.log(g[ms, ms])
-        return out
+        return self._log(np.asarray(g, dtype=complex))
 
     # adjoint structure
 
@@ -157,30 +113,7 @@ class LieGroupModel:
     # sampling (Haar per group, deterministic per seed)
 
     def random_element(self, rng):
-        rng = _as_rng(rng)
-        if self._kind == "SU2":
-            q = rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            return np.array([
-                [q[0] + 1j * q[3], q[2] + 1j * q[1]],
-                [-q[2] + 1j * q[1], q[0] - 1j * q[3]],
-            ])
-        if self._kind == "SO3":
-            q = rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            w, x, y, z = q
-            R = np.array([
-                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-            ])
-            return R.astype(complex)
-        if self._kind == "U1":
-            return np.array([[np.exp(1j * rng.uniform(-np.pi, np.pi))]])
-        g = np.zeros((self.matrix_dim, self.matrix_dim), dtype=complex)
-        for f, (ms, _) in zip(self._factors, self._slices):
-            g[ms, ms] = f.random_element(rng)
-        return g
+        return self._random_element(_as_rng(rng))
 
     def random_algebra_vector(self, rng):
         return _as_rng(rng).standard_normal(self.dim)
@@ -189,38 +122,11 @@ class LieGroupModel:
 
     def project_to_group(self, M):
         """Nearest group element (polar projection per factor)."""
-        M = np.asarray(M, dtype=complex)
-        if self._kind == "SU2":
-            u, _, vh = np.linalg.svd(M)
-            U = u @ vh
-            det = np.linalg.det(U)
-            return U * det ** (-0.5)
-        if self._kind == "SO3":
-            u, _, vh = np.linalg.svd(M.real)
-            R = u @ vh
-            if np.linalg.det(R) < 0:
-                u[:, -1] *= -1
-                R = u @ vh
-            return R.astype(complex)
-        if self._kind == "U1":
-            z = M[0, 0]
-            return np.array([[z / abs(z)]])
-        g = np.zeros((self.matrix_dim, self.matrix_dim), dtype=complex)
-        for f, (ms, _) in zip(self._factors, self._slices):
-            g[ms, ms] = f.project_to_group(M[ms, ms])
-        return g
+        return self._project(np.asarray(M, dtype=complex))
 
     def group_defect(self, g):
         """Unitarity plus per-group constraint residual; ~0 iff g lies on the group."""
-        g = np.asarray(g, dtype=complex)
-        if self._kind == "product":
-            return float(sum(f.group_defect(g[ms, ms]) for f, (ms, _) in zip(self._factors, self._slices)))
-        res = np.linalg.norm(g.conj().T @ g - np.eye(self.matrix_dim))
-        if self._kind in ("SU2", "SO3"):
-            res += abs(np.linalg.det(g) - 1)
-        if self._kind == "SO3":
-            res += np.linalg.norm(g.imag)
-        return float(res)
+        return float(self._defect(np.asarray(g, dtype=complex)))
 
 
 def _hat(c):
@@ -237,56 +143,160 @@ def _as_rng(rng):
     return np.random.default_rng(rng)
 
 
+def _unitary_defect(g):
+    return np.linalg.norm(g.conj().T @ g - np.eye(len(g)))
+
+
 def su2():
+    def exp(coords):
+        t = np.linalg.norm(coords)
+        s = 0.5 * np.sinc(t / (2 * np.pi))  # sin(t/2)/t
+        return np.cos(t / 2) * np.eye(2) + 1j * s * (
+            coords[0] * _SX + coords[1] * _SY + coords[2] * _SZ
+        )
+
+    def log(g):
+        a = g.trace().real / 2
+        B = -1j * (g - a * np.eye(2))
+        b = np.array([B[0, 1].real, B[1, 0].imag, B[0, 0].real])
+        alpha = np.arctan2(np.linalg.norm(b), a)
+        if alpha >= np.pi - _CUT_MARGIN:
+            raise ValueError(f"log undefined near the cut locus (angle {alpha:.6f})")
+        return (2.0 / np.sinc(alpha / np.pi)) * b
+
+    def random_element(rng):
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        return np.array([
+            [q[0] + 1j * q[3], q[2] + 1j * q[1]],
+            [-q[2] + 1j * q[1], q[0] - 1j * q[3]],
+        ])
+
+    def project(M):
+        u, _, vh = np.linalg.svd(M)
+        U = u @ vh
+        det = np.linalg.det(U)
+        return U * det ** (-0.5)
+
     basis = [0.5j * _SX, 0.5j * _SY, 0.5j * _SZ]
     center = [np.eye(2, dtype=complex), -np.eye(2, dtype=complex)]
-    return LieGroupModel("SU2", basis, [2.0, 2.0, 2.0], center, "SU2")
+    return LieGroupModel(
+        "SU2", basis, [2.0, 2.0, 2.0], center, exp=exp, log=log,
+        random_element=random_element, project=project,
+        defect=lambda g: _unitary_defect(g) + abs(np.linalg.det(g) - 1),
+        torus=lambda t: np.diag([np.exp(1j * t), np.exp(-1j * t)]),
+        stratum_labels={0: "Z", 1: "(T)", 3: "G"},
+    )
 
 
 def so3():
+    def exp(coords):
+        t = np.linalg.norm(coords)
+        K = _hat(coords)
+        g = (
+            np.eye(3)
+            + np.sinc(t / np.pi) * K
+            + 0.5 * np.sinc(t / (2 * np.pi)) ** 2 * (K @ K)
+        )
+        return g.astype(complex)
+
+    def log(g):
+        R = g.real
+        ct = np.clip((np.trace(R) - 1) / 2, -1.0, 1.0)
+        theta = np.arccos(ct)
+        if theta >= np.pi - _CUT_MARGIN:
+            raise ValueError(f"log undefined near the cut locus (angle {theta:.6f})")
+        A = (R - R.T) / 2
+        axial = np.array([A[2, 1], A[0, 2], A[1, 0]])
+        return axial / np.sinc(theta / np.pi)
+
+    def random_element(rng):
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        w, x, y, z = q
+        R = np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ])
+        return R.astype(complex)
+
+    def project(M):
+        u, _, vh = np.linalg.svd(M.real)
+        R = u @ vh
+        if np.linalg.det(R) < 0:
+            u[:, -1] *= -1
+            R = u @ vh
+        return R.astype(complex)
+
     basis = []
     for k in range(3):
         e = np.zeros(3)
         e[k] = 1.0
         basis.append(_hat(e).astype(complex))
-    return LieGroupModel("SO3", basis, [0.5, 0.5, 0.5], [np.eye(3, dtype=complex)], "SO3")
+    model = LieGroupModel(
+        "SO3", basis, [0.5, 0.5, 0.5], [np.eye(3, dtype=complex)], exp=exp, log=log,
+        random_element=random_element, project=project,
+        defect=lambda g: _unitary_defect(g) + abs(np.linalg.det(g) - 1) + np.linalg.norm(g.imag),
+        torus=lambda t: model.exp([0.0, 0.0, t]),
+    )
+    return model
 
 
 def u1(center_order=2):
     """U(1) as 1x1 unitary matrices; center_order picks the finite cyclic subgroup
     recorded as enumerable center (0 means none is enumerated)."""
+    def log(g):
+        z = g[0, 0]
+        theta = np.arctan2(z.imag, z.real)
+        if abs(theta) >= np.pi - _CUT_MARGIN:
+            raise ValueError(f"log undefined near the cut locus (angle {theta:.6f})")
+        return np.array([theta])
+
     center = [
         np.array([[np.exp(2j * np.pi * k / center_order)]]) for k in range(center_order)
     ] if center_order else []
-    return LieGroupModel("U1", [np.array([[1j]])], [1.0], center, "U1")
+    return LieGroupModel(
+        "U1", [np.array([[1j]])], [1.0], center,
+        exp=lambda coords: np.array([[np.exp(1j * coords[0])]]), log=log,
+        random_element=lambda rng: np.array([[np.exp(1j * rng.uniform(-np.pi, np.pi))]]),
+        project=lambda M: np.array([[M[0, 0] / abs(M[0, 0])]]), defect=_unitary_defect,
+        torus=lambda t: np.array([[np.exp(1j * t)]]),
+    )
 
 
 def direct_product(*factors):
+    """Block-diagonal product: each kernel applies the factors' own, block by
+    block. A product has no maximal-torus map."""
     if len(factors) < 2:
         raise ValueError("direct_product needs at least two factors")
-    name = "x".join(f.name for f in factors)
-    mdim = sum(f.matrix_dim for f in factors)
-    basis, scales = [], []
-    m0 = 0
+    # per factor: (factor, matrix rows, coordinate range)
+    blocks = []
+    m0, c0 = 0, 0
     for f in factors:
-        for E, sc in zip(f.algebra_basis, f._scales):
-            big = np.zeros((mdim, mdim), dtype=complex)
-            big[m0:m0 + f.matrix_dim, m0:m0 + f.matrix_dim] = E
-            basis.append(big)
-            scales.append(sc)
+        blocks.append((f, slice(m0, m0 + f.matrix_dim), slice(c0, c0 + f.dim)))
         m0 += f.matrix_dim
-    combos = [[]]
-    for f in factors:
-        combos = [c + [z] for c in combos for z in f.center_elements]
-    centers = []
-    for combo in combos:
-        big = np.zeros((mdim, mdim), dtype=complex)
-        m0 = 0
-        for f, z in zip(factors, combo):
-            big[m0:m0 + f.matrix_dim, m0:m0 + f.matrix_dim] = z
-            m0 += f.matrix_dim
-        centers.append(big)
-    return LieGroupModel(name, basis, scales, centers, "product", factors=list(factors))
+        c0 += f.dim
+
+    def assemble(parts):
+        """The block-diagonal matrix with one part per factor."""
+        g = np.zeros((m0, m0), dtype=complex)
+        for (_, ms, _), part in zip(blocks, parts):
+            g[ms, ms] = part
+        return g
+
+    zeros = [np.zeros((f.matrix_dim, f.matrix_dim)) for f in factors]
+    basis = [assemble(zeros[:k] + [E] + zeros[k + 1:])
+             for k, f in enumerate(factors) for E in f.algebra_basis]
+    centers = [assemble(c) for c in itertools.product(*(f.center_elements for f in factors))]
+    return LieGroupModel(
+        "x".join(f.name for f in factors), basis, np.concatenate([f._scales for f in factors]),
+        centers, exp=lambda coords: assemble([f.exp(coords[cs]) for f, _, cs in blocks]),
+        log=lambda g: np.concatenate([f.log(g[ms, ms]) for f, ms, _ in blocks]),
+        random_element=lambda rng: assemble([f.random_element(rng) for f in factors]),
+        project=lambda M: assemble([f.project_to_group(M[ms, ms]) for f, ms, _ in blocks]),
+        defect=lambda g: sum(f.group_defect(g[ms, ms]) for f, ms, _ in blocks),
+    )
 
 
 def group_from_name(name):

@@ -14,6 +14,14 @@ import numpy as np
 from .cohomology import ConvergenceError
 
 MAX_SUBSTEPS = 1024
+# grid nodes of a path: one refinement level holds (nodes - 1) * MAX_SUBSTEPS
+# step matrices at once
+MAX_NODES = 65
+
+
+def _check_node_count(nodes):
+    if nodes > MAX_NODES:
+        raise ValueError(f"nodes must be at most {MAX_NODES}, got {nodes}")
 
 
 def _interpolate(conn, values, t):
@@ -32,6 +40,7 @@ class PathConnection:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("need at least 2 grid samples of shape (n_nodes, dim)")
+        _check_node_count(values.shape[0])
         if values.shape[1] != group.dim:
             raise ValueError(f"samples have dim {values.shape[1]}, group algebra has dim {group.dim}")
         if not np.isfinite(values).all():

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .cohomology import ConvergenceError
-from .groups import _rank
+from .groups import _rank, so3, u1
 
 RESIDUAL_TOL = 1e-10
 
@@ -45,10 +45,13 @@ def _cross_matrix(v):
 
 
 class LinearMomentumModel:
-    """A compact group acting orthogonally on W with its momentum map."""
+    """A compact group acting orthogonally on W with its momentum map. The
+    factories so2_model() and so3_model() supply its kernels, among them the
+    zero-locus constructor construct(rng, index) and, on Hilbert images, the
+    relation suite relations(image, w) and the stratum rule stratum(image)."""
 
     def __init__(self, name, group, W_dim, invariant_count, action, momentum,
-                 coad, hilbert, jacobian):
+                 coad, hilbert, jacobian, construct, relations, stratum):
         self.name = name
         self.group = group
         self.W_dim = W_dim
@@ -58,6 +61,9 @@ class LinearMomentumModel:
         self._coad = coad
         self._hilbert = hilbert
         self._jacobian = jacobian
+        self._construct = construct
+        self._relations = relations
+        self._stratum = stratum
 
     def _point(self, w):
         w = np.asarray(w, dtype=float)
@@ -101,12 +107,18 @@ def so2_model():
         q, p = w[0:2], w[2:4]
         return np.array([[p[1], -p[0], -q[1], q[0]]])
 
-    from .groups import u1
+    def relations(image, w):
+        u, v, r = image
+        return {
+            "cone": abs(u * u + v * v - r * r),
+            "nonneg": max(0.0, -r),
+        }
 
     return LinearMomentumModel(
         name="SO2", group=u1(), W_dim=4, invariant_count=3,
         action=action, momentum=momentum, coad=lambda g: np.eye(1),
-        hilbert=hilbert, jacobian=jacobian,
+        hilbert=hilbert, jacobian=jacobian, construct=_construct_so2, relations=relations,
+        stratum=lambda image: "0" if image[2] <= 1e-9 else "1",
     )
 
 
@@ -132,12 +144,23 @@ def so3_model():
             _cross_matrix(q1), _cross_matrix(q2),
         ])
 
-    from .groups import so3
+    def relations(S, w):
+        eig = np.linalg.eigvalsh(S)
+        svals = np.linalg.svd(S, compute_uv=False)
+        return {
+            "det": abs(float(np.linalg.det(S))),
+            "psi": abs(float(psi_quadratic(S))),
+            "couple_max": float(np.max(np.abs(couple_invariants(w)))),
+            "minor_max": float(np.max(np.abs(minors_3x3(S)))),
+            "psd": max(0.0, -float(eig[0])),
+            "rank": float(svals[2] / svals[0]) if svals[0] > 0.0 else 0.0,
+        }
 
     return LinearMomentumModel(
         name="SO3", group=so3(), W_dim=12, invariant_count=10,
         action=action, momentum=momentum, coad=lambda g: np.asarray(g).real,
-        hilbert=hilbert, jacobian=jacobian,
+        hilbert=hilbert, jacobian=jacobian, construct=_construct_so3, relations=relations,
+        stratum=lambda image: str(psd_rank_stratum(image)),
     )
 
 
@@ -215,12 +238,7 @@ def sample_zero_locus(model, count, seed, method="construct"):
     rng = np.random.default_rng(seed)
     points = [ZeroLocusPoint(model, np.zeros(model.W_dim))]
     for index in range(1, count):
-        if method == "newton":
-            w = _newton_sample(model, rng)
-        elif model.name == "SO2":
-            w = _construct_so2(rng, index)
-        else:
-            w = _construct_so3(rng, index)
+        w = _newton_sample(model, rng) if method == "newton" else model._construct(rng, index)
         points.append(ZeroLocusPoint(model, w))
     return points
 
@@ -290,24 +308,7 @@ def check_relations(model, point):
     minors, plus positive semidefiniteness and rank at most 2 of the Gram
     image.  Every value is a nonnegative residual.
     """
-    w = point.w
-    if model.name == "SO2":
-        u, v, r = hilbert_map(model, w)
-        return {
-            "cone": abs(u * u + v * v - r * r),
-            "nonneg": max(0.0, -r),
-        }
-    S = hilbert_map(model, w)
-    eig = np.linalg.eigvalsh(S)
-    svals = np.linalg.svd(S, compute_uv=False)
-    return {
-        "det": abs(float(np.linalg.det(S))),
-        "psi": abs(float(psi_quadratic(S))),
-        "couple_max": float(np.max(np.abs(couple_invariants(w)))),
-        "minor_max": float(np.max(np.abs(minors_3x3(S)))),
-        "psd": max(0.0, -float(eig[0])),
-        "rank": float(svals[2] / svals[0]) if svals[0] > 0.0 else 0.0,
-    }
+    return model._relations(hilbert_map(model, point.w), point.w)
 
 
 def zariski_dim_at_origin(model, samples):
@@ -357,9 +358,7 @@ def psd_rank_stratum(image, tol=1e-9):
 
 def stratum_label(model, image):
     """String stratum key for report histograms."""
-    if model.name == "SO2":
-        return "0" if image[2] <= 1e-9 else "1"
-    return str(psd_rank_stratum(image))
+    return model._stratum(image)
 
 
 def so2_cone_model_report(count=60, seed=0):

@@ -10,6 +10,7 @@ the single-representation reports.
 
 import numpy as np
 
+from . import words
 from .cohomology import (
     RepPoint,
     build_complex,
@@ -26,6 +27,7 @@ from .groups import group_from_name, su2
 from .holonomy import (
     PathConnection,
     Variation,
+    _check_node_count,
     conjugation_invariance_check,
     holonomy,
     holonomy_derivative,
@@ -51,9 +53,6 @@ from .words import (
 )
 
 CONE_EPS = 1e-3  # step along a cocycle before projecting back onto the variety
-# grid nodes of a holonomy-check path: one refinement level holds
-# (nodes - 1) * MAX_SUBSTEPS step matrices at once
-MAX_NODES = 65
 
 
 def _first_failure(checks):
@@ -72,11 +71,13 @@ def irreducible_rep(group):
     return RepPoint(group, [a, b, b, a])
 
 
-def measure_obstruction_constant(pres, rep, count, seed):
+def measure_obstruction_constant(pres, rep, count, seed, data=None):
     """Fit q = c * (u1 x u2 + u3 x u4) over count random cochains at a genus-2
     SU(2) point and return (c, max relative error). seed is a seed or a
-    numpy Generator, which is then advanced."""
-    data = build_complex(pres, rep)
+    numpy Generator, which is then advanced; data is the point's cochain data
+    (built with the default rank cutoff when omitted)."""
+    if data is None:
+        data = build_complex(pres, rep)
     rng = np.random.default_rng(seed)
     constant = None
     worst = 0.0
@@ -101,8 +102,6 @@ def _named_rep(group, genus, rep):
     """Group, presentation, representation text, point and its relator defect;
     rep None names the trivial central representation."""
     group = group_from_name(group)
-    if genus < 1:
-        raise ValueError("genus must be at least 1")
     pres = surface_presentation(genus)
     if rep is None:
         rep = "central:[" + ",".join(["+"] * pres.n) + "]"
@@ -139,6 +138,8 @@ def fox_report(word, n):
         n = max((g for g, _ in word.letters), default=1)
     if n < 1:
         raise ValueError("--n must be at least 1")
+    if n > words.MAX_GENERATORS:
+        raise ValueError(f"{n} generators exceed the budget of {words.MAX_GENERATORS}")
     over = [g for g, _ in word.letters if g > n]
     if over:
         raise ValueError(f"word uses generator x{max(over)} beyond --n {n}")
@@ -267,8 +268,7 @@ def holonomy_check_report(group, seed, samples, nodes, b, fd_step):
         raise ValueError("--samples must be at least 1")
     if nodes < 2:
         raise ValueError("nodes must be at least 2")
-    if nodes > MAX_NODES:
-        raise ValueError(f"nodes must be at most {MAX_NODES}, got {nodes}")
+    _check_node_count(nodes)
     group = group_from_name(group)
     rng = np.random.default_rng(seed)
 
@@ -337,7 +337,7 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
     central = enumerate_central_reps(pres, group)
     checks = {"central_count": len(central) == 16}
 
-    strata, points = {}, {}
+    strata, complexes = {}, {}
     for offset, (name, (text, want_h, want_fixed, want_stratum)) in enumerate(
             _WORKED_STRATA.items()):
         if name == "irreducible":
@@ -364,7 +364,7 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
         checks[f"cone_span_H1_{name}"] = span_h1 == entry["h_dims"][1]
         checks[f"cone_success_{name}"] = entry["success_rate"] >= 0.95
         strata[name] = entry
-        points[name] = point
+        complexes[name] = point, data
 
     # local models at the three strata: deep point, middle stratum, top
     model = so3_model()
@@ -385,8 +385,9 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
     checks["zariski_top"] = top_dim == 6
     checks["so3_relations"] = so3_residual < defect_tol
 
-    constant, rel_err = measure_obstruction_constant(pres, points["central"], count=100,
-                                                     seed=seed)
+    point, data = complexes["central"]
+    constant, rel_err = measure_obstruction_constant(pres, point, count=100, seed=seed,
+                                                     data=data)
     irreducible_h2 = strata["irreducible"]["h_dims"][2]
     obstruction = {
         "constant": constant,

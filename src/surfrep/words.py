@@ -7,6 +7,8 @@ Letter = Tuple[int, int]
 
 MAX_WORD_LEN = 10**6
 MAX_COEF = 10**6
+# generators of a surface presentation or a Fox report (genus up to 256)
+MAX_GENERATORS = 512
 
 
 def _check_letter(g, e):
@@ -204,6 +206,9 @@ def surface_presentation(genus: int) -> Presentation:
     """Standard one-relator surface presentation: 2*genus generators, relator [x1,x2]...[x_{2g-1},x_{2g}]."""
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
+    if 2 * genus > MAX_GENERATORS:
+        raise ValueError(
+            f"genus {genus} needs {2 * genus} generators, over the budget of {MAX_GENERATORS}")
     letters = []
     for i in range(genus):
         a, b = 2 * i + 1, 2 * i + 2

@@ -5,14 +5,18 @@ parsed back and compared against the library-level expectations, and the
 exit-code contract (0 pass, 2 invariant failure, 3 input error) is pinned.
 """
 
+import importlib
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from surfrep import reports
+from surfrep import cohomology, reports, words
 from surfrep.cli import main
+
+# the module itself: the package exports a function of the same name
+holonomy_module = importlib.import_module("surfrep.holonomy")
 
 
 def invoke(*args):
@@ -51,6 +55,21 @@ def test_fox_malformed_word():
 def test_fox_generator_beyond_n():
     result = invoke("fox", "x3", "--n", "2", "--json")
     assert result.exit_code == 3
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("did the work before checking the budget")
+
+
+def test_fox_generator_budget(monkeypatch):
+    monkeypatch.setattr(words, "MAX_GENERATORS", 8)
+    assert payload_of(invoke("fox", "x8", "--json"))["n"] == 8
+    monkeypatch.setattr(reports, "fox_derivative", fail_if_called)
+    monkeypatch.setattr(reports, "verify_fox_identity", fail_if_called)
+    for args in (["x9"], ["x1", "--n", "9"]):
+        result = invoke("fox", *args, "--json")
+        assert result.exit_code == 3
+        assert "budget" in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +111,16 @@ def test_cohomology_genus_one():
     payload = payload_of(invoke("cohomology", "--genus", "1",
                                 "--rep", "central:[+,+]", "--json"))
     assert payload["h_dims"] == [3, 6, 3]
+
+
+def test_cohomology_genus_budget(monkeypatch):
+    monkeypatch.setattr(words, "MAX_GENERATORS", 8)
+    assert payload_of(invoke("cohomology", "--genus", "4", "--json"))["h_dims"] == [3, 24, 3]
+    monkeypatch.setattr(words, "Word", fail_if_called)
+    monkeypatch.setattr(reports, "rep_from_name", fail_if_called)
+    result = invoke("cohomology", "--genus", "5", "--json")
+    assert result.exit_code == 3
+    assert "budget" in result.stderr
 
 
 def test_cohomology_rejects_nonpositive_tolerance(tmp_path):
@@ -204,7 +233,7 @@ def test_holonomy_check_rejects_oversized_nodes(tmp_path, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("sampled before checking nodes")
 
-    monkeypatch.setattr(reports, "MAX_NODES", 9)
+    monkeypatch.setattr(holonomy_module, "MAX_NODES", 9)
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     config = tmp_path / "job.json"
     config.write_text(json.dumps({"nodes": 10}))
@@ -249,6 +278,20 @@ def test_genus2_report_rejects_nonpositive_samples(samples):
     result = invoke("genus2-su2-report", "--samples", samples, "--json")
     assert result.exit_code == 3
     assert "--samples" in result.stderr
+
+
+def test_genus2_report_builds_every_complex_with_its_rank_tol(monkeypatch):
+    seen = []
+    real = cohomology.build_complex
+
+    def spy(pres, rep, rank_tol=1e-8):
+        seen.append(rank_tol)
+        return real(pres, rep, rank_tol)
+
+    monkeypatch.setattr(cohomology, "build_complex", spy)
+    monkeypatch.setattr(reports, "build_complex", spy)
+    reports.genus2_su2_report(seed=0, samples=20, rank_tol=2e-8, defect_tol=1e-9)
+    assert seen and set(seen) == {2e-8}
 
 
 def test_genus2_report_byte_deterministic():

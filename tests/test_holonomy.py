@@ -4,6 +4,7 @@ import pytest
 from surfrep.cohomology import ConvergenceError
 from surfrep.groups import direct_product, so3, su2, u1
 from surfrep.holonomy import (
+    MAX_NODES,
     PathConnection,
     Variation,
     conjugation_invariance_check,
@@ -157,6 +158,14 @@ def test_connection_needs_two_nodes():
         PathConnection(su2(), 1.0, np.zeros((1, 3)))
     with pytest.raises(ValueError):
         PathConnection(su2(), 1.0, np.array([[np.nan, 0, 0], [0, 0, 0]]))
+
+
+def test_connection_rejects_more_than_max_nodes():
+    # a refinement level holds (nodes - 1) * MAX_SUBSTEPS step matrices at once
+    group = direct_product(so3(), su2(), u1())
+    PathConnection(group, 1.0, np.zeros((MAX_NODES, group.dim)))
+    with pytest.raises(ValueError, match="at most"):
+        PathConnection(group, 1.0, np.zeros((MAX_NODES + 1, group.dim)))
 
 
 def test_refinement_cap_raises_instead_of_returning_last_iterate():

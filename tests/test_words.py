@@ -197,6 +197,13 @@ def test_surface_presentation_rejects_genus_zero():
         surface_presentation(0)
 
 
+def test_surface_presentation_generator_budget():
+    for genus in (1, 16, words.MAX_GENERATORS // 2):
+        assert surface_presentation(genus).n == 2 * genus
+    with pytest.raises(ValueError, match="budget"):
+        surface_presentation(words.MAX_GENERATORS // 2 + 1)
+
+
 def test_presentation_rejects_relator_with_bad_generator():
     with pytest.raises(ValueError):
         words.Presentation(2, [w((3, 1))])
