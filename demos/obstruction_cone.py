@@ -36,7 +36,7 @@ for text in ("central:[+,+,+,+]", "torus:[0.7,1.1,-0.5,0.3]"):
     point = rep_from_name(pres, group, text)
     info = build_complex(pres, point)
     directions, span_z1, span_h1 = sample_cone_directions(
-        pres, point, count=120, seed=5)
+        pres, point, count=120, seed=5, data=info)
     print(f"  {text:28s} span Z1 {span_z1}/{info.basis_Z1.shape[1]} "
           f"span H1 {span_h1}/{info.h_dims[1]} "
           f"success {len(directions)}/120")

@@ -199,7 +199,8 @@ def finite_diff_check_d0(pres, rep, X, h):
 
 def obstruction_quadratic(pres, rep, u, data=None, cocycle_tol=1e-9):
     """Second-order term of the relator word map along a cocycle direction,
-    projected to the complement of im D1; coordinates in basis_H2."""
+    projected to the complement of im D1; coordinates in basis_H2 of
+    data, the point's CochainData (built with the default rank cutoff when omitted)."""
     group = rep.group
     d = group.dim
     if data is None:
@@ -276,15 +277,16 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60,
     raise ConvergenceError(f"no convergence after {max_iter} iterations")
 
 
-def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3,
-                           rank_tol=1e-8):
+def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3, data=None):
     """Harvest variety tangent directions: step along random cocycles, project
     back within the slice transverse to the conjugation orbit, and keep the
     normalized displacement. Returns (directions, span in Z1, span in H1);
-    failures are skipped, so len(directions) carries the success count."""
+    failures are skipped, so len(directions) carries the success count. The spans
+    are cut at data.rank_tol; data as in obstruction_quadratic."""
     group = rep.group
     d = group.dim
-    data = build_complex(pres, rep, rank_tol)
+    if data is None:
+        data = build_complex(pres, rep)
     Z1 = data.basis_Z1
     if data.rank0:
         _, _, vt = _svd(data.basis_B1.T)
@@ -317,8 +319,8 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3,
     if not dirs:
         return [], 0, 0
     D = np.column_stack(dirs)
-    span_z1 = _rank(np.linalg.svd(Z1.T @ D, compute_uv=False), rank_tol)
-    span_h1 = _rank(np.linalg.svd(data.basis_H1.T @ D, compute_uv=False), rank_tol)
+    span_z1 = _rank(np.linalg.svd(Z1.T @ D, compute_uv=False), data.rank_tol)
+    span_h1 = _rank(np.linalg.svd(data.basis_H1.T @ D, compute_uv=False), data.rank_tol)
     return dirs, span_z1, span_h1
 
 
@@ -334,15 +336,17 @@ def sample_stabilizer(rep, count=8, seed=0):
     return els
 
 
-def stabilizer_fixed_subspace(pres, rep, elements, tol=1e-9, rank_tol=1e-8):
+def stabilizer_fixed_subspace(pres, rep, elements, tol=1e-9, data=None):
     """Dimension of the subspace of H1 fixed by the given stabilizer elements;
-    this is the local dimension of the orbit-type stratum."""
+    this is the local dimension of the orbit-type stratum. Ranks are cut at
+    data.rank_tol; data as in obstruction_quadratic."""
     group = rep.group
     for s in elements:
         worst = max(float(np.linalg.norm(s @ y - y @ s)) for y in rep.values)
         if worst > tol:
             raise ValueError(f"element does not stabilize the representation ({worst:.3e})")
-    data = build_complex(pres, rep, rank_tol)
+    if data is None:
+        data = build_complex(pres, rep)
     H1 = data.basis_H1
     h1 = H1.shape[1]
     if h1 == 0:
@@ -359,13 +363,17 @@ def stabilizer_fixed_subspace(pres, rep, elements, tol=1e-9, rank_tol=1e-8):
             raise ValueError("action does not preserve the coboundary space")
         rows.append(H1.T @ B @ H1 - np.eye(h1))
     s = np.linalg.svd(np.vstack(rows), compute_uv=False)
-    return h1 - _rank(s, rank_tol)
+    return h1 - _rank(s, data.rank_tol)
+
+
+def _orbit_type(group, k):
+    """Centralizer dimension k and its stratum label (k itself where the group names none)."""
+    return k, group.stratum_labels.get(k, str(k))
 
 
 def classify_orbit_type(rep):
-    """Stabilizer dimension and its stratum label (the dimension where the group names none)."""
-    k = rep.group.centralizer_algebra(rep.values).shape[1]
-    return k, rep.group.stratum_labels.get(k, str(k))
+    """Stabilizer dimension and its stratum label, from the centralizer of the values."""
+    return _orbit_type(rep.group, rep.group.centralizer_algebra(rep.values).shape[1])
 
 
 def conjugation_isomorphism_check(pres, rep, x, tol=1e-8):

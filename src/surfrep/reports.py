@@ -5,7 +5,9 @@ the library computation and returns ``(payload, status)``: a dict of results
 and ``"pass"``, ``"fail: <check>"`` or ``"skipped: <reason>"``. Bad input
 raises ValueError and a failed iteration raises ConvergenceError; nothing is
 printed. The genus-2 SU(2) worked example is built from the same pieces as
-the single-representation reports.
+the single-representation reports. Each builds a point's complex once, with
+its --tol-rank, and every rank decision at the point reads it (the centralizer
+dimension is h0 = dim ker D0).
 """
 
 import numpy as np
@@ -13,8 +15,8 @@ import numpy as np
 from . import words
 from .cohomology import (
     RepPoint,
+    _orbit_type,
     build_complex,
-    classify_orbit_type,
     enumerate_central_reps,
     obstruction_quadratic,
     relator_defect,
@@ -109,24 +111,6 @@ def _named_rep(group, genus, rep):
     return group, pres, rep, point, relator_defect(pres, point)
 
 
-def _complex(pres, rep, rank_tol):
-    """Cochain data at rep, with its centralizer dimension and orbit-type stratum."""
-    k, stratum = classify_orbit_type(rep)
-    return build_complex(pres, rep, rank_tol=rank_tol), k, stratum
-
-
-def _fixed_subspace(pres, rep, seed, rank_tol):
-    """Dimension of the stratum through rep, and the stabilizer sample size."""
-    elements = sample_stabilizer(rep, count=8, seed=seed)
-    return stabilizer_fixed_subspace(pres, rep, elements, rank_tol=rank_tol), len(elements)
-
-
-def _cone(pres, rep, samples, seed, rank_tol):
-    """Harvested cone directions with their spans in Z1 and H1."""
-    return sample_cone_directions(pres, rep, count=samples, seed=seed, eps=CONE_EPS,
-                                  rank_tol=rank_tol)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -158,7 +142,8 @@ def fox_report(word, n):
 def cohomology_report(group, genus, rep, rank_tol, defect_tol):
     """Twisted cohomology dimensions and orbit type at a representation."""
     group, pres, text, point, defect = _named_rep(group, genus, rep)
-    data, k, stratum = _complex(pres, point, rank_tol)
+    data = build_complex(pres, point, rank_tol)
+    k, stratum = _orbit_type(group, data.h_dims[0])
     on_variety = defect <= defect_tol
     h0, h1, h2 = data.h_dims
     d = group.dim
@@ -186,15 +171,17 @@ def cohomology_report(group, genus, rep, rank_tol, defect_tol):
 def stratify_report(group, genus, rep, seed, rank_tol, defect_tol):
     """Orbit-type stratum of a representation and its fixed subspace in H1."""
     group, pres, text, point, defect = _named_rep(group, genus, rep)
-    data, k, stratum = _complex(pres, point, rank_tol)
-    fixed, sampled = _fixed_subspace(pres, point, seed, rank_tol)
+    data = build_complex(pres, point, rank_tol)
+    k, stratum = _orbit_type(group, data.h_dims[0])
+    elements = sample_stabilizer(point, count=8, seed=seed)
+    fixed = stabilizer_fixed_subspace(pres, point, elements, data=data)
     payload = {
         "group": group.name, "genus": genus, "rep": text, "seed": seed,
         "stratum": stratum,
         "centralizer_dim": k,
         "h_dims": list(data.h_dims),
         "fixed_subspace_dim": fixed,
-        "stabilizer_sample_count": sampled,
+        "stabilizer_sample_count": len(elements),
         "relator_defect": defect,
         "on_variety": defect <= defect_tol,
     }
@@ -208,8 +195,9 @@ def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):
     group, pres, text, point, defect = _named_rep(group, genus, rep)
     if defect > defect_tol:
         raise ValueError(f"representation is off the variety (defect {defect:.3e})")
-    data = build_complex(pres, point, rank_tol=rank_tol)
-    directions, span_z1, span_h1 = _cone(pres, point, samples, seed, rank_tol)
+    data = build_complex(pres, point, rank_tol)
+    directions, span_z1, span_h1 = sample_cone_directions(
+        pres, point, count=samples, seed=seed, eps=CONE_EPS, data=data)
     q_max = 0.0
     for direction in directions:
         q_val = obstruction_quadratic(pres, point, CONE_EPS * direction, data=data)
@@ -344,9 +332,12 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
             point = irreducible_rep(group)
         else:
             point = rep_from_name(pres, group, text)
-        data, _, stratum = _complex(pres, point, rank_tol)
-        fixed, _ = _fixed_subspace(pres, point, seed, rank_tol)
-        directions, span_z1, span_h1 = _cone(pres, point, samples, seed + offset, rank_tol)
+        data = build_complex(pres, point, rank_tol)
+        _, stratum = _orbit_type(group, data.h_dims[0])
+        elements = sample_stabilizer(point, count=8, seed=seed)
+        fixed = stabilizer_fixed_subspace(pres, point, elements, data=data)
+        directions, span_z1, span_h1 = sample_cone_directions(
+            pres, point, count=samples, seed=seed + offset, eps=CONE_EPS, data=data)
         entry = {
             "rep": text,
             "h_dims": list(data.h_dims),

@@ -2,9 +2,12 @@
 
 Genus 1-3 x {U1, SO3, SU2, SU2xU1} x {central, random, torus} points (torus
 where the group has a maximal-torus map): the Euler characteristic, Poincare
-duality h0 = h2 and h1 = 2 h0 + (2g - 2) d, and the finite-difference gaps of
-D0 and D1. Also the twisted SU(2) class c = -I, where every solution is
-irreducible, and the torus constructor on a product group, which has none.
+duality h0 = h2 and h1 = 2 h0 + (2g - 2) d, the finite-difference gaps of
+D0 and D1, and Ad-equivariance of the complex under conjugation. Also the
+twisted SU(2) class c = -I, where every solution is irreducible, the torus
+constructor on a product group, which has none, and the cross-layer oracle
+that ties holonomy to Fox calculus: D1 at a point of holonomies, applied to
+their derivatives, is the derivative of the relator values.
 """
 
 import numpy as np
@@ -13,7 +16,10 @@ import pytest
 from surfrep.cohomology import (
     BundleClass,
     RepPoint,
+    _d1,
+    _value,
     build_complex,
+    conjugation_isomorphism_check,
     finite_diff_check_d0,
     finite_diff_check_d1,
     newton_project_to_variety,
@@ -21,6 +27,7 @@ from surfrep.cohomology import (
     rep_from_name,
 )
 from surfrep.groups import group_from_name, su2
+from surfrep.holonomy import PathConnection, Variation, holonomy, holonomy_derivative
 from surfrep.words import surface_presentation
 
 GROUPS = ("U1", "SO3", "SU2", "SU2xU1")
@@ -68,6 +75,8 @@ def test_euler_duality_and_fd_gaps(name, genus, kind):
     assert h0 == h2
     assert h1 == 2 * h0 + (2 * genus - 2) * d
     check_fd_gaps(pres, rep, seed=genus)
+    x = group.random_element(np.random.default_rng(genus))
+    assert conjugation_isomorphism_check(pres, rep, x)
 
 
 @pytest.mark.parametrize("genus", (2, 3))
@@ -89,3 +98,39 @@ def test_product_group_has_no_torus(name):
     assert group.torus is None
     with pytest.raises(ValueError, match="no torus"):
         rep_from_name(surface_presentation(2), group, "torus:[0.1,0.2,0.3,0.4]")
+
+
+HOLONOMY_NODES = 5
+HOLONOMY_STEP = 1e-4
+# transport is refined to 1e-10, which the central difference divides by 2s
+# (5e-7); the step itself adds O(s^2)
+HOLONOMY_GAP = 1e-6
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("genus", GENERA)
+def test_holonomy_derivative_matches_d1(name, genus):
+    group = group_from_name(name)
+    pres = surface_presentation(genus)
+    rng = np.random.default_rng(genus)
+    shape = (HOLONOMY_NODES, group.dim)
+    conns = [PathConnection(group, 1.0, rng.standard_normal(shape)) for _ in range(pres.n)]
+    thetas = [Variation(conn, rng.standard_normal(shape)) for conn in conns]
+
+    def holonomies(s):
+        # transport data A_j - s theta_j, the family holonomy_derivative differentiates
+        return [holonomy(PathConnection(group, 1.0, c.values - s * t.values))
+                for c, t in zip(conns, thetas)]
+
+    y = holonomies(0.0)
+    xi = np.concatenate([holonomy_derivative(c, t) for c, t in zip(conns, thetas)])
+    lin = _d1(pres, group, y) @ xi
+    plus, minus = holonomies(HOLONOMY_STEP), holonomies(-HOLONOMY_STEP)
+    d = group.dim
+    for i, r in enumerate(pres.relators):
+        r0inv = _value(group, y, r.letters).conj().T
+        fd = (group.log(r0inv @ _value(group, plus, r.letters))
+              - group.log(r0inv @ _value(group, minus, r.letters))) / (2 * HOLONOMY_STEP)
+        assert np.linalg.norm(fd - lin[i * d:(i + 1) * d]) <= HOLONOMY_GAP
+        # U1 is abelian, so its relators are constant and both sides vanish
+        assert name == "U1" or np.linalg.norm(fd) > 0.1

@@ -123,6 +123,15 @@ def test_cohomology_genus_budget(monkeypatch):
     assert "budget" in result.stderr
 
 
+def test_centralizer_dim_follows_tol_rank():
+    # at 1e-3 the small torus angles read as central; the centralizer dimension
+    # and stratum must come from the same cutoff as h0
+    payload = payload_of(invoke("cohomology", "--rep", "torus:[1e-5,2e-5,1e-5,3e-5]",
+                                "--tol-rank", "1e-3", "--json"))
+    assert payload["centralizer_dim"] == payload["h_dims"][0] == 3
+    assert payload["stratum"] == "G"
+
+
 def test_cohomology_rejects_nonpositive_tolerance(tmp_path):
     for flag in ("--tol-rank", "--tol-defect"):
         for value in ("-1", "nan", "inf"):
@@ -280,7 +289,9 @@ def test_genus2_report_rejects_nonpositive_samples(samples):
     assert "--samples" in result.stderr
 
 
-def test_genus2_report_builds_every_complex_with_its_rank_tol(monkeypatch):
+@pytest.fixture
+def builds(monkeypatch):
+    """The rank_tol of every build_complex call, in call order."""
     seen = []
     real = cohomology.build_complex
 
@@ -290,8 +301,22 @@ def test_genus2_report_builds_every_complex_with_its_rank_tol(monkeypatch):
 
     monkeypatch.setattr(cohomology, "build_complex", spy)
     monkeypatch.setattr(reports, "build_complex", spy)
+    return seen
+
+
+def test_genus2_report_builds_every_complex_with_its_rank_tol(builds):
     reports.genus2_su2_report(seed=0, samples=20, rank_tol=2e-8, defect_tol=1e-9)
-    assert seen and set(seen) == {2e-8}
+    assert builds == [2e-8] * 3  # one complex per stratum
+
+
+@pytest.mark.parametrize("report, extra", [
+    (reports.cohomology_report, {}),
+    (reports.stratify_report, {"seed": 0}),
+    (reports.cone_span_report, {"seed": 0, "samples": 20}),
+], ids=["cohomology", "stratify", "cone-span"])
+def test_single_rep_report_builds_its_complex_once(builds, report, extra):
+    report("SU2", 2, "torus:[0.7,1.1,-0.5,0.3]", rank_tol=2e-8, defect_tol=1e-9, **extra)
+    assert builds == [2e-8]
 
 
 def test_genus2_report_byte_deterministic():

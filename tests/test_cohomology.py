@@ -456,6 +456,7 @@ def test_stabilizer_fixed_subspace_central():
 
 
 def test_stabilizer_fixed_subspace_builds_with_its_rank_tol(monkeypatch):
+    # the fixed subspace is cut at the given complex's rank_tol; nothing is rebuilt
     seen = []
     real = cohomology.build_complex
 
@@ -463,11 +464,12 @@ def test_stabilizer_fixed_subspace_builds_with_its_rank_tol(monkeypatch):
         seen.append(rank_tol)
         return real(pres, rep, rank_tol)
 
-    monkeypatch.setattr(cohomology, "build_complex", spy)
     rep = torus_rep()
+    data = build_complex(P2, rep, 1e-6)
+    monkeypatch.setattr(cohomology, "build_complex", spy)
     els = sample_stabilizer(rep, count=6, seed=0)
-    assert stabilizer_fixed_subspace(P2, rep, els, rank_tol=1e-6) == 4
-    assert seen == [1e-6]
+    assert stabilizer_fixed_subspace(P2, rep, els, data=data) == 4
+    assert seen == []
 
 
 def test_stabilizer_rejects_noncommuting_element():

@@ -1,6 +1,10 @@
-"""The demos run to completion as scripts against the package under test."""
+"""The demos run to completion as scripts against the package under test, and
+the README's library example prints what its comments say."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +21,16 @@ def test_demo_runs(demo):
                             text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    # each print's comment gives its output, before any " - " remark
+    expected = [line.split("#", 1)[1].split(" - ")[0].strip()
+                for line in code.splitlines() if line.startswith("print(")]
+    assert expected == ["(1, 8, 1)", "(1, '(T)')"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == expected
