@@ -35,7 +35,8 @@ print("-- cohomology dimensions per stratum --")
 for name, rep in reps.items():
     data = build_complex(pres, rep)
     k, stratum = classify_orbit_type(rep)
-    fixed = stabilizer_fixed_subspace(pres, rep, sample_stabilizer(rep, seed=0), data=data)
+    elements = sample_stabilizer(rep, seed=0, data=data)
+    fixed = stabilizer_fixed_subspace(pres, rep, elements, data=data)
     print(f"  {name:12s} h = {data.h_dims}  stratum {stratum:3s} "
           f"stabilizer dim {k}  fixed subspace in H1: {fixed}")
     h0, h1, h2 = data.h_dims

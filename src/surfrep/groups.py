@@ -3,6 +3,11 @@
 Each model carries an orthonormal Lie algebra basis for the Ad-invariant inner
 product <X,Y> = -scale * Re tr(XY). Algebra vectors are plain coordinate arrays
 in that basis (the AlgebraVector alias below).
+
+The kernels (exp, log, project, defect, Ad) take stacks: coordinates (..., d)
+and matrices (..., m, m), with any number of leading axes. Each entry of a stack
+gets the same bits as the entry alone, so a batched caller and a one-at-a-time
+caller agree exactly.
 """
 
 import itertools
@@ -16,6 +21,32 @@ _SY = np.array([[0, -1j], [1j, 0]])
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _CUT_MARGIN = 1e-6
+
+
+def _norm(x):
+    """Euclidean norm over the last axis; bit-identical to np.linalg.norm of each 1-D slice."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _frobenius(M):
+    """Frobenius norm over the last two axes; bit-identical to np.linalg.norm of each matrix."""
+    f = np.ascontiguousarray(M).reshape(*M.shape[:-2], -1)  # as norm's ravel
+    return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
+
+
+def _abs(z):
+    """|z| elementwise; bit-identical to abs() of each complex scalar (np.abs is not)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _cut(angles):
+    """Where a rotation angle is within _CUT_MARGIN of pi, the cut locus of log."""
+    return np.abs(angles) >= np.pi - _CUT_MARGIN
+
+
+def _dagger(g):
+    """Conjugate transpose of each matrix in a stack (the inverse on a unitary group)."""
+    return g.conj().swapaxes(-1, -2)
 
 
 def _rank(s, tol):
@@ -35,7 +66,9 @@ class LieGroupModel:
     so3(), u1(), direct_product() supply the group's kernels (exp, log,
     random_element, project, defect), its maximal-torus map t -> element
     (`torus`, None if it has none) and the names of its orbit-type strata by
-    centralizer dimension (`stratum_labels`).
+    centralizer dimension (`stratum_labels`). The log kernel returns the
+    coordinates and the rotation angles (..., k), one per factor; an element
+    is on the cut locus when any of its angles is.
     """
 
     def __init__(self, name, basis, scales, center_elements, *, exp, log, random_element,
@@ -76,19 +109,32 @@ class LieGroupModel:
     # exp / log
 
     def exp(self, coords):
+        """Group elements (..., m, m) of algebra coordinates (..., d)."""
         return self._exp(np.asarray(coords, dtype=float))
 
     def log(self, g):
-        """Principal-branch logarithm; raises near the cut locus (rotation angle >= pi)."""
-        return self._log(np.asarray(g, dtype=complex))
+        """Principal-branch logarithm of g (..., m, m); raises near the cut locus
+        (rotation angle >= pi)."""
+        coords, angles = self._log(np.asarray(g, dtype=complex))
+        cut = _cut(angles)
+        if cut.any():
+            raise ValueError(f"log undefined near the cut locus (angle {angles[cut][0]:.6f})")
+        return coords
+
+    def masked_log(self, g):
+        """(coords, cut): log of each element of a stack (..., m, m) without raising,
+        and the mask (...) of elements near the cut locus, whose coords mean nothing."""
+        coords, angles = self._log(np.asarray(g, dtype=complex))
+        return coords, _cut(angles).any(axis=-1)
 
     # adjoint structure
 
     def Ad_matrix(self, g):
-        """Matrix of X -> g X g^-1 in algebra coordinates (real, orthogonal)."""
+        """Matrix of X -> g X g^-1 in algebra coordinates (real, orthogonal), for
+        g (..., m, m)."""
         g = np.asarray(g, dtype=complex)
-        conj = np.einsum("ab,kbc,cd->kad", g, self._basis_arr, g.conj().T)
-        traces = np.einsum("aij,kji->ak", self._basis_arr, conj)
+        conj = np.einsum("...ab,kbc,...cd->...kad", g, self._basis_arr, _dagger(g))
+        traces = np.einsum("aij,...kji->...ak", self._basis_arr, conj)
         return -self._scales[:, None] * traces.real
 
     def ad_matrix(self, coords):
@@ -121,20 +167,28 @@ class LieGroupModel:
     # group constraint
 
     def project_to_group(self, M):
-        """Nearest group element (polar projection per factor)."""
+        """Nearest group element to M (..., m, m) (polar projection per factor)."""
         return self._project(np.asarray(M, dtype=complex))
 
     def group_defect(self, g):
-        """Unitarity plus per-group constraint residual; ~0 iff g lies on the group."""
-        return float(self._defect(np.asarray(g, dtype=complex)))
+        """Unitarity plus per-group constraint residual; ~0 iff g lies on the group.
+        A float for one matrix, an array (...) for a stack (..., m, m)."""
+        defect = self._defect(np.asarray(g, dtype=complex))
+        return float(defect) if np.ndim(defect) == 0 else defect
 
 
 def _hat(c):
-    return np.array([
-        [0.0, -c[2], c[1]],
-        [c[2], 0.0, -c[0]],
-        [-c[1], c[0], 0.0],
-    ])
+    """Cross-product matrices (..., 3, 3) of vectors (..., 3)."""
+    K = np.zeros(c.shape[:-1] + (3, 3))
+    K[..., 0, 1], K[..., 0, 2] = -c[..., 2], c[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = c[..., 2], -c[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -c[..., 1], c[..., 0]
+    return K
+
+
+def _mat(x):
+    """Scalars (...) as (..., 1, 1), to scale a stack of matrices."""
+    return np.asarray(x)[..., None, None]
 
 
 def _as_rng(rng):
@@ -144,25 +198,24 @@ def _as_rng(rng):
 
 
 def _unitary_defect(g):
-    return np.linalg.norm(g.conj().T @ g - np.eye(len(g)))
+    return _frobenius(_dagger(g) @ g - np.eye(g.shape[-1]))
 
 
 def su2():
     def exp(coords):
-        t = np.linalg.norm(coords)
+        t = _norm(coords)
         s = 0.5 * np.sinc(t / (2 * np.pi))  # sin(t/2)/t
-        return np.cos(t / 2) * np.eye(2) + 1j * s * (
-            coords[0] * _SX + coords[1] * _SY + coords[2] * _SZ
+        c = [_mat(coords[..., k]) for k in range(3)]
+        return _mat(np.cos(t / 2)) * np.eye(2) + _mat(1j * s) * (
+            c[0] * _SX + c[1] * _SY + c[2] * _SZ
         )
 
     def log(g):
-        a = g.trace().real / 2
-        B = -1j * (g - a * np.eye(2))
-        b = np.array([B[0, 1].real, B[1, 0].imag, B[0, 0].real])
-        alpha = np.arctan2(np.linalg.norm(b), a)
-        if alpha >= np.pi - _CUT_MARGIN:
-            raise ValueError(f"log undefined near the cut locus (angle {alpha:.6f})")
-        return (2.0 / np.sinc(alpha / np.pi)) * b
+        a = np.trace(g, axis1=-2, axis2=-1).real / 2
+        B = -1j * (g - _mat(a) * np.eye(2))
+        b = np.stack([B[..., 0, 1].real, B[..., 1, 0].imag, B[..., 0, 0].real], axis=-1)
+        alpha = np.arctan2(_norm(b), a)
+        return (2.0 / np.sinc(alpha / np.pi))[..., None] * b, alpha[..., None]
 
     def random_element(rng):
         q = rng.standard_normal(4)
@@ -176,14 +229,14 @@ def su2():
         u, _, vh = np.linalg.svd(M)
         U = u @ vh
         det = np.linalg.det(U)
-        return U * det ** (-0.5)
+        return U * _mat(det ** (-0.5))
 
     basis = [0.5j * _SX, 0.5j * _SY, 0.5j * _SZ]
     center = [np.eye(2, dtype=complex), -np.eye(2, dtype=complex)]
     return LieGroupModel(
         "SU2", basis, [2.0, 2.0, 2.0], center, exp=exp, log=log,
         random_element=random_element, project=project,
-        defect=lambda g: _unitary_defect(g) + abs(np.linalg.det(g) - 1),
+        defect=lambda g: _unitary_defect(g) + _abs(np.linalg.det(g) - 1),
         torus=lambda t: np.diag([np.exp(1j * t), np.exp(-1j * t)]),
         stratum_labels={0: "Z", 1: "(T)", 3: "G"},
     )
@@ -191,24 +244,23 @@ def su2():
 
 def so3():
     def exp(coords):
-        t = np.linalg.norm(coords)
+        t = _norm(coords)
         K = _hat(coords)
         g = (
             np.eye(3)
-            + np.sinc(t / np.pi) * K
-            + 0.5 * np.sinc(t / (2 * np.pi)) ** 2 * (K @ K)
+            + _mat(np.sinc(t / np.pi)) * K
+            # float_power is libm pow, as ** is on a scalar; ** on an array squares
+            + _mat(0.5 * np.float_power(np.sinc(t / (2 * np.pi)), 2)) * (K @ K)
         )
         return g.astype(complex)
 
     def log(g):
         R = g.real
-        ct = np.clip((np.trace(R) - 1) / 2, -1.0, 1.0)
+        ct = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1) / 2, -1.0, 1.0)
         theta = np.arccos(ct)
-        if theta >= np.pi - _CUT_MARGIN:
-            raise ValueError(f"log undefined near the cut locus (angle {theta:.6f})")
-        A = (R - R.T) / 2
-        axial = np.array([A[2, 1], A[0, 2], A[1, 0]])
-        return axial / np.sinc(theta / np.pi)
+        A = (R - R.swapaxes(-1, -2)) / 2
+        axial = np.stack([A[..., 2, 1], A[..., 0, 2], A[..., 1, 0]], axis=-1)
+        return axial / np.sinc(theta / np.pi)[..., None], theta[..., None]
 
     def random_element(rng):
         q = rng.standard_normal(4)
@@ -223,11 +275,10 @@ def so3():
 
     def project(M):
         u, _, vh = np.linalg.svd(M.real)
-        R = u @ vh
-        if np.linalg.det(R) < 0:
-            u[:, -1] *= -1
-            R = u @ vh
-        return R.astype(complex)
+        flip = np.linalg.det(u @ vh) < 0
+        if flip.any():
+            u[..., -1] *= np.where(flip, -1.0, 1.0)[..., None]
+        return (u @ vh).astype(complex)
 
     basis = []
     for k in range(3):
@@ -237,7 +288,8 @@ def so3():
     model = LieGroupModel(
         "SO3", basis, [0.5, 0.5, 0.5], [np.eye(3, dtype=complex)], exp=exp, log=log,
         random_element=random_element, project=project,
-        defect=lambda g: _unitary_defect(g) + abs(np.linalg.det(g) - 1) + np.linalg.norm(g.imag),
+        defect=lambda g: (_unitary_defect(g) + _abs(np.linalg.det(g) - 1)
+                          + _frobenius(g.imag)),
         torus=lambda t: model.exp([0.0, 0.0, t]),
     )
     return model
@@ -247,20 +299,18 @@ def u1(center_order=2):
     """U(1) as 1x1 unitary matrices; center_order picks the finite cyclic subgroup
     recorded as enumerable center (0 means none is enumerated)."""
     def log(g):
-        z = g[0, 0]
+        z = g[..., 0, :1]
         theta = np.arctan2(z.imag, z.real)
-        if abs(theta) >= np.pi - _CUT_MARGIN:
-            raise ValueError(f"log undefined near the cut locus (angle {theta:.6f})")
-        return np.array([theta])
+        return theta, theta
 
     center = [
         np.array([[np.exp(2j * np.pi * k / center_order)]]) for k in range(center_order)
     ] if center_order else []
     return LieGroupModel(
         "U1", [np.array([[1j]])], [1.0], center,
-        exp=lambda coords: np.array([[np.exp(1j * coords[0])]]), log=log,
+        exp=lambda coords: np.exp(1j * coords[..., None]), log=log,
         random_element=lambda rng: np.array([[np.exp(1j * rng.uniform(-np.pi, np.pi))]]),
-        project=lambda M: np.array([[M[0, 0] / abs(M[0, 0])]]), defect=_unitary_defect,
+        project=lambda M: M / _abs(M), defect=_unitary_defect,
         torus=lambda t: np.array([[np.exp(1j * t)]]),
     )
 
@@ -279,11 +329,15 @@ def direct_product(*factors):
         c0 += f.dim
 
     def assemble(parts):
-        """The block-diagonal matrix with one part per factor."""
-        g = np.zeros((m0, m0), dtype=complex)
+        """The block-diagonal matrices (..., m, m) with one part per factor."""
+        g = np.zeros(np.shape(parts[0])[:-2] + (m0, m0), dtype=complex)
         for (_, ms, _), part in zip(blocks, parts):
-            g[ms, ms] = part
+            g[..., ms, ms] = part
         return g
+
+    def log(g):
+        parts = [f._log(g[..., ms, ms]) for f, ms, _ in blocks]
+        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
     zeros = [np.zeros((f.matrix_dim, f.matrix_dim)) for f in factors]
     basis = [assemble(zeros[:k] + [E] + zeros[k + 1:])
@@ -291,11 +345,10 @@ def direct_product(*factors):
     centers = [assemble(c) for c in itertools.product(*(f.center_elements for f in factors))]
     return LieGroupModel(
         "x".join(f.name for f in factors), basis, np.concatenate([f._scales for f in factors]),
-        centers, exp=lambda coords: assemble([f.exp(coords[cs]) for f, _, cs in blocks]),
-        log=lambda g: np.concatenate([f.log(g[ms, ms]) for f, ms, _ in blocks]),
-        random_element=lambda rng: assemble([f.random_element(rng) for f in factors]),
-        project=lambda M: assemble([f.project_to_group(M[ms, ms]) for f, ms, _ in blocks]),
-        defect=lambda g: sum(f.group_defect(g[ms, ms]) for f, ms, _ in blocks),
+        centers, exp=lambda coords: assemble([f.exp(coords[..., cs]) for f, _, cs in blocks]),
+        log=log, random_element=lambda rng: assemble([f.random_element(rng) for f in factors]),
+        project=lambda M: assemble([f.project_to_group(M[..., ms, ms]) for f, ms, _ in blocks]),
+        defect=lambda g: sum(f.group_defect(g[..., ms, ms]) for f, ms, _ in blocks),
     )
 
 

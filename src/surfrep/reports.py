@@ -173,7 +173,7 @@ def stratify_report(group, genus, rep, seed, rank_tol, defect_tol):
     group, pres, text, point, defect = _named_rep(group, genus, rep)
     data = build_complex(pres, point, rank_tol)
     k, stratum = _orbit_type(group, data.h_dims[0])
-    elements = sample_stabilizer(point, count=8, seed=seed)
+    elements = sample_stabilizer(point, count=8, seed=seed, data=data)
     fixed = stabilizer_fixed_subspace(pres, point, elements, data=data)
     payload = {
         "group": group.name, "genus": genus, "rep": text, "seed": seed,
@@ -334,7 +334,7 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
             point = rep_from_name(pres, group, text)
         data = build_complex(pres, point, rank_tol)
         _, stratum = _orbit_type(group, data.h_dims[0])
-        elements = sample_stabilizer(point, count=8, seed=seed)
+        elements = sample_stabilizer(point, count=8, seed=seed, data=data)
         fixed = stabilizer_fixed_subspace(pres, point, elements, data=data)
         directions, span_z1, span_h1 = sample_cone_directions(
             pres, point, count=samples, seed=seed + offset, eps=CONE_EPS, data=data)

@@ -132,6 +132,17 @@ def test_centralizer_dim_follows_tol_rank():
     assert payload["stratum"] == "G"
 
 
+def test_stratify_stabilizer_checks_follow_tol_rank():
+    # at 1e-3 the whole group reads as the stabilizer: its elements commute with
+    # the values only to about 1e-5, and D1 (entries about 1e-5) reads as zero,
+    # so the stabilization and preservation checks must scale with the cutoff
+    payload = payload_of(invoke("stratify", "--rep", "torus:[1e-5,2e-5,1e-5,3e-5]",
+                                "--tol-rank", "1e-3", "--json"))
+    assert payload["stratum"] == "G"
+    assert payload["centralizer_dim"] == 3
+    assert payload["fixed_subspace_dim"] == 0
+
+
 def test_cohomology_rejects_nonpositive_tolerance(tmp_path):
     for flag in ("--tol-rank", "--tol-defect"):
         for value in ("-1", "nan", "inf"):
