@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .groups import _dagger, _frobenius, _norm, _rank
+from .groups import _cut, _cut_error, _dagger, _frobenius, _norm, _rank
 from .words import fox_terms
 
 # Cone samples per stacked Gauss-Newton pass: a pass holds this many copies of
@@ -31,14 +31,12 @@ class RepPoint:
 
     def __init__(self, group, values, defect_tol=1e-10):
         vals = [np.asarray(v, dtype=complex) for v in values]
-        # one stacked check; the loop runs only to name the first bad value
-        if not (vals and _on_group(group, np.stack(vals)[:, None], defect_tol)[0]):
-            for v in vals:
-                if not np.isfinite(v).all():
-                    raise ValueError("representation matrices must be finite")
-                defect = group.group_defect(v)
-                if defect > defect_tol:
-                    raise ValueError(f"matrix lies off the group (defect {defect:.3e})")
+        for v in vals:
+            if not np.isfinite(v).all():
+                raise ValueError("representation matrices must be finite")
+            defect = group.group_defect(v)
+            if defect > defect_tol:
+                raise ValueError(f"matrix lies off the group (defect {defect:.3e})")
         self.group = group
         self.values = vals
         self.n = len(vals)
@@ -253,11 +251,18 @@ def obstruction_quadratic(pres, rep, u, data=None, cocycle_tol=1e-9):
     return data.basis_H2.T @ np.concatenate(coords)
 
 
+def _per_sample(x):
+    """(relators, ..., k) -> (..., relators * k), relator by relator."""
+    x = np.moveaxis(x, 0, -2)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
 def _residual(group, rels, cmi):
     """The Newton residual, log(r_i c^-1) concatenated over relators, per sample
-    (..., m d), and the mask (...) of samples where one of the logs is cut."""
-    coords, cut = group.masked_log(rels @ cmi)
-    return np.moveaxis(coords, 0, -2).reshape(coords.shape[1:-1] + (-1,)), cut.any(axis=0)
+    (..., m d), and the rotation angles of those logs in the same order
+    (..., m k). The residual of a sample means nothing where one is cut."""
+    coords, angles = group._log(rels @ cmi)
+    return _per_sample(coords), _per_sample(angles)
 
 
 def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
@@ -271,14 +276,12 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
     cmi = _dagger(cm)
     values = values.copy()
     rels, defect = _relators_at(pres, group, values, cm)
-    F, cut = _residual(group, rels, cmi)
+    F, angles = _residual(group, rels, cmi)
+    cut = _cut(angles).any(axis=-1)
     moved = ~(defect < tol)
     errors = [None] * S
     for s in np.flatnonzero(moved & cut):
-        try:
-            group.log(rels[:, s] @ cmi)
-        except ValueError as exc:
-            errors[s] = exc
+        errors[s] = _cut_error(angles[s])
     live = np.flatnonzero(moved & ~cut)
     for _ in range(max_iter):
         if not live.size:
@@ -297,8 +300,8 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
             delta = (alpha[todo, None] * step[todo]).reshape(len(todo), n, d)
             trial = group.project_to_group(Y[:, todo] @ group.exp(delta.swapaxes(0, 1)))
             rels, trial_defect = _relators_at(pres, group, trial, cm)
-            Ft, cut = _residual(group, rels, cmi)
-            better = ~cut & (_norm(Ft) < base[todo])
+            Ft, angles = _residual(group, rels, cmi)
+            better = ~_cut(angles).any(axis=-1) & (_norm(Ft) < base[todo])
             done = live[todo[better]]
             values[:, done], F[done], defect[done] = trial[:, better], Ft[better], trial_defect[better]
             alpha[todo[~better]] /= 2
@@ -332,7 +335,7 @@ def _on_group(group, values, defect_tol=1e-10):
     """Mask of the samples of stacked values (n, S, m, m) that RepPoint accepts:
     finite, and no value further than defect_tol from the group."""
     ok = np.isfinite(values).all(axis=(0, 2, 3))
-    ok[ok] = ~(group.group_defect(values[:, ok]) > defect_tol).any(axis=0)
+    ok[ok] = ~(group._defect(values[:, ok]) > defect_tol).any(axis=0)
     return ok
 
 

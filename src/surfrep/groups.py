@@ -30,7 +30,8 @@ def _norm(x):
 
 def _frobenius(M):
     """Frobenius norm over the last two axes; bit-identical to np.linalg.norm of each matrix."""
-    f = np.ascontiguousarray(M).reshape(*M.shape[:-2], -1)  # as norm's ravel
+    # as norm's ravel; the size is explicit so that empty stacks reshape too
+    f = np.ascontiguousarray(M).reshape(M.shape[:-2] + (M.shape[-2] * M.shape[-1],))
     return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
 
 
@@ -42,6 +43,15 @@ def _abs(z):
 def _cut(angles):
     """Where a rotation angle is within _CUT_MARGIN of pi, the cut locus of log."""
     return np.abs(angles) >= np.pi - _CUT_MARGIN
+
+
+def _cut_error(angles):
+    """The error log raises for rotation angles (any shape): it names the first
+    angle on the cut locus, in C order. None when no angle is on it."""
+    cut = _cut(angles)
+    if not cut.any():
+        return None
+    return ValueError(f"log undefined near the cut locus (angle {angles[cut][0]:.6f})")
 
 
 def _dagger(g):
@@ -116,16 +126,10 @@ class LieGroupModel:
         """Principal-branch logarithm of g (..., m, m); raises near the cut locus
         (rotation angle >= pi)."""
         coords, angles = self._log(np.asarray(g, dtype=complex))
-        cut = _cut(angles)
-        if cut.any():
-            raise ValueError(f"log undefined near the cut locus (angle {angles[cut][0]:.6f})")
+        error = _cut_error(angles)
+        if error is not None:
+            raise error
         return coords
-
-    def masked_log(self, g):
-        """(coords, cut): log of each element of a stack (..., m, m) without raising,
-        and the mask (...) of elements near the cut locus, whose coords mean nothing."""
-        coords, angles = self._log(np.asarray(g, dtype=complex))
-        return coords, _cut(angles).any(axis=-1)
 
     # adjoint structure
 
@@ -171,10 +175,8 @@ class LieGroupModel:
         return self._project(np.asarray(M, dtype=complex))
 
     def group_defect(self, g):
-        """Unitarity plus per-group constraint residual; ~0 iff g lies on the group.
-        A float for one matrix, an array (...) for a stack (..., m, m)."""
-        defect = self._defect(np.asarray(g, dtype=complex))
-        return float(defect) if np.ndim(defect) == 0 else defect
+        """Unitarity plus per-group constraint residual; ~0 iff g lies on the group."""
+        return float(self._defect(np.asarray(g, dtype=complex)))
 
 
 def _hat(c):
@@ -348,7 +350,7 @@ def direct_product(*factors):
         centers, exp=lambda coords: assemble([f.exp(coords[..., cs]) for f, _, cs in blocks]),
         log=log, random_element=lambda rng: assemble([f.random_element(rng) for f in factors]),
         project=lambda M: assemble([f.project_to_group(M[..., ms, ms]) for f, ms, _ in blocks]),
-        defect=lambda g: sum(f.group_defect(g[..., ms, ms]) for f, ms, _ in blocks),
+        defect=lambda g: sum(f._defect(g[..., ms, ms]) for f, ms, _ in blocks),
     )
 
 

@@ -2,6 +2,7 @@
 many starts at once, and chunked cone sampling. Each must give the bits the
 one-at-a-time path gives, so batching never changes a result."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -13,10 +14,11 @@ from surfrep.cohomology import (
     ConvergenceError,
     RepPoint,
     _gauss_newton,
+    _on_group,
     newton_project_to_variety,
     sample_cone_directions,
 )
-from surfrep.groups import group_from_name, su2
+from surfrep.groups import _cut, _cut_error, group_from_name, su2
 from surfrep.words import surface_presentation
 
 N = 5000
@@ -56,20 +58,22 @@ def test_stacked_kernels_match_one_at_a_time(name):
     E = group.exp(X)
     assert np.array_equal(E, [group.exp(x) for x in X])
 
-    coords, cut = group.masked_log(E)
+    coords, angles = group._log(E)
+    cut = _cut(angles).any(axis=-1)
     logs = [_log_or_cut(group, g) for g in E]
     assert 0 < cut.sum() < N
     assert np.array_equal(cut, [c is None for c in logs])
     assert np.array_equal(coords[~cut], [c for c in logs if c is not None])
-    with pytest.raises(ValueError, match="cut locus"):
+    with pytest.raises(ValueError, match="cut locus") as raised:
         group.log(E)
+    assert str(raised.value) == str(_cut_error(angles[np.flatnonzero(cut)[0]]))
 
     M = E + 1e-3 * (rng.standard_normal(E.shape) + 1j * rng.standard_normal(E.shape))
     P = group.project_to_group(M)
     assert np.array_equal(P, [group.project_to_group(m) for m in M])
     # half off the group, half on it
     mixed = np.concatenate([M[:N // 2], P[N // 2:]])
-    assert np.array_equal(group.group_defect(mixed), [group.group_defect(g) for g in mixed])
+    assert np.array_equal(group._defect(mixed), [group.group_defect(g) for g in mixed])
     Ad = group.Ad_matrix(M)
     assert np.array_equal(Ad, [group.Ad_matrix(m) for m in M])
     # more than one leading axis
@@ -101,6 +105,35 @@ def test_chunk_size_does_not_change_the_cone(monkeypatch, text):
     chunked, chunked_z1, chunked_h1 = sample_cone_directions(P2, rep, count=24, seed=3)
     assert _same_directions(dirs, chunked)
     assert (span_z1, span_h1) == (chunked_z1, chunked_h1)
+
+
+def test_chunks_where_every_sample_fails_are_skipped(monkeypatch):
+    # two Newton iterations leave most samples short of 1e-12 at this point:
+    # with one sample per chunk, most chunks end with no sample, and the
+    # sampler must skip them as it skips each failed sample in a full chunk
+    rep = cohomology.rep_from_name(P2, G, "central:[+,-,+,+]")
+    newton = cohomology._gauss_newton
+
+    def capped(pres, group, values, cm, tol, max_iter, slice_basis, cap=2):
+        return newton(pres, group, values, cm, tol, cap, slice_basis)
+
+    monkeypatch.setattr(cohomology, "_gauss_newton", capped)
+    dirs, span_z1, span_h1 = sample_cone_directions(P2, rep, count=16, seed=1)
+    assert 0 < len(dirs) < 16
+    monkeypatch.setattr(cohomology, "CONE_CHUNK", 1)
+    single, single_z1, single_h1 = sample_cone_directions(P2, rep, count=16, seed=1)
+    assert _same_directions(dirs, single)
+    assert (span_z1, span_h1) == (single_z1, single_h1)
+    monkeypatch.setattr(cohomology, "_gauss_newton", functools.partial(capped, cap=1))
+    assert sample_cone_directions(P2, rep, count=16, seed=1) == ([], 0, 0)
+
+
+def test_empty_batches_pass_through():
+    empty = np.empty((4, 0, 2, 2), dtype=complex)
+    assert _on_group(G, empty).shape == (0,)
+    values, errors, moved = _gauss_newton(P2, G, empty, np.eye(2, dtype=complex),
+                                          tol=1e-12, max_iter=80, slice_basis=None)
+    assert values.shape == (4, 0, 2, 2) and errors == [] and moved.shape == (0,)
 
 
 def _outcome(call):
