@@ -31,7 +31,10 @@ class RepPoint:
 
     def __init__(self, group, values, defect_tol=1e-10):
         vals = [np.asarray(v, dtype=complex) for v in values]
+        shape = (group.matrix_dim, group.matrix_dim)
         for v in vals:
+            if v.shape != shape:
+                raise ValueError(f"representation matrices must have shape {shape}, got {v.shape}")
             if not np.isfinite(v).all():
                 raise ValueError("representation matrices must be finite")
             defect = group.group_defect(v)

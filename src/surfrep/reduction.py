@@ -8,6 +8,10 @@ locus V = mu^-1(0), the quadratic Hilbert map whose image realizes V/K, and
 the semialgebraic relations cutting that image out of its ambient space.
 Zariski tangent dimensions at the origin are measured as the rank of the
 span of sampled Hilbert images.
+
+The model kernels take one point, a (W_dim,) vector, or a stack of them, an
+(S, W_dim) array, and give each point of a stack the bits it gets alone; the
+one-point functions call the same kernels.
 """
 
 import itertools
@@ -18,6 +22,19 @@ from .cohomology import ConvergenceError
 from .groups import _rank, so3, u1
 
 RESIDUAL_TOL = 1e-10
+# Largest count sample_zero_locus accepts. The sampler and the stacked
+# relation pass hold every point at once (about 2 kB per SO(3) point).
+MAX_SAMPLES = 10_000
+# Newton projection onto mu = 0: steps per start, and starts per point before
+# ConvergenceError.
+NEWTON_ITERS = 60
+NEWTON_STARTS = 25
+
+_TRIPLES = list(itertools.combinations(range(4), 3))
+# the sixteen 3x3 submatrices of a 4x4 matrix, row triples varying slowest
+_MINOR_ROWS = np.array([rows for rows in _TRIPLES for _ in _TRIPLES])[:, :, None]
+_MINOR_COLS = np.array([cols for _ in _TRIPLES for cols in _TRIPLES])[:, None, :]
+_COUPLES = np.array(list(itertools.combinations(range(4), 2)))
 
 
 def momentum_so2(q, p):
@@ -34,21 +51,34 @@ def momentum_so3(q1, p1, q2, p2):
     )
 
 
-def _so3_slots(w):
-    return w[0:3], w[3:6], w[6:9], w[9:12]
+def _so3_slots(W):
+    """(..., 12) points as (..., 4, 3) slot vectors (q1, q2, p1, p2)."""
+    return W.reshape(W.shape[:-1] + (4, 3))
 
 
-def _cross_matrix(v):
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+def _cross_matrices(v):
+    """(..., 3, 3) matrices of v x . for (..., 3) vectors v."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([
+        np.stack([zero, -z, y], axis=-1),
+        np.stack([z, zero, -x], axis=-1),
+        np.stack([-y, x, zero], axis=-1),
+    ], axis=-2)
+
+
+def _excess(x):
+    """max(0.0, x) per entry, as Python's max gives it: x only where x > 0."""
+    return np.where(x > 0.0, x, 0.0)
 
 
 class LinearMomentumModel:
     """A compact group acting orthogonally on W with its momentum map. The
-    factories so2_model() and so3_model() supply its kernels, among them the
-    zero-locus constructor construct(rng, index) and, on Hilbert images, the
-    relation suite relations(image, w) and the stratum rule stratum(image)."""
+    factories so2_model() and so3_model() supply its kernels: momentum,
+    hilbert and jacobian of one point or a stack of points, the relation
+    suite relations(image, w) on their Hilbert images, the stratum rule
+    stratum(images), which labels a stack of images, and the zero-locus
+    constructor construct(rng, count), which returns points 1..count-1."""
 
     def __init__(self, name, group, W_dim, invariant_count, action, momentum,
                  coad, hilbert, jacobian, construct, relations, stratum):
@@ -69,7 +99,7 @@ class LinearMomentumModel:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.W_dim,):
             raise ValueError(f"expected a vector of length {self.W_dim}")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("point contains non-finite entries")
         return w
 
@@ -95,30 +125,32 @@ def so2_model():
         c, s = np.cos(theta), np.sin(theta)
         return np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
 
-    def momentum(w):
-        return np.array([momentum_so2(w[0:2], w[2:4])])
+    # W.T unpacks the coordinates of one point as scalars, of a stack as columns
+    def momentum(W):
+        q0, q1, p0, p1 = W.T
+        return (q0 * p1 - q1 * p0)[..., None]
 
-    def hilbert(w):
-        q, p = w[0:2], w[2:4]
-        qq, pp, qp = float(q @ q), float(p @ p), float(q @ p)
-        return np.array([qq - pp, 2.0 * qp, qq + pp])
+    def hilbert(W):
+        q, p = W[..., 0:2], W[..., 2:4]
+        qq, pp, qp = np.vecdot(q, q), np.vecdot(p, p), np.vecdot(q, p)
+        return np.array([qq - pp, 2.0 * qp, qq + pp]).T
 
-    def jacobian(w):
-        q, p = w[0:2], w[2:4]
-        return np.array([[p[1], -p[0], -q[1], q[0]]])
+    def jacobian(W):
+        q0, q1, p0, p1 = W.T
+        return np.stack([p1, -p0, -q1, q0], axis=-1)[..., None, :]
 
     def relations(image, w):
-        u, v, r = image
+        u, v, r = image.T
         return {
-            "cone": abs(u * u + v * v - r * r),
-            "nonneg": max(0.0, -r),
+            "cone": np.abs(u * u + v * v - r * r),
+            "nonneg": _excess(-r),
         }
 
     return LinearMomentumModel(
         name="SO2", group=u1(), W_dim=4, invariant_count=3,
         action=action, momentum=momentum, coad=lambda g: np.eye(1),
         hilbert=hilbert, jacobian=jacobian, construct=_construct_so2, relations=relations,
-        stratum=lambda image: "0" if image[2] <= 1e-9 else "1",
+        stratum=lambda images: np.where(images[:, 2] <= 1e-9, "0", "1").tolist(),
     )
 
 
@@ -128,40 +160,57 @@ def so3_model():
     def action(g):
         return np.kron(np.eye(4), np.asarray(g).real)
 
-    def momentum(w):
-        q1, q2, p1, p2 = _so3_slots(w)
-        return momentum_so3(q1, p1, q2, p2)
+    def momentum(W):
+        q1, q2, p1, p2 = np.moveaxis(_so3_slots(W), -2, 0)
+        return np.cross(q1, p1) + np.cross(q2, p2)
 
-    def hilbert(w):
-        V = w.reshape(4, 3)
-        S = V @ V.T
-        return (S + S.T) / 2.0
+    def hilbert(W):
+        V = _so3_slots(W)
+        S = V @ np.swapaxes(V, -1, -2)
+        return (S + np.swapaxes(S, -1, -2)) / 2.0
 
-    def jacobian(w):
-        q1, q2, p1, p2 = _so3_slots(w)
-        return np.hstack([
-            -_cross_matrix(p1), -_cross_matrix(p2),
-            _cross_matrix(q1), _cross_matrix(q2),
-        ])
+    def jacobian(W):
+        q1, q2, p1, p2 = np.moveaxis(_so3_slots(W), -2, 0)
+        return np.concatenate([
+            -_cross_matrices(p1), -_cross_matrices(p2),
+            _cross_matrices(q1), _cross_matrices(q2),
+        ], axis=-1)
 
     def relations(S, w):
         eig = np.linalg.eigvalsh(S)
         svals = np.linalg.svd(S, compute_uv=False)
+        top = svals[..., 0]
         return {
-            "det": abs(float(np.linalg.det(S))),
-            "psi": abs(float(psi_quadratic(S))),
-            "couple_max": float(np.max(np.abs(couple_invariants(w)))),
-            "minor_max": float(np.max(np.abs(minors_3x3(S)))),
-            "psd": max(0.0, -float(eig[0])),
-            "rank": float(svals[2] / svals[0]) if svals[0] > 0.0 else 0.0,
+            "det": np.abs(np.linalg.det(S)),
+            "psi": np.abs(_psi(S)),
+            "couple_max": np.max(np.abs(_couples(w)), axis=-1),
+            "minor_max": np.max(np.abs(_minors(S)), axis=-1),
+            "psd": _excess(-eig[..., 0]),
+            "rank": np.divide(svals[..., 2], top, out=np.zeros_like(top), where=top > 0.0),
         }
 
     return LinearMomentumModel(
         name="SO3", group=so3(), W_dim=12, invariant_count=10,
         action=action, momentum=momentum, coad=lambda g: np.asarray(g).real,
         hilbert=hilbert, jacobian=jacobian, construct=_construct_so3, relations=relations,
-        stratum=lambda image: str(psd_rank_stratum(image)),
+        stratum=lambda images: [str(label) for label in _psd_rank_strata(images)],
     )
+
+
+def _zero_locus_residuals(model, W):
+    """Momentum residual of every row of W, each checked as ZeroLocusPoint
+    checks one point: finite entries, residual below RESIDUAL_TOL. The first
+    failing row raises."""
+    finite = np.isfinite(W).all(axis=1)
+    mu = model._momentum(np.where(finite[:, None], W, 0.0))
+    residual = np.sqrt(np.vecdot(mu, mu))
+    bad = ~finite | ~(residual < RESIDUAL_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise ValueError("point contains non-finite entries")
+        raise ValueError(f"momentum residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    return residual
 
 
 class ZeroLocusPoint:
@@ -169,58 +218,117 @@ class ZeroLocusPoint:
 
     def __init__(self, model, w):
         w = model._point(w)
-        residual = float(np.linalg.norm(model.momentum(w)))
-        if residual >= RESIDUAL_TOL:
-            raise ValueError(f"momentum residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
         self.model = model
         self.w = w
-        self.residual = residual
+        self.residual = float(_zero_locus_residuals(model, w[None])[0])
+
+    @classmethod
+    def _stack(cls, model, W):
+        """One point per row of W, validated in one pass."""
+        points = []
+        for w, residual in zip(W, _zero_locus_residuals(model, W).tolist()):
+            point = cls.__new__(cls)
+            point.model, point.w, point.residual = model, w, residual
+            points.append(point)
+        return points
 
 
-def _construct_so2(rng, index):
-    q = rng.standard_normal(2)
-    if index % 6 == 3:
-        return np.concatenate([q, np.zeros(2)])
-    return np.concatenate([q, rng.standard_normal() * q])
+def _points_array(points):
+    return np.stack([point.w for point in points])
 
 
-def _unit_area_pair(rng):
-    # planar pair rescaled to signed area +-1, keeping coordinates O(1)
+def _construct_so2(rng, count):
+    # point `index` draws q, then for index % 6 != 3 a factor t with p = t q
+    scaled = np.arange(1, count) % 6 != 3
+    sizes = 2 + scaled
+    start = np.cumsum(sizes) - sizes
+    z = rng.standard_normal(int(sizes.sum()))
+    q = z[start[:, None] + np.arange(2)]
+    p = np.zeros_like(q)
+    p[scaled] = z[start[scaled] + 2, None] * q[scaled]
+    return np.concatenate([q, p], axis=1)
+
+
+def _area_pair(rng):
+    # a planar pair whose signed area is at least 0.05 in size
     while True:
         a, b = rng.standard_normal(2), rng.standard_normal(2)
         area = a[0] * b[1] - a[1] * b[0]
         if abs(area) > 0.05:
-            scale = 1.0 / np.sqrt(abs(area))
-            return scale * a, scale * b, np.sign(area)
+            return a, b, area
 
 
-def _construct_so3(rng, index):
-    if index % 6 == 3:
+def _construct_so3(rng, count):
+    # draws go in index order, as one point at a time would take them
+    parallel = np.arange(1, count) % 6 == 3
+    lines, weights, planes, pairs = [], [], [], []
+    for flat in parallel:
+        if flat:
+            lines.append(rng.standard_normal(3))
+            weights.append(rng.standard_normal(4))
+        else:
+            planes.append(rng.standard_normal((3, 2)))
+            pairs.append(_area_pair(rng) + _area_pair(rng))
+    W = np.empty((len(parallel), 12))
+    if lines:
         # all four slots parallel, every cross product vanishes identically
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        return np.concatenate([c * u for c in rng.standard_normal(4)])
-    # a common plane with the two signed areas tuned to cancel
-    basis, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-    a, b, sign1 = _unit_area_pair(rng)
-    c, d, sign2 = _unit_area_pair(rng)
-    if sign1 == sign2:
-        d = -d
-    # slots (q1, q2, p1, p2) hold plane coordinates (a, c, b, d)
-    return np.concatenate([basis @ a, basis @ c, basis @ b, basis @ d])
+        u = np.array(lines)
+        u /= np.sqrt(np.vecdot(u, u))[:, None]
+        W[parallel] = (np.array(weights)[:, :, None] * u[:, None, :]).reshape(-1, 12)
+    if planes:
+        # a common plane with the two signed areas, rescaled to +-1, tuned to cancel
+        a, b, area1, c, d, area2 = (np.array(x) for x in zip(*pairs))
+        scale1 = (1.0 / np.sqrt(np.abs(area1)))[:, None]
+        scale2 = (1.0 / np.sqrt(np.abs(area2)))[:, None]
+        a, b, c, d = scale1 * a, scale1 * b, scale2 * c, scale2 * d
+        d = np.where((np.sign(area1) == np.sign(area2))[:, None], -d, d)
+        basis = np.linalg.qr(np.array(planes))[0]
+        # slots (q1, q2, p1, p2) hold plane coordinates (a, c, b, d)
+        coords = np.stack([a, c, b, d], axis=1)[..., None]
+        W[~parallel] = (basis[:, None] @ coords).reshape(-1, 12)
+    return W
 
 
-def _newton_sample(model, rng):
-    for _ in range(25):
-        w = rng.standard_normal(model.W_dim)
-        for _ in range(60):
-            mu = model.momentum(w)
-            if np.linalg.norm(mu) < 1e-12:
-                return w
-            step, *_ = np.linalg.lstsq(model._jacobian(w), -mu, rcond=None)
-            w = w + step
-        # stalled, draw a fresh start
-    raise ConvergenceError("zero-locus projection failed to converge")
+def _project_starts(model, W):
+    """Gauss-Newton on mu = 0 from every row of W in one masked pass: each row
+    takes at most NEWTON_ITERS least-squares steps and stops once |mu| < 1e-12.
+    Returns the rows and whether each converged."""
+    converged = np.zeros(len(W), dtype=bool)
+    live = np.arange(len(W))
+    for _ in range(NEWTON_ITERS):
+        mu = model._momentum(W[live])
+        done = np.sqrt(np.vecdot(mu, mu)) < 1e-12
+        converged[live[done]] = True
+        live, mu = live[~done], mu[~done]
+        if not live.size:
+            break
+        X = W[live]
+        for row, J, x, m in zip(live, model._jacobian(X), X, mu):
+            step, *_ = np.linalg.lstsq(J, -m, rcond=None)
+            W[row] = x + step
+    return W, converged
+
+
+def _newton_points(model, rng, count):
+    """count points of mu^-1(0) projected from standard normal starts.
+
+    Starts are drawn in the order one point at a time draws them: a stalled
+    start is dropped and the next draw takes its place, and NEWTON_STARTS
+    stalled starts in a row raise ConvergenceError. The points are therefore
+    the converged starts in draw order.
+    """
+    points, stalled = [], 0
+    while len(points) < count:
+        starts = rng.standard_normal((count - len(points), model.W_dim))
+        for w, converged in zip(*_project_starts(model, starts)):
+            if converged:
+                points.append(w)
+                stalled = 0
+                continue
+            stalled += 1
+            if stalled == NEWTON_STARTS:
+                raise ConvergenceError("zero-locus projection failed to converge")
+    return np.array(points).reshape(count, model.W_dim)
 
 
 def sample_zero_locus(model, count, seed, method="construct"):
@@ -229,18 +337,23 @@ def sample_zero_locus(model, count, seed, method="construct"):
     The construct method parametrizes the locus directly (parallel pairs for
     SO(2), balanced coplanar configurations for SO(3)); the newton method
     projects random ambient starts onto mu = 0 and is kept as an independent
-    cross-check of the parametrization.
+    cross-check of the parametrization. Both draw every point's randoms
+    first and then compute and validate all points in one stacked pass;
+    `count` above MAX_SAMPLES is rejected before anything is drawn.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"count must be at most {MAX_SAMPLES} (MAX_SAMPLES)")
     if method not in ("construct", "newton"):
         raise ValueError(f"unknown sampling method: {method!r}")
     rng = np.random.default_rng(seed)
-    points = [ZeroLocusPoint(model, np.zeros(model.W_dim))]
-    for index in range(1, count):
-        w = _newton_sample(model, rng) if method == "newton" else model._construct(rng, index)
-        points.append(ZeroLocusPoint(model, w))
-    return points
+    W = np.zeros((count, model.W_dim))
+    if method == "newton":
+        W[1:] = _newton_points(model, rng, count - 1)
+    else:
+        W[1:] = model._construct(rng, count)
+    return ZeroLocusPoint._stack(model, W)
 
 
 def hilbert_map(model, w):
@@ -253,13 +366,27 @@ def hilbert_map(model, w):
     return model._hilbert(model._point(w))
 
 
+def _psi(S):
+    # float_power squares with libm pow, as ** on a numpy scalar does; ** on
+    # an array multiplies instead, which rounds differently
+    return (
+        S[..., 0, 0] * S[..., 2, 2] - np.float_power(S[..., 0, 2], 2)
+        + 2.0 * (S[..., 0, 1] * S[..., 2, 3] - S[..., 0, 3] * S[..., 1, 2])
+        + S[..., 1, 1] * S[..., 3, 3] - np.float_power(S[..., 1, 3], 2)
+    )
+
+
 def psi_quadratic(S):
     """Quadratic relation on Gram images, equal to |mu|^2 on all of W."""
-    return (
-        S[0, 0] * S[2, 2] - S[0, 2] ** 2
-        + 2.0 * (S[0, 1] * S[2, 3] - S[0, 3] * S[1, 2])
-        + S[1, 1] * S[3, 3] - S[1, 3] ** 2
-    )
+    return _psi(np.asarray(S, dtype=float))[()]
+
+
+def _couples(w):
+    # 4x4 table of slot inner products, then each couple's two 2x2 determinants
+    V = _so3_slots(w)
+    G = np.vecdot(V[..., :, None, :], V[..., None, :, :])
+    a, b = G[..., _COUPLES[:, 0], :], G[..., _COUPLES[:, 1], :]
+    return a[..., 0] * b[..., 2] - a[..., 2] * b[..., 0] + a[..., 1] * b[..., 3] - a[..., 3] * b[..., 1]
 
 
 def couple_invariants(w):
@@ -270,34 +397,21 @@ def couple_invariants(w):
     momentum, written as a sum of two 2x2 determinants of inner products.
     These all vanish on the zero locus.
     """
-    w = np.asarray(w, dtype=float)
-    q1, q2, p1, p2 = _so3_slots(w)
-    values = []
-    vecs = (q1, q2, p1, p2)
-    for i, j in itertools.combinations(range(4), 2):
-        a, b = vecs[i], vecs[j]
-        values.append(
-            (a @ q1) * (b @ p1) - (a @ p1) * (b @ q1)
-            + (a @ q2) * (b @ p2) - (a @ p2) * (b @ q2)
-        )
-    return np.array(values)
+    return _couples(np.asarray(w, dtype=float))
 
 
-def _det3(a):
+def _minors(S):
+    a = S[..., _MINOR_ROWS, _MINOR_COLS]
     return (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+        - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+        + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
     )
 
 
 def minors_3x3(S):
     """All sixteen 3x3 minors of a 4x4 matrix, row triples varying slowest."""
-    S = np.asarray(S, dtype=float)
-    triples = list(itertools.combinations(range(4), 3))
-    return np.array(
-        [_det3(S[np.ix_(rows, cols)]) for rows in triples for cols in triples]
-    )
+    return _minors(np.asarray(S, dtype=float))
 
 
 def check_relations(model, point):
@@ -308,7 +422,21 @@ def check_relations(model, point):
     minors, plus positive semidefiniteness and rank at most 2 of the Gram
     image.  Every value is a nonnegative residual.
     """
-    return model._relations(hilbert_map(model, point.w), point.w)
+    w = model._point(point.w)
+    return {k: float(v) for k, v in model._relations(model._hilbert(w), w).items()}
+
+
+def relation_residual_max(model, points):
+    """Largest check_relations value over the points, in one stacked pass."""
+    W = _points_array(points)
+    relations = model._relations(model._hilbert(W), W)
+    return max(0.0, float(max(np.max(values) for values in relations.values())))
+
+
+def stratum_histogram(model, points):
+    """Count of each stratum label over the points, by sorted label."""
+    labels = model._stratum(model._hilbert(_points_array(points)))
+    return {label: labels.count(label) for label in sorted(set(labels))}
 
 
 def zariski_dim_at_origin(model, samples):
@@ -320,7 +448,7 @@ def zariski_dim_at_origin(model, samples):
     """
     if len(samples) < 2 * model.invariant_count:
         raise ValueError("not enough samples to trust the span rank")
-    rows = np.array([hilbert_map(model, pt.w).ravel() for pt in samples])
+    rows = model._hilbert(_points_array(samples)).reshape(len(samples), -1)
     return _rank(np.linalg.svd(rows, compute_uv=False), 1e-8)
 
 
@@ -341,6 +469,13 @@ def spanning_configurations(v=None):
     return [np.concatenate([c * v for c in pattern]) for pattern in patterns]
 
 
+def _psd_rank_strata(S, tol=1e-9):
+    eig = np.linalg.eigvalsh((S + np.swapaxes(S, 1, 2)) / 2.0)
+    ranks = [_rank(row, tol) for row in np.sort(np.abs(eig), axis=1)[:, ::-1]]
+    return ["outside" if low < -tol or rank > 2 else rank
+            for low, rank in zip(eig[:, 0], ranks)]
+
+
 def psd_rank_stratum(image, tol=1e-9):
     """Stratum label of a symmetric 4x4 image: its rank if PSD, else "outside".
 
@@ -348,17 +483,12 @@ def psd_rank_stratum(image, tol=1e-9):
     with a negative eigenvalue below -tol or rank 3 and higher lie outside
     the closure of the reduced space.
     """
-    S = np.asarray(image, dtype=float)
-    eig = np.linalg.eigvalsh((S + S.T) / 2.0)
-    if eig[0] < -tol:
-        return "outside"
-    rank = _rank(np.sort(np.abs(eig))[::-1], tol)
-    return rank if rank <= 2 else "outside"
+    return _psd_rank_strata(np.asarray(image, dtype=float)[None], tol)[0]
 
 
 def stratum_label(model, image):
     """String stratum key for report histograms."""
-    return model._stratum(image)
+    return model._stratum(np.asarray(image, dtype=float)[None])[0]
 
 
 def so2_cone_model_report(count=60, seed=0):
@@ -371,12 +501,9 @@ def so2_cone_model_report(count=60, seed=0):
     model = so2_model()
     points = sample_zero_locus(model, count, seed)
     cone_dim = zariski_dim_at_origin(model, points)
-    residual = max(
-        max(check_relations(model, pt).values()) for pt in points
-    )
     return {
         "cone_dim": cone_dim,
         "smooth_dim": 4,
         "total_dim": 4 + cone_dim,
-        "relation_residual_max": float(residual),
+        "relation_residual_max": relation_residual_max(model, points),
     }

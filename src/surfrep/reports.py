@@ -36,13 +36,13 @@ from .holonomy import (
     holonomy_derivative_fd,
 )
 from .reduction import (
-    check_relations,
-    hilbert_map,
+    MAX_SAMPLES,
+    relation_residual_max,
     sample_zero_locus,
     so2_cone_model_report,
     so2_model,
     so3_model,
-    stratum_label,
+    stratum_histogram,
     zariski_dim_at_origin,
 )
 from .words import (
@@ -229,19 +229,14 @@ def reduction_report(model, seed, samples, defect_tol):
     if samples < 2 * model.invariant_count:
         raise ValueError(f"--samples must be at least {2 * model.invariant_count}")
     points = sample_zero_locus(model, samples, seed=seed)
-    residual_max = 0.0
-    histogram = {}
-    for point in points:
-        residual_max = max(residual_max, max(check_relations(model, point).values()))
-        label = stratum_label(model, hilbert_map(model, point.w))
-        histogram[label] = histogram.get(label, 0) + 1
+    residual_max = relation_residual_max(model, points)
     zariski_dim = zariski_dim_at_origin(model, points)
     payload = {
         "model": model.name,
         "samples": samples,
         "zariski_dim": zariski_dim,
         "relation_residual_max": residual_max,
-        "stratum_histogram": dict(sorted(histogram.items())),
+        "stratum_histogram": stratum_histogram(model, points),
     }
     status = _first_failure({
         "relation_residuals": residual_max < defect_tol,
@@ -319,6 +314,8 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
     """Consolidated reproduction of the genus-2 SU(2) worked example."""
     if samples < 1:
         raise ValueError("--samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     group = su2()
     pres = surface_presentation(2)
 
@@ -360,7 +357,7 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
     # local models at the three strata: deep point, middle stratum, top
     model = so3_model()
     zero_locus = sample_zero_locus(model, max(samples, 2 * model.invariant_count), seed=seed)
-    so3_residual = max(max(check_relations(model, p).values()) for p in zero_locus)
+    so3_residual = relation_residual_max(model, zero_locus)
     deep_dim = zariski_dim_at_origin(model, zero_locus)
     middle = so2_cone_model_report(count=max(40, samples // 5), seed=seed)
     top_dim = strata["irreducible"]["h_dims"][1]

@@ -65,6 +65,13 @@ def test_rep_point_rejects_off_group_values():
         RepPoint(G, [1.1 * EYE, EYE, EYE, EYE])
 
 
+def test_rep_point_rejects_values_of_the_wrong_size():
+    # a unitary det-1 matrix of another size used to pass and fail later in build_complex
+    for bad in (np.eye(3), np.eye(1), np.ones(2)):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            RepPoint(G, [EYE, bad, EYE, EYE])
+
+
 def test_rep_point_rejects_nonfinite():
     bad = EYE.copy()
     bad[0, 0] = np.nan
