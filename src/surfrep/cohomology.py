@@ -14,12 +14,15 @@ import itertools
 
 import numpy as np
 
-from .groups import _cut, _cut_error, _dagger, _frobenius, _norm, _rank
+from .groups import RANK_TOL, _cut, _cut_error, _dagger, _frobenius, _norm, _rank
 from .words import fox_terms
 
 # Cone samples per stacked Gauss-Newton pass: a pass holds this many copies of
 # the point and of D1, so peak memory does not grow with the sample count.
 CONE_CHUNK = 64
+# Largest group defect of a point of G (RepPoint values, BundleClass targets and
+# their Ad-action's distance from the identity, projected cone samples)
+DEFECT_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -29,7 +32,7 @@ class ConvergenceError(RuntimeError):
 class RepPoint:
     """A representation of the free group: one group element per generator."""
 
-    def __init__(self, group, values, defect_tol=1e-10):
+    def __init__(self, group, values):
         vals = [np.asarray(v, dtype=complex) for v in values]
         shape = (group.matrix_dim, group.matrix_dim)
         for v in vals:
@@ -38,7 +41,7 @@ class RepPoint:
             if not np.isfinite(v).all():
                 raise ValueError("representation matrices must be finite")
             defect = group.group_defect(v)
-            if defect > defect_tol:
+            if defect > DEFECT_TOL:
                 raise ValueError(f"matrix lies off the group (defect {defect:.3e})")
         self.group = group
         self.values = vals
@@ -48,11 +51,11 @@ class RepPoint:
 class BundleClass:
     """A central target value for the relators (the topological twisting)."""
 
-    def __init__(self, group, central_element, tol=1e-10):
+    def __init__(self, group, central_element):
         c = np.asarray(central_element, dtype=complex)
-        if group.group_defect(c) > tol:
+        if group.group_defect(c) > DEFECT_TOL:
             raise ValueError("central element lies off the group")
-        if np.linalg.norm(group.Ad_matrix(c) - np.eye(group.dim)) > tol:
+        if np.linalg.norm(group.Ad_matrix(c) - np.eye(group.dim)) > DEFECT_TOL:
             raise ValueError("element is not central (adjoint action is nontrivial)")
         self.group = group
         self.central_element = c
@@ -77,11 +80,17 @@ class CochainData:
 
 
 def _class_matrix(group, c):
+    """The relators' central target: the identity for c None, else c's element."""
     if c is None:
         return group.identity()
-    if isinstance(c, BundleClass):
-        return c.central_element
-    return np.asarray(c, dtype=complex)
+    if not isinstance(c, BundleClass) or c.group.name != group.name:
+        raise ValueError(f"c must be None or a BundleClass of {group.name}")
+    return c.central_element
+
+
+def _check_generators(pres, values):
+    if len(values) != pres.n:
+        raise ValueError(f"presentation has {pres.n} generators, point has {len(values)} values")
 
 
 def _letter_values(values, letters):
@@ -128,6 +137,7 @@ def _d1(pres, group, values):
     """D1 at the point, or one per sample (..., m d, n d) for stacked values.
     Block (i, j) is dr_i/dx_j evaluated as in evaluate_group_ring, summed term
     by term in one walk over r_i's letters."""
+    _check_generators(pres, values)
     d = group.dim
     D1 = np.zeros(np.shape(values[0])[:-2] + (pres.m * d, pres.n * d))
     for i, r in enumerate(pres.relators):
@@ -146,7 +156,7 @@ def _svd(M):
     return np.linalg.svd(M)
 
 
-def build_complex(pres, rep, rank_tol=1e-8):
+def build_complex(pres, rep, rank_tol=RANK_TOL):
     """Evaluate the complex at the representation and split off cohomology bases."""
     group = rep.group
     d = group.dim
@@ -175,6 +185,7 @@ def _relators_at(pres, group, values, cm):
     """Relator values (relators, ..., m, m) at the point, or at each sample of
     stacked values, and per sample their largest Frobenius distance to the
     central target cm."""
+    _check_generators(pres, values)
     rels = np.stack([_value(group, values, r.letters) for r in pres.relators])
     return rels, _frobenius(rels - cm).max(axis=0)
 
@@ -220,7 +231,7 @@ def finite_diff_check_d0(pres, rep, X, h):
     return worst
 
 
-def obstruction_quadratic(pres, rep, u, data=None, cocycle_tol=1e-9):
+def obstruction_quadratic(pres, rep, u, data=None):
     """Second-order term of the relator word map along a cocycle direction,
     projected to the complement of im D1; coordinates in basis_H2 of
     data, the point's CochainData (built with the default rank cutoff when omitted)."""
@@ -229,7 +240,7 @@ def obstruction_quadratic(pres, rep, u, data=None, cocycle_tol=1e-9):
     if data is None:
         data = build_complex(pres, rep)
     u = np.asarray(u, dtype=float)
-    if np.linalg.norm(data.D1 @ u) > cocycle_tol * max(1.0, np.linalg.norm(u)):
+    if np.linalg.norm(data.D1 @ u) > 1e-9 * max(1.0, np.linalg.norm(u)):
         raise ValueError("direction is not a cocycle (D1 u != 0)")
     u2 = u.reshape(pres.n, d)
     # the 2-jets at t = 0 of y_j exp(t u_j) and of its inverse, per letter (j, e)
@@ -334,11 +345,11 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60,
     return RepPoint(group, list(values[:, 0])) if moved[0] else start
 
 
-def _on_group(group, values, defect_tol=1e-10):
+def _on_group(group, values):
     """Mask of the samples of stacked values (n, S, m, m) that RepPoint accepts:
-    finite, and no value further than defect_tol from the group."""
+    finite, and no value further than DEFECT_TOL from the group."""
     ok = np.isfinite(values).all(axis=(0, 2, 3))
-    ok[ok] = ~(group._defect(values[:, ok]) > defect_tol).any(axis=0)
+    ok[ok] = ~(group._defect(values[:, ok]) > DEFECT_TOL).any(axis=0)
     return ok
 
 
@@ -356,6 +367,7 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3, data=
     directions grow with count, by n * d floats each."""
     group = rep.group
     n, d = rep.n, group.dim
+    cm = _class_matrix(group, c)
     if data is None:
         data = build_complex(pres, rep)
     Z1 = data.basis_Z1
@@ -364,7 +376,6 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3, data=
         slice_basis = vt[data.rank0:].T
     else:
         slice_basis = None
-    cm = _class_matrix(group, c)
     Y = np.stack(rep.values)[:, None]
     rng = np.random.default_rng(seed)
     dirs = []
@@ -394,10 +405,10 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3, data=
 def sample_stabilizer(rep, count=8, seed=0, data=None):
     """Center elements plus exponentials of random centralizer directions. The
     centralizer is cut at data.rank_tol (data as in obstruction_quadratic, but
-    never built here), or at 1e-8 without it."""
+    never built here), or at RANK_TOL without it."""
     group = rep.group
     els = [z.copy() for z in group.center_elements]
-    Zc = group.centralizer_algebra(rep.values, 1e-8 if data is None else data.rank_tol)
+    Zc = group.centralizer_algebra(rep.values, RANK_TOL if data is None else data.rank_tol)
     if Zc.shape[1]:
         rng = np.random.default_rng(seed)
         for _ in range(count):
@@ -451,7 +462,7 @@ def classify_orbit_type(rep):
     return _orbit_type(rep.group, rep.group.centralizer_algebra(rep.values).shape[1])
 
 
-def conjugation_isomorphism_check(pres, rep, x, tol=1e-8):
+def conjugation_isomorphism_check(pres, rep, x):
     """True iff conjugating the representation by x leaves the cohomology dims
     unchanged and Ad(x) intertwines the evaluated operators."""
     group = rep.group
@@ -464,19 +475,19 @@ def conjugation_isomorphism_check(pres, rep, x, tol=1e-8):
     Ad = group.Ad_matrix(x)
     Bn = np.kron(np.eye(pres.n), Ad)
     Bm = np.kron(np.eye(pres.m), Ad)
-    ok0 = np.linalg.norm(b.D0 - Bn @ a.D0 @ np.linalg.inv(Ad)) <= tol * (1 + np.linalg.norm(a.D0))
-    ok1 = np.linalg.norm(b.D1 - Bm @ a.D1 @ np.linalg.inv(Bn)) <= tol * (1 + np.linalg.norm(a.D1))
+    ok0 = np.linalg.norm(b.D0 - Bn @ a.D0 @ np.linalg.inv(Ad)) <= 1e-8 * (1 + np.linalg.norm(a.D0))
+    ok1 = np.linalg.norm(b.D1 - Bm @ a.D1 @ np.linalg.inv(Bn)) <= 1e-8 * (1 + np.linalg.norm(a.D1))
     return bool(ok0 and ok1)
 
 
-def enumerate_central_reps(pres, group, c=None, tol=1e-9):
+def enumerate_central_reps(pres, group, c=None):
     """All tuples of center elements whose relator values hit the central target."""
     if not group.center_elements:
         raise ValueError("group has no enumerable center list")
     cm = _class_matrix(group, c)
     out = []
     for combo in itertools.product(group.center_elements, repeat=pres.n):
-        if _relators_at(pres, group, combo, cm)[1] <= tol:
+        if _relators_at(pres, group, combo, cm)[1] <= 1e-9:
             out.append(RepPoint(group, [v.copy() for v in combo]))
     return out
 

@@ -1,8 +1,8 @@
 """Numerical models of compact matrix groups: U(1), SU(2), SO(3), and finite direct products.
 
 Each model carries an orthonormal Lie algebra basis for the Ad-invariant inner
-product <X,Y> = -scale * Re tr(XY). Algebra vectors are plain coordinate arrays
-in that basis (the AlgebraVector alias below).
+product <X,Y> = -scale * Re tr(XY), scale = -1 / Re tr(EE) per basis vector E.
+Algebra vectors are plain coordinate arrays in that basis (the AlgebraVector alias below).
 
 The kernels (exp, log, project, defect, Ad) take stacks: coordinates (..., d)
 and matrices (..., m, m), with any number of leading axes. Each entry of a stack
@@ -21,6 +21,8 @@ _SY = np.array([[0, -1j], [1j, 0]])
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _CUT_MARGIN = 1e-6
+# default relative cutoff of _rank for the complex and the centralizer
+RANK_TOL = 1e-8
 
 
 def _norm(x):
@@ -81,14 +83,14 @@ class LieGroupModel:
     is on the cut locus when any of its angles is.
     """
 
-    def __init__(self, name, basis, scales, center_elements, *, exp, log, random_element,
+    def __init__(self, name, basis, center_elements, *, exp, log, random_element,
                  project, defect, torus=None, stratum_labels=None):
         self.name = name
         self.algebra_basis = [np.asarray(b, dtype=complex) for b in basis]
         self.matrix_dim = self.algebra_basis[0].shape[0]
         self.dim = len(self.algebra_basis)
         self._basis_arr = np.stack(self.algebra_basis)
-        self._scales = np.asarray(scales, dtype=float)
+        self._scales = -1 / np.einsum("kij,kji->k", self._basis_arr, self._basis_arr).real
         self.center_elements = [np.asarray(c, dtype=complex) for c in center_elements]
         self._exp = exp
         self._log = log
@@ -151,7 +153,7 @@ class LieGroupModel:
         Y = self.algebra_to_matrix(y)
         return self.matrix_to_algebra(X @ Y - Y @ X)
 
-    def centralizer_algebra(self, elements, rank_tol=1e-8):
+    def centralizer_algebra(self, elements, rank_tol=RANK_TOL):
         """Orthonormal basis (columns) of {X : Ad(y) X = X for all y in elements}."""
         elements = list(elements)
         if not elements:
@@ -236,7 +238,7 @@ def su2():
     basis = [0.5j * _SX, 0.5j * _SY, 0.5j * _SZ]
     center = [np.eye(2, dtype=complex), -np.eye(2, dtype=complex)]
     return LieGroupModel(
-        "SU2", basis, [2.0, 2.0, 2.0], center, exp=exp, log=log,
+        "SU2", basis, center, exp=exp, log=log,
         random_element=random_element, project=project,
         defect=lambda g: _unitary_defect(g) + _abs(np.linalg.det(g) - 1),
         torus=lambda t: np.diag([np.exp(1j * t), np.exp(-1j * t)]),
@@ -288,7 +290,7 @@ def so3():
         e[k] = 1.0
         basis.append(_hat(e).astype(complex))
     model = LieGroupModel(
-        "SO3", basis, [0.5, 0.5, 0.5], [np.eye(3, dtype=complex)], exp=exp, log=log,
+        "SO3", basis, [np.eye(3, dtype=complex)], exp=exp, log=log,
         random_element=random_element, project=project,
         defect=lambda g: (_unitary_defect(g) + _abs(np.linalg.det(g) - 1)
                           + _frobenius(g.imag)),
@@ -309,7 +311,7 @@ def u1(center_order=2):
         np.array([[np.exp(2j * np.pi * k / center_order)]]) for k in range(center_order)
     ] if center_order else []
     return LieGroupModel(
-        "U1", [np.array([[1j]])], [1.0], center,
+        "U1", [np.array([[1j]])], center,
         exp=lambda coords: np.exp(1j * coords[..., None]), log=log,
         random_element=lambda rng: np.array([[np.exp(1j * rng.uniform(-np.pi, np.pi))]]),
         project=lambda M: M / _abs(M), defect=_unitary_defect,
@@ -346,8 +348,8 @@ def direct_product(*factors):
              for k, f in enumerate(factors) for E in f.algebra_basis]
     centers = [assemble(c) for c in itertools.product(*(f.center_elements for f in factors))]
     return LieGroupModel(
-        "x".join(f.name for f in factors), basis, np.concatenate([f._scales for f in factors]),
-        centers, exp=lambda coords: assemble([f.exp(coords[..., cs]) for f, _, cs in blocks]),
+        "x".join(f.name for f in factors), basis, centers,
+        exp=lambda coords: assemble([f.exp(coords[..., cs]) for f, _, cs in blocks]),
         log=log, random_element=lambda rng: assemble([f.random_element(rng) for f in factors]),
         project=lambda M: assemble([f.project_to_group(M[..., ms, ms]) for f, ms, _ in blocks]),
         defect=lambda g: sum(f._defect(g[..., ms, ms]) for f, ms, _ in blocks),

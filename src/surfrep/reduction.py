@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from .cohomology import ConvergenceError
-from .groups import _rank, so3, u1
+from .groups import _hat, _norm, _rank, so3, u1
 
 RESIDUAL_TOL = 1e-10
 # Largest count sample_zero_locus accepts. The sampler and the stacked
@@ -38,14 +38,14 @@ _COUPLES = np.array(list(itertools.combinations(range(4), 2)))
 
 
 def momentum_so2(q, p):
-    """Signed area |q p| of a planar pair, the SO(2) momentum value."""
+    """Signed area |q p| of planar pairs (..., 2), the SO(2) momentum value."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    return float(q[0] * p[1] - q[1] * p[0])
+    return q[..., 0] * p[..., 1] - q[..., 1] * p[..., 0]
 
 
 def momentum_so3(q1, p1, q2, p2):
-    """Cross-product sum q1 x p1 + q2 x p2, the SO(3) momentum value."""
+    """Cross-product sum q1 x p1 + q2 x p2 of vectors (..., 3), the SO(3) momentum value."""
     return np.cross(np.asarray(q1, dtype=float), np.asarray(p1, dtype=float)) + np.cross(
         np.asarray(q2, dtype=float), np.asarray(p2, dtype=float)
     )
@@ -54,17 +54,6 @@ def momentum_so3(q1, p1, q2, p2):
 def _so3_slots(W):
     """(..., 12) points as (..., 4, 3) slot vectors (q1, q2, p1, p2)."""
     return W.reshape(W.shape[:-1] + (4, 3))
-
-
-def _cross_matrices(v):
-    """(..., 3, 3) matrices of v x . for (..., 3) vectors v."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack([
-        np.stack([zero, -z, y], axis=-1),
-        np.stack([z, zero, -x], axis=-1),
-        np.stack([-y, x, zero], axis=-1),
-    ], axis=-2)
 
 
 def _excess(x):
@@ -125,16 +114,12 @@ def so2_model():
         c, s = np.cos(theta), np.sin(theta)
         return np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
 
-    # W.T unpacks the coordinates of one point as scalars, of a stack as columns
-    def momentum(W):
-        q0, q1, p0, p1 = W.T
-        return (q0 * p1 - q1 * p0)[..., None]
-
     def hilbert(W):
         q, p = W[..., 0:2], W[..., 2:4]
         qq, pp, qp = np.vecdot(q, q), np.vecdot(p, p), np.vecdot(q, p)
         return np.array([qq - pp, 2.0 * qp, qq + pp]).T
 
+    # W.T unpacks the coordinates of one point as scalars, of a stack as columns
     def jacobian(W):
         q0, q1, p0, p1 = W.T
         return np.stack([p1, -p0, -q1, q0], axis=-1)[..., None, :]
@@ -148,7 +133,8 @@ def so2_model():
 
     return LinearMomentumModel(
         name="SO2", group=u1(), W_dim=4, invariant_count=3,
-        action=action, momentum=momentum, coad=lambda g: np.eye(1),
+        action=action, momentum=lambda W: momentum_so2(W[..., 0:2], W[..., 2:4])[..., None],
+        coad=lambda g: np.eye(1),
         hilbert=hilbert, jacobian=jacobian, construct=_construct_so2, relations=relations,
         stratum=lambda images: np.where(images[:, 2] <= 1e-9, "0", "1").tolist(),
     )
@@ -162,7 +148,7 @@ def so3_model():
 
     def momentum(W):
         q1, q2, p1, p2 = np.moveaxis(_so3_slots(W), -2, 0)
-        return np.cross(q1, p1) + np.cross(q2, p2)
+        return momentum_so3(q1, p1, q2, p2)
 
     def hilbert(W):
         V = _so3_slots(W)
@@ -171,10 +157,7 @@ def so3_model():
 
     def jacobian(W):
         q1, q2, p1, p2 = np.moveaxis(_so3_slots(W), -2, 0)
-        return np.concatenate([
-            -_cross_matrices(p1), -_cross_matrices(p2),
-            _cross_matrices(q1), _cross_matrices(q2),
-        ], axis=-1)
+        return np.concatenate([-_hat(p1), -_hat(p2), _hat(q1), _hat(q2)], axis=-1)
 
     def relations(S, w):
         eig = np.linalg.eigvalsh(S)
@@ -182,7 +165,7 @@ def so3_model():
         top = svals[..., 0]
         return {
             "det": np.abs(np.linalg.det(S)),
-            "psi": np.abs(_psi(S)),
+            "psi": np.abs(psi_quadratic(S)),
             "couple_max": np.max(np.abs(_couples(w)), axis=-1),
             "minor_max": np.max(np.abs(_minors(S)), axis=-1),
             "psd": _excess(-eig[..., 0]),
@@ -203,7 +186,7 @@ def _zero_locus_residuals(model, W):
     failing row raises."""
     finite = np.isfinite(W).all(axis=1)
     mu = model._momentum(np.where(finite[:, None], W, 0.0))
-    residual = np.sqrt(np.vecdot(mu, mu))
+    residual = _norm(mu)
     bad = ~finite | ~(residual < RESIDUAL_TOL)
     if bad.any():
         i = int(np.argmax(bad))
@@ -273,7 +256,7 @@ def _construct_so3(rng, count):
     if lines:
         # all four slots parallel, every cross product vanishes identically
         u = np.array(lines)
-        u /= np.sqrt(np.vecdot(u, u))[:, None]
+        u /= _norm(u)[:, None]
         W[parallel] = (np.array(weights)[:, :, None] * u[:, None, :]).reshape(-1, 12)
     if planes:
         # a common plane with the two signed areas, rescaled to +-1, tuned to cancel
@@ -297,7 +280,7 @@ def _project_starts(model, W):
     live = np.arange(len(W))
     for _ in range(NEWTON_ITERS):
         mu = model._momentum(W[live])
-        done = np.sqrt(np.vecdot(mu, mu)) < 1e-12
+        done = _norm(mu) < 1e-12
         converged[live[done]] = True
         live, mu = live[~done], mu[~done]
         if not live.size:
@@ -366,19 +349,16 @@ def hilbert_map(model, w):
     return model._hilbert(model._point(w))
 
 
-def _psi(S):
+def psi_quadratic(S):
+    """Quadratic relation on Gram images (..., 4, 4), equal to |mu|^2 on all of W."""
+    S = np.asarray(S, dtype=float)
     # float_power squares with libm pow, as ** on a numpy scalar does; ** on
     # an array multiplies instead, which rounds differently
     return (
         S[..., 0, 0] * S[..., 2, 2] - np.float_power(S[..., 0, 2], 2)
         + 2.0 * (S[..., 0, 1] * S[..., 2, 3] - S[..., 0, 3] * S[..., 1, 2])
         + S[..., 1, 1] * S[..., 3, 3] - np.float_power(S[..., 1, 3], 2)
-    )
-
-
-def psi_quadratic(S):
-    """Quadratic relation on Gram images, equal to |mu|^2 on all of W."""
-    return _psi(np.asarray(S, dtype=float))[()]
+    )[()]
 
 
 def _couples(w):
@@ -469,21 +449,21 @@ def spanning_configurations(v=None):
     return [np.concatenate([c * v for c in pattern]) for pattern in patterns]
 
 
-def _psd_rank_strata(S, tol=1e-9):
+def _psd_rank_strata(S):
     eig = np.linalg.eigvalsh((S + np.swapaxes(S, 1, 2)) / 2.0)
-    ranks = [_rank(row, tol) for row in np.sort(np.abs(eig), axis=1)[:, ::-1]]
-    return ["outside" if low < -tol or rank > 2 else rank
+    ranks = [_rank(row, 1e-9) for row in np.sort(np.abs(eig), axis=1)[:, ::-1]]
+    return ["outside" if low < -1e-9 or rank > 2 else rank
             for low, rank in zip(eig[:, 0], ranks)]
 
 
-def psd_rank_stratum(image, tol=1e-9):
+def psd_rank_stratum(image):
     """Stratum label of a symmetric 4x4 image: its rank if PSD, else "outside".
 
-    Rank uses the relative cutoff tol * max(largest eigenvalue, 1); matrices
-    with a negative eigenvalue below -tol or rank 3 and higher lie outside
+    Rank uses the relative cutoff 1e-9 * max(largest eigenvalue, 1); matrices
+    with a negative eigenvalue below -1e-9 or rank 3 and higher lie outside
     the closure of the reduced space.
     """
-    return _psd_rank_strata(np.asarray(image, dtype=float)[None], tol)[0]
+    return _psd_rank_strata(np.asarray(image, dtype=float)[None])[0]
 
 
 def stratum_label(model, image):

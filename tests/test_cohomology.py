@@ -247,6 +247,36 @@ def test_relator_defect_against_nontrivial_class():
     assert relator_defect(P2, central_rep(), c) > 1.0
 
 
+@pytest.mark.parametrize("c", [
+    -2 * EYE,                                         # off the group
+    np.eye(3, dtype=complex),                         # the wrong size
+    np.diag([1j, -1j]),                               # on the group, not central
+    BundleClass(group_from_name("SO3"), np.eye(3)),   # another group's class
+], ids=["off-group", "wrong-size", "non-central", "other-group"])
+def test_central_target_must_be_a_bundle_class_of_the_group(c):
+    # each of these was used as the relators' target as given
+    rep = torus_rep()
+    with pytest.raises(ValueError, match="BundleClass of SU2"):
+        relator_defect(P2, rep, c)
+    with pytest.raises(ValueError, match="BundleClass of SU2"):
+        newton_project_to_variety(P2, G, rep, c=c)
+    with pytest.raises(ValueError, match="BundleClass of SU2"):
+        sample_cone_directions(P2, rep, c=c, count=4)
+    with pytest.raises(ValueError, match="BundleClass of SU2"):
+        enumerate_central_reps(P2, G, c=c)
+
+
+def test_generator_count_must_match_the_presentation():
+    # a genus-2 point against the genus-1 relator [x1, x2], and the reverse
+    genus2, genus1 = torus_rep(), RepPoint(G, torus_rep().values[:2])
+    for pres, rep, counts in ((P1, genus2, "2 generators, point has 4"),
+                              (P2, genus1, "4 generators, point has 2")):
+        with pytest.raises(ValueError, match=counts):
+            relator_defect(pres, rep)
+        with pytest.raises(ValueError, match=counts):
+            build_complex(pres, rep)
+
+
 # --------------------------------------------------- finite-difference checks
 
 def test_fd_d1_zero_direction():

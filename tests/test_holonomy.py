@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from surfrep.cohomology import ConvergenceError
-from surfrep.groups import direct_product, so3, su2, u1
+from surfrep.groups import direct_product, group_from_name, so3, su2, u1
 from surfrep.holonomy import (
     MAX_NODES,
     PathConnection,
@@ -178,3 +179,86 @@ def test_refinement_cap_raises_instead_of_returning_last_iterate():
         holonomy(conn, tol=1e-14)
     with pytest.raises(ConvergenceError):
         holonomy_derivative(conn, var, tol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# An independent reference: sixth-order Magnus on three Gauss-Legendre points
+# (Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009), section 4), each step
+# exponentiated by scipy's expm. It shares no code with the library's
+# fourth-order two-point scheme and its eigh exponential.
+
+_GAUSS3 = 0.5 + np.sqrt(15) / 10 * np.array([-1.0, 0.0, 1.0])
+
+
+def _comm(X, Y):
+    return X @ Y - Y @ X
+
+
+def magnus6_holonomy(conn, n_sub):
+    """a(b) for a' = -A a, a(0) = e, by n_sub sixth-order steps per grid cell."""
+    basis = np.stack(conn.group.algebra_basis)
+    a = np.eye(basis.shape[1], dtype=complex)
+    for t0, t1 in zip(conn.times[:-1], conn.times[1:]):
+        h = (t1 - t0) / n_sub
+        t = t0 + h * (np.arange(n_sub)[:, None] + _GAUSS3)
+        coords = np.stack([np.interp(t, conn.times, col) for col in conn.values.T], axis=-1)
+        M1, M2, M3 = np.moveaxis(-np.tensordot(coords, basis, axes=1), 1, 0)
+        a1 = h * M2
+        a2 = np.sqrt(15) * h / 3 * (M3 - M1)
+        a3 = 10 * h / 3 * (M3 - 2 * M2 + M1)
+        C1 = _comm(a1, a2)
+        C2 = -_comm(a1, 2 * a3 + C1) / 60
+        for step in expm(a1 + a3 / 12 + _comm(-20 * a1 - a3 + C1, a2 + C2) / 240):
+            a = step @ a
+    return a
+
+
+REFERENCE_GAP = 1e-13
+
+
+def magnus6_reference(conn):
+    """magnus6_holonomy refined until two successive levels agree to REFERENCE_GAP;
+    at order 6 the finer level is then off by about that gap / 63."""
+    prev, n = magnus6_holonomy(conn, 4), 8
+    while n <= 1024:
+        cur = magnus6_holonomy(conn, n)
+        if np.linalg.norm(cur - prev) < REFERENCE_GAP:
+            return cur
+        prev, n = cur, 2 * n
+    raise AssertionError("the reference did not settle by 1024 substeps per cell")
+
+
+def reference_path(group, scale, nodes, seed=1):
+    values = np.random.default_rng(seed).standard_normal((nodes, group.dim))
+    return PathConnection(group, 1.0, scale * values / np.sqrt(np.mean(values ** 2)))
+
+
+REFERENCE_GROUPS = ("SU2", "SO3", "SU2xU1")
+# (RMS amplitude, grid nodes): holonomy refines the smooth paths to 128 substeps
+# per cell, the stiff ones to 512
+REFERENCE_PATHS = {"smooth": (1.0, 7), "stiff": (8.0, 5)}
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_magnus6_reference_has_order_six(name):
+    # the gap between levels n and 2n shrinks 2^6-fold per doubling; at 2 to 16
+    # substeps per cell every gap lies between about 1e-7 and 2e-11, far above roundoff
+    conn = reference_path(group_from_name(name), *REFERENCE_PATHS["smooth"])
+    levels = [magnus6_holonomy(conn, n) for n in (2, 4, 8, 16)]
+    gaps = [np.linalg.norm(fine - coarse) for coarse, fine in zip(levels, levels[1:])]
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all(np.abs(orders - 6.0) < 0.25), orders
+
+
+# holonomy stops once two successive fourth-order levels agree to its tol, 1e-10;
+# the finer level's own error is then about that gap / (2^4 - 1), so within
+# tol, and the reference adds less than REFERENCE_GAP (measured worst: 6.3e-12,
+# SO3 stiff)
+HOLONOMY_TOL = 1e-10
+
+
+@pytest.mark.parametrize("path", sorted(REFERENCE_PATHS))
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_holonomy_matches_the_sixth_order_reference(name, path):
+    conn = reference_path(group_from_name(name), *REFERENCE_PATHS[path])
+    assert np.linalg.norm(holonomy(conn) - magnus6_reference(conn)) <= HOLONOMY_TOL
