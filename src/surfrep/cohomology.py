@@ -22,7 +22,7 @@ from .words import fox_terms
 CONE_CHUNK = 64
 # Largest group defect of a point of G (RepPoint values, BundleClass targets and
 # their Ad-action's distance from the identity, projected cone samples)
-DEFECT_TOL = 1e-10
+GROUP_DEFECT_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -41,7 +41,7 @@ class RepPoint:
             if not np.isfinite(v).all():
                 raise ValueError("representation matrices must be finite")
             defect = group.group_defect(v)
-            if defect > DEFECT_TOL:
+            if defect > GROUP_DEFECT_TOL:
                 raise ValueError(f"matrix lies off the group (defect {defect:.3e})")
         self.group = group
         self.values = vals
@@ -53,9 +53,9 @@ class BundleClass:
 
     def __init__(self, group, central_element):
         c = np.asarray(central_element, dtype=complex)
-        if group.group_defect(c) > DEFECT_TOL:
+        if group.group_defect(c) > GROUP_DEFECT_TOL:
             raise ValueError("central element lies off the group")
-        if np.linalg.norm(group.Ad_matrix(c) - np.eye(group.dim)) > DEFECT_TOL:
+        if np.linalg.norm(group.Ad_matrix(c) - np.eye(group.dim)) > GROUP_DEFECT_TOL:
             raise ValueError("element is not central (adjoint action is nontrivial)")
         self.group = group
         self.central_element = c
@@ -347,9 +347,9 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60,
 
 def _on_group(group, values):
     """Mask of the samples of stacked values (n, S, m, m) that RepPoint accepts:
-    finite, and no value further than DEFECT_TOL from the group."""
+    finite, and no value further than GROUP_DEFECT_TOL from the group."""
     ok = np.isfinite(values).all(axis=(0, 2, 3))
-    ok[ok] = ~(group._defect(values[:, ok]) > DEFECT_TOL).any(axis=0)
+    ok[ok] = ~(group._defect(values[:, ok]) > GROUP_DEFECT_TOL).any(axis=0)
     return ok
 
 

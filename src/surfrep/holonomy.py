@@ -99,11 +99,9 @@ def _transport_nodes(conn, t_end, n_sub):
     return ts, np.concatenate([conn.group.identity()[None], mats])
 
 
-def _refine(compute, n_sub, tol):
-    """compute(n_sub) if n_sub is given, else compute(n) at n = 2, 4, 8, ... until two
-    successive results agree to tol; raises ConvergenceError when MAX_SUBSTEPS comes first."""
-    if n_sub is not None:
-        return compute(n_sub)
+def _refine(compute, tol):
+    """compute(n_sub) at n_sub = 2, 4, 8, ... until two successive results agree
+    to tol; raises ConvergenceError when MAX_SUBSTEPS is reached first."""
     prev = compute(2)
     n = 4
     while n <= MAX_SUBSTEPS:
@@ -125,7 +123,9 @@ def horizontal_transport(conn, t, n_sub=None, tol=1e-10):
     t = float(np.clip(t, 0.0, conn.b))
     if t == 0.0:
         return conn.group.identity()
-    return _refine(lambda n: _transport_nodes(conn, t, n)[1][-1], n_sub, tol)
+    if n_sub is not None:
+        return _transport_nodes(conn, t, n_sub)[1][-1]
+    return _refine(lambda n: _transport_nodes(conn, t, n)[1][-1], tol)
 
 
 def holonomy(conn, n_sub=None, tol=1e-10):
@@ -148,10 +148,10 @@ def _twisted_integral(conn, var, n_sub):
     return np.einsum("c,k,ckd->d", h / 3, w, integrand[idx])
 
 
-def holonomy_derivative(conn, var, n_sub=None, tol=1e-10):
+def holonomy_derivative(conn, var, tol=1e-10):
     """Derivative of holonomy in the direction of the variation, left-translated
     to the algebra: the integral of Ad(a(t)^-1) theta(t) dt over [0, b]."""
-    return _refine(lambda n: _twisted_integral(conn, var, n), n_sub, tol)
+    return _refine(lambda n: _twisted_integral(conn, var, n), tol)
 
 
 def holonomy_derivative_fd(conn, var, s=1e-4, tol=1e-10):
