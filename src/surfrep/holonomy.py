@@ -3,7 +3,12 @@
 The connection enters as its algebra values A(t) on a uniform grid over [0, b],
 linearly interpolated. Transport solves a'(t) = -A(t) a(t), a(0) = e, by
 fourth-order Magnus steps, so a constant connection X transports exactly to
-exp(-X t) and no node leaves the group. The derivative of holonomy is taken
+exp(-X t) and no node leaves the group. Holonomy reads only the last node, so
+its steps are multiplied by a pairwise product tree (N - 1 products); the
+prefix scan of every node serves only the twisted integral. Connections on one
+grid (the finite-difference oracle's three, the gauge check's two) are
+transported as one stack, and each entry is refined until it is stable to tol
+on its own. The derivative of holonomy is taken
 along the affine family whose transport data at parameter s is A - s*theta (the
 convention under which it reduces to the plain integral of theta when A = 0):
 it equals the twisted integral of Ad(a(t)^-1) theta(t), left-translated at the holonomy.
@@ -12,10 +17,12 @@ it equals the twisted integral of Ad(a(t)^-1) theta(t), left-translated at the h
 import numpy as np
 
 from .cohomology import ConvergenceError
+from .groups import _frobenius, _norm
 
 MAX_SUBSTEPS = 1024
-# grid nodes of a path: one refinement level holds (nodes - 1) * MAX_SUBSTEPS
-# step matrices at once
+# grid nodes of a path; one transport pass holds at most
+# (MAX_NODES - 1) * MAX_SUBSTEPS step matrices, so a stack of connections that
+# needs more at one refinement level runs in chunks of entries
 MAX_NODES = 65
 
 
@@ -26,11 +33,12 @@ def _check_node_count(nodes):
 
 def _interpolate(conn, values, t):
     """Linear interpolation at time t (a scalar or an array of times) of samples
-    on conn's uniform grid; the sample axis comes last."""
-    cell = conn.b / (len(values) - 1)
-    i = np.clip(np.floor(t / cell).astype(int), 0, len(values) - 2)
+    (..., nodes, dim) on conn's uniform grid; the sample axis comes last."""
+    nodes = values.shape[-2]
+    cell = conn.b / (nodes - 1)
+    i = np.clip(np.floor(t / cell).astype(int), 0, nodes - 2)
     frac = ((t - conn.times[i]) / cell)[..., None]
-    return values[i] + frac * (values[i + 1] - values[i])
+    return values[..., i, :] + frac * (values[..., i + 1, :] - values[..., i, :])
 
 
 class PathConnection:
@@ -78,41 +86,83 @@ class Variation:
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # on [0, 1]
 
 
-def _transport_nodes(conn, t_end, n_sub):
-    """Transport by n_sub Magnus steps per grid cell (the last cut at t_end), all at
-    once; returns times and group elements at every substep node from 0 to t_end."""
+def _grid(conn, t_end, n_sub):
+    """Substep length per grid cell up to t_end (the last cell cut at t_end) and
+    the substep times (cells, n_sub + 1)."""
     t0 = conn.times[:-1][conn.times[:-1] < t_end]
     h = (np.minimum(conn.times[1:len(t0) + 1], t_end) - t0) / n_sub
-    grid = t0[:, None] + np.arange(n_sub + 1) * h[:, None]
+    return h, t0[:, None] + np.arange(n_sub + 1) * h[:, None]
+
+
+def _steps(conn, values, t_end, n_sub):
+    """Magnus step matrices E_1 ... E_N, n_sub per grid cell up to t_end, of every
+    connection in the stack values (..., nodes, dim) on conn's grid."""
+    h, grid = _grid(conn, t_end, n_sub)
     hs = np.repeat(h, n_sub)[:, None, None]
     gauss = grid[:, :-1].ravel() + np.outer(_GAUSS, hs.ravel())  # (2, substeps)
-    A1, A2 = conn.group.algebra_to_matrix(conn.at(gauss))
+    A = conn.group.algebra_to_matrix(_interpolate(conn, values, gauss))
+    A1, A2 = A[..., 0, :, :, :], A[..., 1, :, :, :]
     omega = -0.5 * hs * (A1 + A2) + (np.sqrt(3) / 12) * hs ** 2 * (A2 @ A1 - A1 @ A2)
     lam, V = np.linalg.eigh(1j * omega)  # Hermitian: exp(omega) = V exp(-i lam) V^H
-    mats = (V * np.exp(-1j * lam)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    # prefix products a_k = E_k ... E_1 in log2 rounds (Hillis-Steele)
+    return (V * np.exp(-1j * lam)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+def _prefix(mats):
+    """Prefix products a_k = E_k ... E_1 along the step axis of mats (..., N, m, m),
+    in place, in log2 N rounds (Hillis-Steele)."""
     shift = 1
-    while shift < len(mats):
-        mats[shift:] = mats[shift:] @ mats[:-shift]
+    while shift < mats.shape[-3]:
+        mats[..., shift:, :, :] = mats[..., shift:, :, :] @ mats[..., :-shift, :, :]
         shift *= 2
-    ts = np.concatenate([[0.0], grid[:, 1:].ravel()])
-    return ts, np.concatenate([conn.group.identity()[None], mats])
+    return mats
 
 
-def _refine(compute, tol):
-    """compute(n_sub) at n_sub = 2, 4, 8, ... until two successive results agree
-    to tol; raises ConvergenceError when MAX_SUBSTEPS is reached first."""
-    prev = compute(2)
+def _product(mats):
+    """E_N ... E_1 along the step axis of mats (..., N, m, m) in N - 1 products: a
+    pairwise tree aligned at E_N, the bracketing of _prefix's last entry, so the
+    two agree bit for bit."""
+    while mats.shape[-3] > 1:
+        odd = mats.shape[-3] % 2
+        pairs = mats[..., odd + 1::2, :, :] @ mats[..., odd::2, :, :]
+        mats = np.concatenate([mats[..., :odd, :, :], pairs], axis=-3)
+    return mats[..., 0, :, :]
+
+
+def _transport(conn, values, t_end, n_sub):
+    """a(t_end) of every connection in the stack values (k, nodes, dim) on conn's
+    grid, in passes of at most (MAX_NODES - 1) * MAX_SUBSTEPS step matrices."""
+    per_pass = max(1, (MAX_NODES - 1) * MAX_SUBSTEPS // ((len(conn.times) - 1) * n_sub))
+    return np.concatenate([_product(_steps(conn, values[i:i + per_pass], t_end, n_sub))
+                           for i in range(0, len(values), per_pass)])
+
+
+def _refine(compute, k, tol, size):
+    """A stack of k results, each refined on its own: compute(n_sub, live) gives
+    the entries live at n_sub = 2, 4, 8, ..., and an entry is kept, and leaves the
+    live set, at the first level where size(its change) is below tol. Raises
+    ConvergenceError when some entry has not settled by MAX_SUBSTEPS."""
+    live = np.arange(k)
+    prev = compute(2, live)
+    out = np.empty_like(prev)
     n = 4
     while n <= MAX_SUBSTEPS:
-        cur = compute(n)
-        if np.linalg.norm(cur - prev) < tol:
-            return cur
-        prev = cur
+        cur = compute(n, live)
+        done = size(cur - prev) < tol
+        out[live[done]] = cur[done]
+        live, prev = live[~done], cur[~done]
+        if not live.size:
+            return out
         n *= 2
     raise ConvergenceError(
         f"successive refinements still differ by more than {tol:g} "
         f"at {MAX_SUBSTEPS} substeps per cell")
+
+
+def _refined_transport(conn, values, t_end, tol):
+    """a(t_end) of every connection in the stack values on conn's grid, each
+    refined until stable to tol."""
+    return _refine(lambda n, live: _transport(conn, values[live], t_end, n),
+                   len(values), tol, _frobenius)
 
 
 def horizontal_transport(conn, t, n_sub=None, tol=1e-10):
@@ -124,8 +174,8 @@ def horizontal_transport(conn, t, n_sub=None, tol=1e-10):
     if t == 0.0:
         return conn.group.identity()
     if n_sub is not None:
-        return _transport_nodes(conn, t, n_sub)[1][-1]
-    return _refine(lambda n: _transport_nodes(conn, t, n)[1][-1], tol)
+        return _transport(conn, conn.values[None], t, n_sub)[0]
+    return _refined_transport(conn, conn.values[None], t, tol)[0]
 
 
 def holonomy(conn, n_sub=None, tol=1e-10):
@@ -134,7 +184,10 @@ def holonomy(conn, n_sub=None, tol=1e-10):
 
 def _twisted_integral(conn, var, n_sub):
     group = conn.group
-    ts, mats = _transport_nodes(conn, conn.b, n_sub)
+    _, grid = _grid(conn, conn.b, n_sub)
+    ts = np.concatenate([[0.0], grid[:, 1:].ravel()])
+    mats = np.concatenate([group.identity()[None],
+                           _prefix(_steps(conn, conn.values, conn.b, n_sub))])
     # Ad(a^-1) theta at every node, read off a^-1 Theta a in the algebra basis
     theta = group.algebra_to_matrix(var.at(ts))
     twisted = mats.conj().swapaxes(-1, -2) @ theta @ mats
@@ -151,18 +204,17 @@ def _twisted_integral(conn, var, n_sub):
 def holonomy_derivative(conn, var, tol=1e-10):
     """Derivative of holonomy in the direction of the variation, left-translated
     to the algebra: the integral of Ad(a(t)^-1) theta(t) dt over [0, b]."""
-    return _refine(lambda n: _twisted_integral(conn, var, n), tol)
+    return _refine(lambda n, live: _twisted_integral(conn, var, n)[None], 1, tol, _norm)[0]
 
 
 def holonomy_derivative_fd(conn, var, s=1e-4, tol=1e-10):
     """Central finite difference along the affine family (transport data A - s*theta);
     the independent oracle for holonomy_derivative."""
     group = conn.group
-    y = holonomy(conn, tol=tol)
     plus = PathConnection(group, conn.b, conn.values - s * var.values)
     minus = PathConnection(group, conn.b, conn.values + s * var.values)
-    gp = holonomy(plus, tol=tol)
-    gm = holonomy(minus, tol=tol)
+    y, gp, gm = _refined_transport(
+        conn, np.stack([conn.values, plus.values, minus.values]), conn.b, tol)
     yinv = y.conj().T
     return (group.log(yinv @ gp) - group.log(yinv @ gm)) / (2 * s)
 
@@ -172,6 +224,6 @@ def conjugation_invariance_check(conn, x):
     group = conn.group
     ad = group.Ad_matrix(x)
     gauged = PathConnection(group, conn.b, conn.values @ ad.T)
-    lhs = holonomy(gauged)
-    rhs = x @ holonomy(conn) @ np.linalg.inv(x)
+    lhs, hol = _refined_transport(conn, np.stack([gauged.values, conn.values]), conn.b, 1e-10)
+    rhs = x @ hol @ np.linalg.inv(x)
     return float(np.linalg.norm(lhs - rhs))

@@ -271,6 +271,29 @@ def test_holonomy_check_bounds():
     assert payload["refinement_order"] >= 3.5
 
 
+# the four payload floats of `holonomy-check --samples 8 --seed 5 --json`, as
+# printed before holonomy moved from the prefix scan to the product tree and
+# the finite-difference and gauge checks to one stacked refinement: both
+# changes keep every bit
+HOLONOMY_CHECK_FIELDS = ("closed_form_max_error", "fd_derivative_max_error",
+                         "conjugation_max_error", "refinement_order")
+HOLONOMY_CHECK_GOLDEN = {
+    "SU2": (6.190193435307404e-15, 6.29692662801806e-10,
+            2.6127540498427774e-14, 3.9999314957700043),
+    "SO3": (1.9577185488496182e-14, 6.766479915595059e-10,
+            3.865038875368843e-14, 4.000977604215509),
+    "SU2xU1": (1.7636385104273047e-14, 4.162364829045363e-10,
+               3.5146413435755887e-14, 4.000731432124779),
+}
+
+
+@pytest.mark.parametrize("group", sorted(HOLONOMY_CHECK_GOLDEN))
+def test_holonomy_check_payload_is_pinned(group):
+    payload = payload_of(invoke("holonomy-check", "--group", group, "--samples", "8",
+                                "--seed", "5", "--json"))
+    assert tuple(payload[field] for field in HOLONOMY_CHECK_FIELDS) == HOLONOMY_CHECK_GOLDEN[group]
+
+
 def test_holonomy_check_abelian_group_is_exact():
     payload = payload_of(invoke("holonomy-check", "--group", "U1", "--samples", "3", "--json"))
     assert payload["closed_form_max_error"] <= 1e-13

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,12 +10,20 @@ from surfrep.holonomy import (
     MAX_NODES,
     PathConnection,
     Variation,
+    _prefix,
+    _product,
+    _refined_transport,
+    _steps,
+    _transport,
     conjugation_invariance_check,
     holonomy,
     holonomy_derivative,
     holonomy_derivative_fd,
     horizontal_transport,
 )
+
+# the module itself: the package exports a function of the same name
+holonomy_module = importlib.import_module("surfrep.holonomy")
 
 
 def random_connection(model, n_nodes=9, b=1.0, seed=0, scale=1.0):
@@ -181,6 +191,15 @@ def test_refinement_cap_raises_instead_of_returning_last_iterate():
         holonomy_derivative(conn, var, tol=1e-14)
 
 
+def test_stacked_refinement_cap_raises():
+    # the stiff path above: a stack with an entry that cannot meet tol raises,
+    # after refining every entry to the cap
+    conn = PathConnection(su2(), 1.0, 40 * np.random.default_rng(0).standard_normal((3, 3)))
+    var = Variation(conn, np.ones((3, 3)))
+    with pytest.raises(ConvergenceError):
+        holonomy_derivative_fd(conn, var, tol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # An independent reference: sixth-order Magnus on three Gauss-Legendre points
 # (Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009), section 4), each step
@@ -262,3 +281,108 @@ HOLONOMY_TOL = 1e-10
 def test_holonomy_matches_the_sixth_order_reference(name, path):
     conn = reference_path(group_from_name(name), *REFERENCE_PATHS[path])
     assert np.linalg.norm(holonomy(conn) - magnus6_reference(conn)) <= HOLONOMY_TOL
+
+
+# ---------------------------------------------------------------------------
+# The product tree and the prefix scan
+
+
+TREE_GROUPS = ("U1", "SU2", "SO3", "SU2xU1", "SO3xSU2xU1")
+
+
+@pytest.mark.parametrize("name", TREE_GROUPS)
+def test_product_tree_is_the_last_prefix_product(name):
+    # the tree aligned at E_N brackets E_N ... E_1 as the scan's last entry
+    # does, so the two agree bit for bit at every length. Entry n - 1 of a scan
+    # reads only the first n steps, so one scan serves every length.
+    group = group_from_name(name)
+    rng = np.random.default_rng(17)
+    conn = PathConnection(group, 1.0, np.zeros((2, group.dim)))
+    short = _steps(conn, 3 * rng.standard_normal((2, 3, 2, group.dim)), 1.0, 70)
+    # 4096 distinct steps, tiled to the longest length
+    steps = _steps(conn, 3 * rng.standard_normal((1, 2, group.dim)), 1.0, 4096)
+    long = np.tile(steps, (16, 1, 1))
+    for mats, lengths in ((short, range(1, 71)), (long, [2 ** p for p in range(17)])):
+        scan = _prefix(mats.copy())
+        for n in lengths:
+            assert np.array_equal(_product(mats[..., :n, :, :]), scan[..., n - 1, :, :]), n
+
+
+# ---------------------------------------------------------------------------
+# Stacked refinement: each entry stops at its own level
+
+
+def _stiff_and_constant(name):
+    group = group_from_name(name)
+    stiff = reference_path(group, *REFERENCE_PATHS["stiff"])
+    constant = PathConnection(group, stiff.b, np.tile(stiff.values[0], (len(stiff.values), 1)))
+    return group, stiff, constant
+
+
+def _counting_steps(monkeypatch):
+    """Record (entries, step count) of every _steps pass."""
+    passes = []
+
+    def counted(conn, values, t_end, n_sub):
+        mats = _steps(conn, values, t_end, n_sub)
+        passes.append(mats.shape[:-2])
+        return mats
+
+    monkeypatch.setattr(holonomy_module, "_steps", counted)
+    return passes
+
+
+def test_stacked_refinement_keeps_each_entry_at_its_own_level(monkeypatch):
+    # the constant connection settles at 4 substeps per cell, the RMS-8 path
+    # at 512; each equals its own holonomy bit for bit
+    group, stiff, constant = _stiff_and_constant("SU2")
+    passes = _counting_steps(monkeypatch)
+    got = _refined_transport(stiff, np.stack([constant.values, stiff.values]), stiff.b, 1e-10)
+    cells = len(stiff.values) - 1
+    assert passes == [(2, 2 * cells), (2, 4 * cells)] + [
+        (1, n * cells) for n in (8, 16, 32, 64, 128, 256, 512)]
+    assert np.array_equal(got[0], holonomy(constant))
+    assert np.array_equal(got[1], holonomy(stiff))
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_stacked_oracles_equal_separate_holonomies(name):
+    # the finite-difference and gauge oracles, rebuilt from one holonomy call
+    # per connection
+    group, stiff, constant = _stiff_and_constant(name)
+    rng = np.random.default_rng(18)
+    s = 1e-4
+    for conn in (constant, stiff):
+        var = Variation(conn, rng.standard_normal(conn.values.shape))
+        y = holonomy(conn)
+        gp = holonomy(PathConnection(group, conn.b, conn.values - s * var.values))
+        gm = holonomy(PathConnection(group, conn.b, conn.values + s * var.values))
+        yinv = y.conj().T
+        fd = (group.log(yinv @ gp) - group.log(yinv @ gm)) / (2 * s)
+        assert np.array_equal(holonomy_derivative_fd(conn, var, s=s), fd)
+
+        x = group.random_element(rng)
+        gauged = PathConnection(group, conn.b, conn.values @ group.Ad_matrix(x).T)
+        residual = np.linalg.norm(holonomy(gauged) - x @ holonomy(conn) @ np.linalg.inv(x))
+        assert conjugation_invariance_check(conn, x) == float(residual)
+
+
+def test_transport_passes_stay_within_the_step_budget(monkeypatch):
+    # a pass holds at most (MAX_NODES - 1) * MAX_SUBSTEPS step matrices: with
+    # the cap at 16, the oracle's three entries at 65 nodes run three to a pass
+    # up to 4 substeps per cell, two and one at 8, one at a time at 16
+    group = group_from_name("SU2")
+    conn = reference_path(group, 8.0, MAX_NODES)
+    var = Variation(conn, np.ones_like(conn.values))
+    values = np.stack([conn.values, conn.values - 1e-4 * var.values, conn.values + 1e-4 * var.values])
+    whole = _transport(conn, values, conn.b, 16)
+    monkeypatch.setattr(holonomy_module, "MAX_SUBSTEPS", 16)
+    passes = _counting_steps(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        holonomy_derivative_fd(conn, var, tol=1e-14)
+    cells = MAX_NODES - 1
+    assert passes == [(3, 2 * cells), (3, 4 * cells), (2, 8 * cells), (1, 8 * cells)] + [
+        (1, 16 * cells)] * 3
+    assert max(np.prod(shape) for shape in passes) <= cells * 16
+    # chunks keep the bits of one pass
+    assert np.array_equal(_transport(conn, values, conn.b, 16), whole)
