@@ -10,6 +10,7 @@ Exit codes: 0 all asserted invariants passed (or nothing was asserted),
 2 invariant failure, 3 input error, 4 numerical non-convergence.
 """
 
+import inspect
 import json
 import sys
 import time
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import reports
 from .cohomology import ConvergenceError
+from .reduction import MODELS
 
 # malformed flags and arguments are input errors, not invariant failures
 click.UsageError.exit_code = 3
@@ -37,10 +39,8 @@ OPTIONS = {
     "defect_tol": ("--tol-defect", float, 1e-9,
                    "Largest relator defect or residual accepted (default 1e-9)."),
     "nodes": (None, int, 7, None),
-    "b": (None, float, 1.0, None),
-    "fd_step": (None, float, 1e-4, None),
 }
-TOLERANCES = ("rank_tol", "defect_tol", "fd_step")
+TOLERANCES = ("rank_tol", "defect_tol")
 # the JSON values a config may give an option of each type (booleans never)
 JSON_TYPES = {
     int: (lambda v: isinstance(v, int), "an integer"),
@@ -70,16 +70,6 @@ def _load_config(path, accepted):
     return config
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.ndarray, np.generic)):
-        return _jsonable(value.tolist())
-    return value
-
-
 def _print_table(obj, indent=0):
     pad = " " * indent
     for key, value in obj.items():
@@ -95,9 +85,11 @@ def _fail(message, code):
     sys.exit(code)
 
 
-def command(name, build, keys, params=(), takes_config=True):
-    """Register `name` running `build`: a flag per key that has one, then
-    --config (accepting exactly `keys`) and --json."""
+def command(name, build, params=()):
+    """Register `name` running `build`: its keys are the parameters of `build`
+    that OPTIONS names; a flag per key that has one, --config (accepting exactly
+    those keys) if there are any, and --json."""
+    keys = [key for key in inspect.signature(build).parameters if key in OPTIONS]
 
     def run(as_json, config=None, **given):
         started = time.perf_counter()
@@ -113,17 +105,18 @@ def command(name, build, keys, params=(), takes_config=True):
             tolerances = {key: values.get(key, OPTIONS[key][2]) for key in TOLERANCES}
             if not all(np.isfinite(t) and t > 0.0 for t in tolerances.values()):
                 raise ValueError("tolerances must be finite and positive")
+            tolerances["fd_step"] = reports.FD_STEP
             payload, status = build(**given, **values)
         except ConvergenceError as exc:
             _fail(f"failed to converge: {exc}", 4)
         except ValueError as exc:
             _fail(exc, 3)
-        report = _jsonable({
+        report = {
             "command": name,
             "tolerances": tolerances,
             "payload": payload,
             "status": status,
-        })
+        }
         if as_json:
             click.echo(json.dumps(report, indent=2))
         else:
@@ -134,7 +127,7 @@ def command(name, build, keys, params=(), takes_config=True):
     options = [click.Option([OPTIONS[key][0], key], type=OPTIONS[key][1], default=None,
                             help=OPTIONS[key][3])
                for key in keys if OPTIONS[key][0]]
-    if takes_config:
+    if keys:
         options.append(click.Option(["--config"], type=click.Path(), default=None,
                                     help="JSON file of option values; flags win."))
     options.append(click.Option(["--json", "as_json"], is_flag=True,
@@ -148,25 +141,20 @@ def main():
     """Finite-dimensional structure of surface-group representation spaces."""
 
 
-command("fox", reports.fox_report, (), takes_config=False, params=[
+command("fox", reports.fox_report, params=[
     click.Argument(["word"], metavar="WORD"),
     click.Option(["--n"], type=int, default=None,
                  help="Number of generators (default: largest index in the word)."),
 ])
-command("cohomology", reports.cohomology_report,
-        ("group", "genus", "rep", "rank_tol", "defect_tol"))
-command("stratify", reports.stratify_report,
-        ("group", "genus", "rep", "seed", "rank_tol", "defect_tol"))
-command("cone-span", reports.cone_span_report,
-        ("group", "genus", "rep", "seed", "samples", "rank_tol", "defect_tol"))
-command("reduction", reports.reduction_report, ("seed", "samples", "defect_tol"), params=[
+command("cohomology", reports.cohomology_report)
+command("stratify", reports.stratify_report)
+command("cone-span", reports.cone_span_report)
+command("reduction", reports.reduction_report, params=[
     click.Argument(["model"], metavar="MODEL",
-                   type=click.Choice(["so2", "so3"], case_sensitive=False)),
+                   type=click.Choice(list(MODELS), case_sensitive=False)),
 ])
-command("holonomy-check", reports.holonomy_check_report,
-        ("group", "seed", "samples", "nodes", "b", "fd_step"))
-command("genus2-su2-report", reports.genus2_su2_report,
-        ("seed", "samples", "rank_tol", "defect_tol"))
+command("holonomy-check", reports.holonomy_check_report)
+command("genus2-su2-report", reports.genus2_su2_report)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .words import fox_terms
 # Cone samples per stacked Gauss-Newton pass: a pass holds this many copies of
 # the point and of D1, so peak memory does not grow with the sample count.
 CONE_CHUNK = 64
+CONE_EPS = 1e-3  # step along a unit cocycle before a cone sample is projected back
 # Largest group defect of a point of G (RepPoint values, BundleClass targets and
 # their Ad-action's distance from the identity, projected cone samples)
 GROUP_DEFECT_TOL = 1e-10
@@ -353,7 +354,7 @@ def _on_group(group, values):
     return ok
 
 
-def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3, data=None):
+def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, data=None):
     """Harvest variety tangent directions: step along random cocycles, project
     back within the slice transverse to the conjugation orbit, and keep the
     normalized displacement. Returns (directions, span in Z1, span in H1);
@@ -403,12 +404,12 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=1e-3, data=
 
 
 def sample_stabilizer(rep, count=8, seed=0, data=None):
-    """Center elements plus exponentials of random centralizer directions. The
-    centralizer is cut at data.rank_tol (data as in obstruction_quadratic, but
-    never built here), or at RANK_TOL without it."""
+    """Center elements plus exponentials of random centralizer directions: ker D0
+    (data.basis_H0; data as in obstruction_quadratic, but never built here), or
+    without data the centralizer_algebra of the values, cut at RANK_TOL."""
     group = rep.group
     els = [z.copy() for z in group.center_elements]
-    Zc = group.centralizer_algebra(rep.values, RANK_TOL if data is None else data.rank_tol)
+    Zc = group.centralizer_algebra(rep.values) if data is None else data.basis_H0
     if Zc.shape[1]:
         rng = np.random.default_rng(seed)
         for _ in range(count):

@@ -180,6 +180,9 @@ def so3_model():
     )
 
 
+MODELS = {"so2": so2_model, "so3": so3_model}  # by the reduction command's names
+
+
 def _zero_locus_residuals(model, W):
     """Momentum residual of every row of W, each checked as ZeroLocusPoint
     checks one point: finite entries, residual below RESIDUAL_TOL. The first

@@ -7,13 +7,14 @@ raises ValueError and a failed iteration raises ConvergenceError; nothing is
 printed. The genus-2 SU(2) worked example is built from the same pieces as
 the single-representation reports. Each builds a point's complex once, with
 its --tol-rank, and every rank decision at the point reads it (the centralizer
-dimension is h0 = dim ker D0).
+is ker D0: its dimension is h0, and the stabilizer sample draws from it).
 """
 
 import numpy as np
 
 from . import words
 from .cohomology import (
+    CONE_EPS,
     RepPoint,
     _orbit_type,
     build_complex,
@@ -37,10 +38,10 @@ from .holonomy import (
 )
 from .reduction import (
     MAX_SAMPLES,
+    MODELS,
     relation_residual_max,
     sample_zero_locus,
     so2_cone_model_report,
-    so2_model,
     so3_model,
     stratum_histogram,
     zariski_dim_at_origin,
@@ -54,7 +55,7 @@ from .words import (
     verify_fox_identity,
 )
 
-CONE_EPS = 1e-3  # step along a cocycle before projecting back onto the variety
+FD_STEP = 1e-4  # holonomy-check's finite-difference step, echoed in every report
 
 
 def _first_failure(checks):
@@ -173,7 +174,7 @@ def stratify_report(group, genus, rep, seed, rank_tol, defect_tol):
     group, pres, text, point, defect = _named_rep(group, genus, rep)
     data = build_complex(pres, point, rank_tol)
     k, stratum = _orbit_type(group, data.h_dims[0])
-    elements = sample_stabilizer(point, count=8, seed=seed, data=data)
+    elements = sample_stabilizer(point, seed=seed, data=data)
     fixed = stabilizer_fixed_subspace(pres, point, elements, data=data)
     payload = {
         "group": group.name, "genus": genus, "rep": text, "seed": seed,
@@ -192,12 +193,14 @@ def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):
     """Span of the obstruction cone inside cocycles and harmonic space."""
     if samples < 1:
         raise ValueError("--samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     group, pres, text, point, defect = _named_rep(group, genus, rep)
     if defect > defect_tol:
         raise ValueError(f"representation is off the variety (defect {defect:.3e})")
     data = build_complex(pres, point, rank_tol)
     directions, span_z1, span_h1 = sample_cone_directions(
-        pres, point, count=samples, seed=seed, eps=CONE_EPS, data=data)
+        pres, point, count=samples, seed=seed, data=data)
     q_max = 0.0
     for direction in directions:
         q_val = obstruction_quadratic(pres, point, CONE_EPS * direction, data=data)
@@ -225,7 +228,7 @@ def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):
 
 def reduction_report(model, seed, samples, defect_tol):
     """Zero-locus sampling, relation residuals and Zariski dimension of a model."""
-    model = so2_model() if model.lower() == "so2" else so3_model()
+    model = MODELS[model.lower()]()
     if samples < 2 * model.invariant_count:
         raise ValueError(f"--samples must be at least {2 * model.invariant_count}")
     points = sample_zero_locus(model, samples, seed=seed)
@@ -245,8 +248,9 @@ def reduction_report(model, seed, samples, defect_tol):
     return payload, status
 
 
-def holonomy_check_report(group, seed, samples, nodes, b, fd_step):
+def holonomy_check_report(group, seed, samples, nodes):
     """Exactness, derivative and gauge checks for path holonomy."""
+    b = 1.0  # path length
     if samples < 1:
         raise ValueError("--samples must be at least 1")
     if nodes < 2:
@@ -267,7 +271,7 @@ def holonomy_check_report(group, seed, samples, nodes, b, fd_step):
         conn = PathConnection(group, b, rng.standard_normal((nodes, group.dim)))
         var = Variation(conn, rng.standard_normal((nodes, group.dim)))
         exact = holonomy_derivative(conn, var)
-        approx = holonomy_derivative_fd(conn, var, s=fd_step)
+        approx = holonomy_derivative_fd(conn, var, s=FD_STEP)
         fd_max = max(fd_max, float(np.linalg.norm(exact - approx)))
 
     conj_max = 0.0
@@ -331,10 +335,10 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
             point = rep_from_name(pres, group, text)
         data = build_complex(pres, point, rank_tol)
         _, stratum = _orbit_type(group, data.h_dims[0])
-        elements = sample_stabilizer(point, count=8, seed=seed, data=data)
+        elements = sample_stabilizer(point, seed=seed, data=data)
         fixed = stabilizer_fixed_subspace(pres, point, elements, data=data)
         directions, span_z1, span_h1 = sample_cone_directions(
-            pres, point, count=samples, seed=seed + offset, eps=CONE_EPS, data=data)
+            pres, point, count=samples, seed=seed + offset, data=data)
         entry = {
             "rep": text,
             "h_dims": list(data.h_dims),

@@ -7,7 +7,9 @@ D0 and D1, and Ad-equivariance of the complex under conjugation. Also the
 twisted SU(2) class c = -I, where every solution is irreducible, the torus
 constructor on a product group, which has none, and the cross-layer oracle
 that ties holonomy to Fox calculus: D1 at a point of holonomies, applied to
-their derivatives, is the derivative of the relator values. A derandomized
+their derivatives, is the derivative of the relator values. The exact gauge
+oracle ties holonomy to D0: the derivatives along a constant gauge direction
+are the coboundary -D0 x, which D1 annihilates on the variety. A derandomized
 hypothesis sweep takes the same oracles to genus 4-5 over SU2, SO3 and the
 twisted SU2 class.
 """
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from surfrep.cohomology import (
     BundleClass,
     RepPoint,
+    _d0,
     _d1,
     _value,
     build_complex,
@@ -164,3 +167,51 @@ def test_holonomy_derivative_matches_d1(name, genus):
         assert np.linalg.norm(fd - lin[i * d:(i + 1) * d]) <= HOLONOMY_GAP
         # U1 is abelian, so its relators are constant and both sides vanish
         assert name == "U1" or np.linalg.norm(fd) > 0.1
+
+
+# Refining transport to 1e-10 bounds both the holonomies that D0 is built from
+# and the twisted integral; theta is linear between nodes, so Variation holds it
+# exactly and nothing else is approximated. Measured gaps are at most 2.2e-11.
+GAUGE_GAP = 1e-9
+
+
+def variety_paths(genus, new):
+    """Connections from new(), one per generator, repeated so that their
+    holonomies cancel the relator's commutators: [a, b][b, a] for each two
+    handles, then [c, c] where the genus is odd."""
+    conns = []
+    for _ in range(genus // 2):
+        a, b = new(), new()
+        conns += [a, b, b, a]
+    if genus % 2:
+        c = new()
+        conns += [c, c]
+    return conns
+
+
+@pytest.mark.parametrize("on_variety", (False, True), ids=("random", "variety"))
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("genus", GENERA)
+def test_gauge_direction_integrates_to_coboundary(name, genus, on_variety):
+    # gauging by exp(s x) varies A_j by theta_j = [A_j, x], and the derivative of
+    # holonomy along it is Ad(y_j^-1) x - x: the stack over generators is -D0 x
+    group = group_from_name(name)
+    pres = surface_presentation(genus)
+    rng = np.random.default_rng(genus)
+
+    def new():
+        return PathConnection(group, 1.0, rng.standard_normal((HOLONOMY_NODES, group.dim)))
+
+    conns = variety_paths(genus, new) if on_variety else [new() for _ in range(pres.n)]
+    x = rng.standard_normal(group.dim)
+    thetas = [Variation(c, [group.bracket(a, x) for a in c.values]) for c in conns]
+    xi = np.concatenate([holonomy_derivative(c, t) for c, t in zip(conns, thetas)])
+    y = [holonomy(c) for c in conns]
+    coboundary = -_d0(group, y) @ x
+    assert np.linalg.norm(xi - coboundary) <= GAUGE_GAP
+    # U1 is abelian: Ad is trivial and both sides vanish
+    assert name == "U1" or np.linalg.norm(coboundary) > 0.1
+    if on_variety:
+        assert relator_defect(pres, RepPoint(group, y)) <= 1e-12
+        D1 = _d1(pres, group, y)
+        assert np.linalg.norm(D1 @ xi) <= GAUGE_GAP * (1 + np.linalg.norm(D1, 2))

@@ -6,13 +6,16 @@ exit-code contract (0 pass, 2 invariant failure, 3 input error) is pinned.
 """
 
 import importlib
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from surfrep import cohomology, reports, words
+from surfrep import cli, cohomology, reports, words
 from surfrep.cli import main
 
 # the module itself: the package exports a function of the same name
@@ -203,6 +206,17 @@ def test_cone_span_off_variety_is_input_error():
     assert "off the variety" in result.stderr
 
 
+def test_cone_span_rejects_oversized_sample_count(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before checking --samples")
+
+    monkeypatch.setattr(reports, "MAX_SAMPLES", 30)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    result = invoke("cone-span", "--samples", "31", "--json")
+    assert result.exit_code == 3
+    assert "--samples" in result.stderr
+
+
 def test_cohomology_off_variety_flagged_not_failed():
     result = invoke("cohomology", "--rep", "torus:[0.7,1.1,-0.5,0.3]",
                     "--tol-defect", "1e-30", "--json")
@@ -389,8 +403,11 @@ def test_config_unknown_key_rejected(tmp_path):
     (["reduction", "so3"], {"rep": "central:[+,+,+,+]", "genus": 3, "rank_tol": 5}),
     (["cohomology"], {"fd_step": 1e-3}),
     (["holonomy-check"], {"rank_tol": 1e-6}),
+    # the path length and finite-difference step are fixed
+    (["holonomy-check"], {"b": 2.0}),
+    (["holonomy-check"], {"fd_step": 1e-3}),
 ], ids=["n", "word", "model", "reduction-rank_tol", "cohomology-fd_step",
-        "holonomy-rank_tol"])
+        "holonomy-rank_tol", "holonomy-b", "holonomy-fd_step"])
 def test_config_key_the_command_does_not_read_rejected(tmp_path, args, config):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(config))
@@ -414,6 +431,22 @@ def test_config_value_of_wrong_type_rejected(tmp_path, config):
     assert f"config key {next(iter(config))!r}" in result.stderr
 
 
+@pytest.mark.parametrize("args, config, message", [
+    (["fox", "x1", "--n", "0"], None, "--n must be at least 1"),
+    (["cone-span", "--samples", "0"], None, "--samples must be at least 1"),
+    (["holonomy-check"], {"nodes": 1}, "nodes must be at least 2"),
+    (["cohomology"], [1, 2], "config must be a JSON object"),
+], ids=["fox-n", "cone-span-samples", "holonomy-nodes", "config-list"])
+def test_input_error_exits_3(tmp_path, args, config, message):
+    if config is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", str(path)]
+    result = invoke(*args, "--json")
+    assert result.exit_code == 3
+    assert message in result.stderr
+
+
 def test_config_unreadable_rejected(tmp_path):
     assert invoke("cohomology", "--config", str(tmp_path / "no.json")).exit_code == 3
 
@@ -429,3 +462,33 @@ def test_wall_time_goes_to_stderr_only():
     result = invoke("cohomology", "--json")
     assert "wall_time" not in result.stdout
     assert "wall_time_s" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# the README's config table
+
+
+REPORTS = {
+    "cohomology": reports.cohomology_report,
+    "stratify": reports.stratify_report,
+    "cone-span": reports.cone_span_report,
+    "reduction": reports.reduction_report,
+    "holonomy-check": reports.holonomy_check_report,
+    "genus2-su2-report": reports.genus2_su2_report,
+}
+
+
+def test_readme_config_table_matches_report_signatures():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | config keys |\n| --- | --- |\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines():
+        command, keys = re.fullmatch(r"\| `([\w-]+)` \| (.*) \|", line).groups()
+        rows[command] = re.findall(r"`(\w+)`", keys)
+    # exactly the commands that take --config, each with its report's keys
+    assert set(rows) == {name for name, cmd in main.commands.items()
+                         if any(p.name == "config" for p in cmd.params)}
+    assert set(rows) == set(REPORTS)
+    for command, keys in rows.items():
+        derived = [k for k in inspect.signature(REPORTS[command]).parameters if k in cli.OPTIONS]
+        assert keys == derived, command

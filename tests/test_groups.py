@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from surfrep.cohomology import GROUP_DEFECT_TOL
 from surfrep.groups import direct_product, group_from_name, so3, su2, u1
 
 
@@ -266,3 +267,18 @@ def test_project_to_group_removes_drift():
         fixed = model.project_to_group(noisy)
         assert model.group_defect(fixed) < 1e-12
         assert np.linalg.norm(fixed - g) < 1e-3
+
+
+def test_so3_projection_of_reflections_is_a_rotation():
+    # the polar factor of a det -1 matrix is a reflection: projection flips the
+    # last singular vector of those entries only, and a stack keeps each entry's bits
+    model = so3()
+    rng = np.random.default_rng(5)
+    M = np.stack([model.random_element(rng).real @ np.diag([1.0, 1.0, (-1.0) ** k])
+                  + 1e-3 * rng.standard_normal((3, 3)) for k in range(6)])
+    assert (np.sign(np.linalg.det(M)) == [1, -1, 1, -1, 1, -1]).all()
+    projected = model.project_to_group(M)
+    for P, m in zip(projected, M):
+        assert abs(np.linalg.det(P) - 1) < 1e-12
+        assert model.group_defect(P) <= GROUP_DEFECT_TOL
+        assert np.array_equal(P, model.project_to_group(m))

@@ -171,6 +171,31 @@ def test_connection_needs_two_nodes():
         PathConnection(su2(), 1.0, np.array([[np.nan, 0, 0], [0, 0, 0]]))
 
 
+def test_connection_rejects_wrong_dimension_and_nonpositive_length():
+    with pytest.raises(ValueError, match="group algebra has dim"):
+        PathConnection(su2(), 1.0, np.zeros((3, 2)))
+    for b in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="path length"):
+            PathConnection(su2(), b, np.zeros((3, 3)))
+
+
+def test_variation_rejects_non_finite_samples():
+    conn = random_connection(su2(), seed=14)
+    for bad in (np.nan, np.inf):
+        values = np.zeros_like(conn.values)
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Variation(conn, values)
+
+
+def test_transport_at_zero_is_identity_and_outside_the_path_raises():
+    conn = random_connection(su2(), seed=3)
+    assert np.array_equal(horizontal_transport(conn, 0.0), np.eye(2))
+    for t in (-0.01, conn.b + 0.01):
+        with pytest.raises(ValueError, match="outside"):
+            horizontal_transport(conn, t)
+
+
 def test_connection_rejects_more_than_max_nodes():
     # a refinement level holds (nodes - 1) * MAX_SUBSTEPS step matrices at once
     group = direct_product(so3(), su2(), u1())
