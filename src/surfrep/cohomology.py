@@ -10,6 +10,7 @@ over a stack of starts at once, each sample taking the steps it would take
 alone.
 """
 
+import bisect
 import itertools
 
 import numpy as np
@@ -35,6 +36,8 @@ class RepPoint:
 
     def __init__(self, group, values):
         vals = [np.asarray(v, dtype=complex) for v in values]
+        if not vals:
+            raise ValueError("a representation needs at least one value")
         shape = (group.matrix_dim, group.matrix_dim)
         for v in vals:
             if v.shape != shape:
@@ -94,27 +97,27 @@ def _check_generators(pres, values):
         raise ValueError(f"presentation has {pres.n} generators, point has {len(values)} values")
 
 
-def _letter_values(values, letters):
-    """The matrix of each letter at the representation (inverses via conjugate
-    transpose). values[j] may be a stack (..., m, m) of samples."""
-    mats = []
-    for j, e in letters:
+def _suffixes(group, values, letters, starts):
+    """The suffix products y_s y_{s+1} ... of a word's letters at the
+    representation, one per start (starts non-decreasing), stacked
+    (len(starts), ..., m, m), from one walk over the letters left to right.
+    Inverse letters are conjugate transposes, and values[j] may be a stack
+    (..., m, m) of samples. At letter k the entries with start <= k, a prefix
+    of the stack, take one product, so each entry is the identity times its
+    letters in order: the bits of multiplying it out alone."""
+    shape = (len(starts),) + np.shape(values[0])[:-2] + (group.matrix_dim,) * 2
+    G = np.broadcast_to(group.identity(), shape).copy()
+    for k, (j, e) in enumerate(letters):
         if j > len(values):
             raise ValueError(f"word uses generator x{j} but only {len(values)} values given")
-        mats.append(values[j - 1] if e == 1 else _dagger(values[j - 1]))
-    return mats
-
-
-def _product(group, mats):
-    g = group.identity()
-    for y in mats:
-        g = g @ y
-    return g
+        c = bisect.bisect_right(starts, k)
+        G[:c] = G[:c] @ (values[j - 1] if e == 1 else _dagger(values[j - 1]))
+    return G
 
 
 def _value(group, values, letters):
     """Evaluate a word's letters at the representation, left to right."""
-    return _product(group, _letter_values(values, letters))
+    return _suffixes(group, values, letters, [0])[0]
 
 
 def evaluate_group_ring(e, rep):
@@ -130,22 +133,21 @@ def evaluate_group_ring(e, rep):
 
 def _d0(group, values):
     """D0 at the point: the stacked I - Ad(y_j^-1), the derivative of conjugation."""
-    eye = np.eye(group.dim)
-    return np.vstack([eye - group.Ad_matrix(y.conj().T) for y in values])
+    return (np.eye(group.dim) - group.Ad_matrix(_dagger(np.stack(values)))).reshape(-1, group.dim)
 
 
 def _d1(pres, group, values):
     """D1 at the point, or one per sample (..., m d, n d) for stacked values.
     Block (i, j) is dr_i/dx_j evaluated as in evaluate_group_ring, summed term
-    by term in one walk over r_i's letters."""
+    by term in letter order over the suffixes of one walk over r_i's letters."""
     _check_generators(pres, values)
     d = group.dim
     D1 = np.zeros(np.shape(values[0])[:-2] + (pres.m * d, pres.n * d))
     for i, r in enumerate(pres.relators):
-        mats = _letter_values(values, r.letters)
-        for j, sign, start in fox_terms(r):
-            g = _product(group, mats[start:])
-            D1[..., i * d:(i + 1) * d, (j - 1) * d:j * d] += sign * group.Ad_matrix(_dagger(g))
+        terms = list(fox_terms(r))
+        suffixes = _suffixes(group, values, r.letters, [s for _, _, s in terms])
+        for (j, sign, _), A in zip(terms, group.Ad_matrix(_dagger(suffixes))):
+            D1[..., i * d:(i + 1) * d, (j - 1) * d:j * d] += sign * A
     return D1
 
 
@@ -155,6 +157,13 @@ def _svd(M):
         p, q = M.shape
         return np.eye(p), np.zeros(min(p, q)), np.eye(q)
     return np.linalg.svd(M)
+
+
+def _centralizer(group, values):
+    """Orthonormal basis (columns) of the centralizer of the values in the
+    algebra: ker D0, cut at RANK_TOL, from the SVD build_complex takes of D0."""
+    _, s, vt = _svd(_d0(group, values))
+    return vt[_rank(s, RANK_TOL):].T
 
 
 def build_complex(pres, rep, rank_tol=RANK_TOL):
@@ -185,10 +194,12 @@ def build_complex(pres, rep, rank_tol=RANK_TOL):
 def _relators_at(pres, group, values, cm):
     """Relator values (relators, ..., m, m) at the point, or at each sample of
     stacked values, and per sample their largest Frobenius distance to the
-    central target cm."""
+    central target cm (0 where the presentation has no relators)."""
     _check_generators(pres, values)
-    rels = np.stack([_value(group, values, r.letters) for r in pres.relators])
-    return rels, _frobenius(rels - cm).max(axis=0)
+    rels = np.empty((pres.m,) + np.shape(values[0]), dtype=complex)
+    for i, r in enumerate(pres.relators):
+        rels[i] = _value(group, values, r.letters)
+    return rels, _frobenius(rels - cm).max(axis=0, initial=0.0)
 
 
 def relator_defect(pres, rep, c=None):
@@ -202,34 +213,25 @@ def finite_diff_check_d1(pres, rep, u, h):
     group = rep.group
     d = group.dim
     u = np.asarray(u, dtype=float).reshape(pres.n, d)
-    D1 = _d1(pres, group, rep.values)
-    lin = D1 @ u.ravel()
-    plus = [y @ group.exp(h * u[j]) for j, y in enumerate(rep.values)]
-    minus = [y @ group.exp(-h * u[j]) for j, y in enumerate(rep.values)]
-    worst = 0.0
-    for i, r in enumerate(pres.relators):
-        g0i = _value(group, rep.values, r.letters).conj().T
-        xi = (group.log(g0i @ _value(group, plus, r.letters))
-              - group.log(g0i @ _value(group, minus, r.letters))) / (2 * h)
-        worst = max(worst, float(np.linalg.norm(xi - lin[i * d:(i + 1) * d])))
-    return worst
+    lin = (_d1(pres, group, rep.values) @ u.ravel()).reshape(pres.m, d)
+    Y, eye = np.stack(rep.values), group.identity()
+    r0i = _dagger(_relators_at(pres, group, Y, eye)[0])
+    plus = _relators_at(pres, group, Y @ group.exp(h * u), eye)[0]
+    minus = _relators_at(pres, group, Y @ group.exp(-h * u), eye)[0]
+    xi = (group.log(r0i @ plus) - group.log(r0i @ minus)) / (2 * h)
+    return float(_norm(xi - lin).max(initial=0.0))
 
 
 def finite_diff_check_d0(pres, rep, X, h):
     """Same contract for D0 against the conjugation-orbit map x -> x^-1 y x."""
     group = rep.group
-    d = group.dim
     X = np.asarray(X, dtype=float)
-    D0 = _d0(group, rep.values)
-    lin = D0 @ X
+    lin = (_d0(group, rep.values) @ X).reshape(rep.n, group.dim)
+    Y = np.stack(rep.values)
     ep = group.exp(h * X)
     em = group.exp(-h * X)
-    worst = 0.0
-    for j, y in enumerate(rep.values):
-        yi = y.conj().T
-        xi = (group.log(yi @ em @ y @ ep) - group.log(yi @ ep @ y @ em)) / (2 * h)
-        worst = max(worst, float(np.linalg.norm(xi - lin[j * d:(j + 1) * d])))
-    return worst
+    xi = (group.log(_dagger(Y) @ em @ Y @ ep) - group.log(_dagger(Y) @ ep @ Y @ em)) / (2 * h)
+    return float(_norm(xi - lin).max())
 
 
 def obstruction_quadratic(pres, rep, u, data=None):
@@ -404,12 +406,12 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
 
 
 def sample_stabilizer(rep, count=8, seed=0, data=None):
-    """Center elements plus exponentials of random centralizer directions: ker D0
-    (data.basis_H0; data as in obstruction_quadratic, but never built here), or
-    without data the centralizer_algebra of the values, cut at RANK_TOL."""
+    """Center elements plus exponentials of random centralizer directions: ker D0,
+    read from data.basis_H0 (data as in obstruction_quadratic, but never built
+    here) or, without data, computed as build_complex computes it."""
     group = rep.group
     els = [z.copy() for z in group.center_elements]
-    Zc = group.centralizer_algebra(rep.values) if data is None else data.basis_H0
+    Zc = _centralizer(group, rep.values) if data is None else data.basis_H0
     if Zc.shape[1]:
         rng = np.random.default_rng(seed)
         for _ in range(count):
@@ -459,8 +461,8 @@ def _orbit_type(group, k):
 
 
 def classify_orbit_type(rep):
-    """Stabilizer dimension and its stratum label, from the centralizer of the values."""
-    return _orbit_type(rep.group, rep.group.centralizer_algebra(rep.values).shape[1])
+    """Stabilizer dimension and its stratum label, from the centralizer (ker D0) of the values."""
+    return _orbit_type(rep.group, _centralizer(rep.group, rep.values).shape[1])
 
 
 def conjugation_isomorphism_check(pres, rep, x):

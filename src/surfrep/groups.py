@@ -21,7 +21,7 @@ _SY = np.array([[0, -1j], [1j, 0]])
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _CUT_MARGIN = 1e-6
-# default relative cutoff of _rank for the complex and the centralizer
+# default relative cutoff of _rank for the complex (and so for the centralizer, ker D0)
 RANK_TOL = 1e-8
 
 
@@ -152,15 +152,6 @@ class LieGroupModel:
         X = self.algebra_to_matrix(x)
         Y = self.algebra_to_matrix(y)
         return self.matrix_to_algebra(X @ Y - Y @ X)
-
-    def centralizer_algebra(self, elements, rank_tol=RANK_TOL):
-        """Orthonormal basis (columns) of {X : Ad(y) X = X for all y in elements}."""
-        elements = list(elements)
-        if not elements:
-            return np.eye(self.dim)
-        rows = np.vstack([self.Ad_matrix(y) - np.eye(self.dim) for y in elements])
-        _, s, vt = np.linalg.svd(rows)
-        return vt[_rank(s, rank_tol):].T
 
     # sampling (Haar per group, deterministic per seed)
 

@@ -3,15 +3,16 @@
 Genus 1-3 x {U1, SO3, SU2, SU2xU1} x {central, random, torus} points (torus
 where the group has a maximal-torus map): the Euler characteristic, Poincare
 duality h0 = h2 and h1 = 2 h0 + (2g - 2) d, the finite-difference gaps of
-D0 and D1, and Ad-equivariance of the complex under conjugation. Also the
-twisted SU(2) class c = -I, where every solution is irreducible, the torus
-constructor on a product group, which has none, and the cross-layer oracle
-that ties holonomy to Fox calculus: D1 at a point of holonomies, applied to
-their derivatives, is the derivative of the relator values. The exact gauge
-oracle ties holonomy to D0: the derivatives along a constant gauge direction
-are the coboundary -D0 x, which D1 annihilates on the variety. A derandomized
-hypothesis sweep takes the same oracles to genus 4-5 over SU2, SO3 and the
-twisted SU2 class.
+D0 and D1, Ad-equivariance of the complex under conjugation, and one
+centralizer: the stabilizer sample and the orbit type read ker D0 whether or
+not the point's complex is given. Also the twisted SU(2) class c = -I, where
+every solution is irreducible, the torus constructor on a product group,
+which has none, and the cross-layer oracle that ties holonomy to Fox calculus:
+D1 at a point of holonomies, applied to their derivatives, is the derivative
+of the relator values. The exact gauge oracle ties holonomy to D0: the
+derivatives along a constant gauge direction are the coboundary -D0 x, which
+D1 annihilates on the variety. A derandomized hypothesis sweep takes the same
+oracles to genus 4-5 over SU2, SO3 and the twisted SU2 class.
 """
 
 import numpy as np
@@ -23,14 +24,17 @@ from surfrep.cohomology import (
     RepPoint,
     _d0,
     _d1,
+    _orbit_type,
     _value,
     build_complex,
+    classify_orbit_type,
     conjugation_isomorphism_check,
     finite_diff_check_d0,
     finite_diff_check_d1,
     newton_project_to_variety,
     relator_defect,
     rep_from_name,
+    sample_stabilizer,
 )
 from surfrep.groups import group_from_name, so3, su2
 from surfrep.holonomy import PathConnection, Variation, holonomy, holonomy_derivative
@@ -83,6 +87,19 @@ def test_euler_duality_and_fd_gaps(name, genus, kind):
     check_fd_gaps(pres, rep, seed=genus)
     x = group.random_element(np.random.default_rng(genus))
     assert conjugation_isomorphism_check(pres, rep, x)
+
+
+@pytest.mark.parametrize("name, genus, kind", CASES, ids=[f"{n}-g{g}-{k}" for n, g, k in CASES])
+def test_stabilizer_and_orbit_type_read_the_complexs_centralizer(name, genus, kind):
+    # ker D0 is the one centralizer: with or without the complex, the same bits
+    group = group_from_name(name)
+    pres = surface_presentation(genus)
+    rep = rep_from_name(pres, group, rep_text(group, genus, kind))
+    data = build_complex(pres, rep)
+    for seed in (0, 1):
+        alone = np.stack(sample_stabilizer(rep, seed=seed))
+        assert np.array_equal(alone, np.stack(sample_stabilizer(rep, seed=seed, data=data)))
+    assert classify_orbit_type(rep) == _orbit_type(group, data.h_dims[0])
 
 
 @pytest.mark.parametrize("genus", (2, 3))

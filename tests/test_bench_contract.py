@@ -1,0 +1,77 @@
+"""The benchmark's contract with the library, read from perfbench/'s source.
+
+perfbench/workloads.py imports its job bodies from the package, and
+perfbench/run.py reads per-layer counters by span name ("layer.function")
+from the tracer's calls and raised tables, which hold only the public
+functions the tracer wraps. A name the library drops would otherwise surface
+only as an ImportError in the bench, or a KeyError in its traced run. The
+files are parsed, never imported or changed.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import surfrep
+from surfrep.groups import LieGroupModel
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERS = ("words", "groups", "holonomy", "cohomology", "reduction")
+
+
+def parse(name):
+    return ast.parse((BENCH / name).read_text(), filename=name)
+
+
+def is_table(node):
+    """calls / raised, by name or as summary["calls"] / summary["raised"]."""
+    if isinstance(node, ast.Name):
+        return node.id in ("calls", "raised")
+    return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value in ("calls", "raised"))
+
+
+def traced_keys():
+    """Span names run.py reads from the tables, and tracer.py looks up by index."""
+    keys = set()
+    for name in ("run.py", "tracer.py"):
+        for node in ast.walk(parse(name)):
+            if isinstance(node, ast.Subscript) and is_table(node.value):
+                key = node.slice
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "index" and node.args):
+                key = node.args[0]
+            else:
+                continue
+            if isinstance(key, ast.Constant) and isinstance(key.value, str) and "." in key.value:
+                keys.add(key.value)
+    return keys
+
+
+def test_every_name_the_workloads_import_is_exported():
+    names = [alias.name for node in ast.walk(parse("workloads.py"))
+             if isinstance(node, ast.ImportFrom) and node.module == "surfrep"
+             for alias in node.names]
+    assert len(names) > 10
+    missing = [n for n in names if n not in surfrep.__all__ or not hasattr(surfrep, n)]
+    assert not missing, missing
+
+
+def test_every_traced_key_names_a_wrapped_function():
+    keys = traced_keys()
+    assert "groups.Ad_matrix" in keys and "cohomology.build_complex" in keys
+    missing = []
+    for key in sorted(keys):
+        layer, attr = key.split(".")
+        assert layer in LAYERS, key
+        if layer == "groups":
+            obj = vars(LieGroupModel).get(attr)
+            ok = inspect.isfunction(obj)
+        else:
+            module = importlib.import_module(f"surfrep.{layer}")
+            obj = vars(module).get(attr)
+            ok = inspect.isfunction(obj) and obj.__module__ == module.__name__
+        if attr.startswith("_") or not ok:
+            missing.append(key)
+    assert not missing, missing

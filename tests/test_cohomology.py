@@ -1,21 +1,27 @@
 """Tests for the evaluated Fox complex: twisted cohomology, obstruction cone,
 stabilizer strata, and the finite-difference oracles that pin the conventions."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfrep.words import (
     GroupRingElement,
+    Presentation,
     Word,
     fox_derivative,
+    fox_terms,
     reduce,
     surface_presentation,
 )
 from surfrep import cohomology, reports
 from surfrep.groups import group_from_name, su2, u1
 from surfrep.cohomology import (
+    _centralizer,
     _d1,
+    _suffixes,
     BundleClass,
     ConvergenceError,
     RepPoint,
@@ -77,6 +83,22 @@ def test_rep_point_rejects_nonfinite():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         RepPoint(G, [bad, EYE, EYE, EYE])
+
+
+def test_rep_point_rejects_an_empty_value_list():
+    # an empty point used to pass and fail inside numpy in build_complex
+    with pytest.raises(ValueError, match="at least one value"):
+        RepPoint(G, [])
+
+
+def test_relator_free_presentation_has_no_defect():
+    # a free group: no relator to miss, and nothing for the D1 oracle to compare
+    pres = Presentation(2, [])
+    rng = np.random.default_rng(5)
+    rep = RepPoint(G, [G.random_element(rng) for _ in range(2)])
+    assert relator_defect(pres, rep) == 0.0
+    assert finite_diff_check_d1(pres, rep, rng.standard_normal(6), 1e-4) == 0.0
+    assert build_complex(pres, rep).h_dims == (0, 3, 0)
 
 
 def test_bundle_class_requires_central_element():
@@ -146,6 +168,39 @@ def test_d1_walk_is_bit_identical_to_fox_evaluation_at_twisted_point():
     assert relator_defect(P2, rep, twist) < 1e-10
     D1 = _d1(P2, G, rep.values)
     assert np.array_equal(D1, fox_evaluated_d1(P2, rep))
+
+
+WALK_GROUPS = ["SU2", "SO3", "U1", "SU2xU1", "SO3xSU2xU1"]
+
+
+@pytest.mark.parametrize("samples", [None, 5], ids=["point", "stack"])
+@pytest.mark.parametrize("name", WALK_GROUPS)
+def test_suffix_walk_is_bit_identical_to_each_suffix_product(name, samples):
+    # one walk gives every suffix the bits of multiplying it out from the identity
+    group = group_from_name(name)
+    shape = () if samples is None else (samples,)
+    m = group.matrix_dim
+    for genus in range(1, 9):
+        pres = surface_presentation(genus)
+        rng = np.random.default_rng(genus)
+        draws = [[group.random_element(rng) for _ in range(samples or 1)] for _ in range(pres.n)]
+        values = [np.reshape(draw, shape + (m, m)) for draw in draws]
+        letters = pres.relators[0].letters
+        mats = [values[j - 1] if e == 1 else values[j - 1].conj().swapaxes(-1, -2)
+                for j, e in letters]
+        fox_starts = [s for _, _, s in fox_terms(pres.relators[0])]
+        for starts in (list(range(len(letters) + 1)), fox_starts):
+            walk = _suffixes(group, values, letters, starts)
+            assert walk.shape == (len(starts),) + shape + (m, m)
+            for k, s in enumerate(starts):
+                expected = functools.reduce(np.matmul, mats[s:], group.identity())
+                assert np.array_equal(walk[k], np.broadcast_to(expected, walk[k].shape)), s
+
+
+def test_suffix_walk_rejects_a_generator_beyond_the_values():
+    letters = P2.relators[0].letters
+    with pytest.raises(ValueError, match="word uses generator x2 but only 1 values given"):
+        _suffixes(G, [EYE], letters, [0, 1])
 
 
 # -------------------------------------------------------------- the complex
@@ -513,6 +568,24 @@ def test_stabilizer_rejects_noncommuting_element():
     rng = np.random.default_rng(27)
     with pytest.raises(ValueError):
         stabilizer_fixed_subspace(P2, torus_rep(), [G.random_element(rng)])
+
+
+def test_centralizer_of_identity_is_whole_algebra():
+    basis = _centralizer(G, [EYE])
+    assert basis.shape == (3, 3)
+
+
+def test_centralizer_of_torus_element():
+    basis = _centralizer(G, [np.diag([1j, -1j])])
+    assert basis.shape == (3, 1)
+    # the fixed direction is the third basis axis
+    assert abs(abs(basis[2, 0]) - 1.0) < 1e-10
+
+
+def test_centralizer_of_generic_pair_is_trivial():
+    rng = np.random.default_rng(10)
+    basis = _centralizer(G, [G.random_element(rng), G.random_element(rng)])
+    assert basis.shape == (3, 0)
 
 
 def test_classify_orbit_types():

@@ -152,30 +152,6 @@ def test_so3_structure_constants_are_cross_product():
     assert np.allclose(model.bracket(e[0], e[1]), e[2], atol=1e-14)
 
 
-# centralizers
-
-def test_centralizer_of_identity_is_whole_algebra():
-    model = su2()
-    basis = model.centralizer_algebra([np.eye(2, dtype=complex)])
-    assert basis.shape == (3, 3)
-
-
-def test_centralizer_of_torus_element():
-    model = su2()
-    g = np.diag([1j, -1j])
-    basis = model.centralizer_algebra([g])
-    assert basis.shape == (3, 1)
-    # the fixed direction is the third basis axis
-    assert abs(abs(basis[2, 0]) - 1.0) < 1e-10
-
-
-def test_centralizer_of_generic_pair_is_trivial():
-    model = su2()
-    rng = np.random.default_rng(10)
-    basis = model.centralizer_algebra([model.random_element(rng), model.random_element(rng)])
-    assert basis.shape == (3, 0)
-
-
 # random sampling
 
 def test_random_element_deterministic_per_seed():

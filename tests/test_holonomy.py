@@ -147,6 +147,59 @@ def test_conjugation_invariance():
     assert conjugation_invariance_check(conn, x) < 1e-9
 
 
+# The gauge identity: gauging A by exp(s xi(t)) varies it by theta = xi' + [A, xi],
+# and the derivative of holonomy along theta is Ad(y^-1) xi(b) - xi(0) (Goldman,
+# Adv. Math. 54 (1984); Atiyah and Bott, Phil. Trans. R. Soc. A 308 (1983)).
+GAUGE_GROUPS = ("SU2", "SO3", "SU2xU1")
+
+
+def gauge_gap(group, A, xi, dxi, nodes):
+    """|holonomy_derivative - (Ad(y^-1) xi(1) - xi(0))| and the size of the
+    latter, for the connection and theta sampled at nodes over [0, 1]."""
+    t = np.linspace(0.0, 1.0, nodes)
+    conn = PathConnection(group, 1.0, [A(s) for s in t])
+    var = Variation(conn, [dxi(s) + group.bracket(A(s), xi(s)) for s in t])
+    expected = group.Ad_matrix(holonomy(conn).conj().T) @ xi(1.0) - xi(0.0)
+    return np.linalg.norm(holonomy_derivative(conn, var) - expected), np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name", GAUGE_GROUPS)
+def test_gauge_identity_is_exact_for_constant_connection_and_linear_xi(name):
+    # theta is linear in t, so Variation holds it exactly, and transport of a
+    # constant connection is exact: only the 1e-10 refinement tolerance is left
+    # (measured gaps at most 3.5e-12)
+    group = group_from_name(name)
+    rng = np.random.default_rng(3)
+    a, x0, x1 = (rng.standard_normal(group.dim) for _ in range(3))
+    for nodes in (2, 5, 9):
+        gap, size = gauge_gap(group, lambda s: a, lambda s: x0 + s * x1, lambda s: x1, nodes)
+        assert gap <= 1e-9, nodes
+        assert size > 0.1
+
+
+@pytest.mark.parametrize("name", GAUGE_GROUPS)
+def test_gauge_identity_converges_at_order_two_on_a_smooth_path(name):
+    # sampling theta at the nodes is the only approximation: linear interpolation
+    # is second order, so the gap shrinks 4-fold per halving of the grid (measured
+    # orders 1.91-2.00 over 5 to 65 nodes), far above the transport tolerance
+    group = group_from_name(name)
+    rng = np.random.default_rng(3)
+    a0, a1, a2, x0, x1 = (rng.standard_normal(group.dim) for _ in range(5))
+
+    def A(s):
+        return a0 + a1 * np.sin(2 * s) + a2 * np.cos(3 * s)
+
+    def xi(s):
+        return x0 * np.cos(s) + x1 * np.sin(2 * s)
+
+    def dxi(s):
+        return -x0 * np.sin(s) + 2 * x1 * np.cos(2 * s)
+
+    gaps = [gauge_gap(group, A, xi, dxi, nodes)[0] for nodes in (5, 9, 17, 33, 65)]
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all(np.abs(orders - 2.0) < 0.25), orders
+
+
 def test_integrator_order_at_least_3_5():
     model = su2()
     conn = random_connection(model, n_nodes=5, seed=13, scale=1.5)
