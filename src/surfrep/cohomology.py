@@ -234,38 +234,63 @@ def finite_diff_check_d0(pres, rep, X, h):
     return float(_norm(xi - lin).max())
 
 
-def obstruction_quadratic(pres, rep, u, data=None):
-    """Second-order term of the relator word map along a cocycle direction,
-    projected to the complement of im D1; coordinates in basis_H2 of
-    data, the point's CochainData (built with the default rank cutoff when omitted)."""
-    group = rep.group
-    d = group.dim
-    if data is None:
-        data = build_complex(pres, rep)
-    u = np.asarray(u, dtype=float)
-    if np.linalg.norm(data.D1 @ u) > 1e-9 * max(1.0, np.linalg.norm(u)):
-        raise ValueError("direction is not a cocycle (D1 u != 0)")
-    u2 = u.reshape(pres.n, d)
-    # the 2-jets at t = 0 of y_j exp(t u_j) and of its inverse, per letter (j, e)
-    jets = {}
-    for j, y in enumerate(rep.values, start=1):
-        U = group.algebra_to_matrix(u2[j - 1])
-        yi = y.conj().T
-        jets[j, 1] = (y, y @ U, 0.5 * y @ U @ U)
-        jets[j, -1] = (yi, -U @ yi, 0.5 * U @ U @ yi)
+def _jet_walk(pres, group, values, U):
+    """The relators' second-order terms in algebra coordinates (k, relators d)
+    along a stack of directions U (k, n d). A relator's 2-jet C0 + t C1 + t^2 C2
+    is walked as one (k, 3, m, m) stack: per letter, one broadcast product of
+    the orders so far with the letter's 2-jet B, summed order by order as
+    C0 B0, C0 B1 + C1 B0, C0 B2 + C1 B1 + C2 B0, the bits of one direction's
+    walk alone."""
+    k, mm = len(U), group.matrix_dim
+    X = group.algebra_to_matrix(U.reshape(k, pres.n, group.dim))
+    Y = np.stack(values)
+    Yi = _dagger(Y)
+    # the 2-jets at t = 0 of y_j exp(t u_j) and of its inverse: (k, n, 3, m, m)
+    plus, minus = np.empty((2, k, pres.n, 3, mm, mm), dtype=complex)
+    plus[:, :, 0], plus[:, :, 1], plus[:, :, 2] = Y, Y @ X, 0.5 * Y @ X @ X
+    minus[:, :, 0], minus[:, :, 1], minus[:, :, 2] = Yi, -X @ Yi, 0.5 * X @ X @ Yi
+    jets = {1: plus, -1: minus}
     coords = []
     for r in pres.relators:
-        C0 = group.identity()
-        C1 = np.zeros_like(C0)
-        C2 = np.zeros_like(C0)
-        for letter in r.letters:
-            B0, B1, B2 = jets[letter]
-            C0, C1, C2 = C0 @ B0, C0 @ B1 + C1 @ B0, C0 @ B2 + C1 @ B1 + C2 @ B0
-        inv0 = C0.conj().T
-        S1 = inv0 @ C1
-        S2 = inv0 @ C2
+        C = np.zeros((k, 3, mm, mm), dtype=complex)
+        C[:, 0] = group.identity()
+        for j, e in r.letters:
+            P = C[:, :, None] @ jets[e][:, j - 1, None]  # P[:, a, b] = C_a B_b
+            C = P[:, 0]
+            C[:, 1:] += P[:, 1, :2]
+            C[:, 2] += P[:, 2, 0]
+        S = _dagger(C[:, :1]) @ C[:, 1:]
+        S1, S2 = S[:, 0], S[:, 1]
         coords.append(group.matrix_to_algebra(S2 - 0.5 * S1 @ S1))
-    return data.basis_H2.T @ np.concatenate(coords)
+    return np.concatenate(coords, axis=-1)
+
+
+def obstruction_quadratic(pres, rep, u, data=None):
+    """Second-order term of the relator word map along a cocycle direction u
+    (n d,), or along each of a stack (k, n d), projected to the complement of
+    im D1; coordinates (h2,) or (k, h2) in basis_H2 of data, the point's
+    CochainData (built with the default rank cutoff when omitted). Where H2
+    is zero (on the variety h2 = h0, so wherever the centralizer is discrete)
+    the result is empty and nothing is walked. A stack is walked CONE_CHUNK
+    directions at a time, each direction with the bits it gets alone."""
+    group = rep.group
+    nd = pres.n * group.dim
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != nd:
+        raise ValueError(f"u must have shape ({nd},) or (k, {nd}), got {u.shape}")
+    if data is None:
+        data = build_complex(pres, rep)
+    U = u.reshape(-1, nd)
+    lin = np.matmul(data.D1, U[..., None])[..., 0]
+    if (_norm(lin) > 1e-9 * np.maximum(1.0, _norm(U))).any():
+        raise ValueError("direction is not a cocycle (D1 u != 0)")
+    H2 = data.basis_H2
+    q = np.zeros((len(U), H2.shape[1]))
+    if H2.shape[1]:
+        for first in range(0, len(U), CONE_CHUNK):
+            c = _jet_walk(pres, group, rep.values, U[first:first + CONE_CHUNK])
+            q[first:first + CONE_CHUNK] = np.matmul(H2.T, c[..., None])[..., 0]
+    return q.reshape(u.shape[:-1] + q.shape[-1:])
 
 
 def _per_sample(x):

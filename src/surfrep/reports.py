@@ -26,7 +26,7 @@ from .cohomology import (
     sample_stabilizer,
     stabilizer_fixed_subspace,
 )
-from .groups import group_from_name, su2
+from .groups import _norm, group_from_name, su2
 from .holonomy import (
     PathConnection,
     Variation,
@@ -75,21 +75,22 @@ def irreducible_rep(group):
 
 
 def measure_obstruction_constant(pres, rep, count, seed, data=None):
-    """Fit q = c * (u1 x u2 + u3 x u4) over count random cochains at a genus-2
-    SU(2) point and return (c, max relative error). seed is a seed or a
+    """Fit q = c * (u1 x u2 + u3 x u4) over count >= 1 random cochains at a
+    genus-2 SU(2) point and return (c, max relative error). seed is a seed or a
     numpy Generator, which is then advanced; data is the point's cochain data
-    (built with the default rank cutoff when omitted)."""
+    (built with the default rank cutoff when omitted). The obstructions are
+    taken as one stack."""
+    if count < 1:
+        raise ValueError("the obstruction fit needs at least one cochain")
     if data is None:
         data = build_complex(pres, rep)
-    rng = np.random.default_rng(seed)
+    U = np.random.default_rng(seed).standard_normal((count, 4 * 3))
     constant = None
     worst = 0.0
-    for _ in range(count):
-        u = rng.standard_normal(4 * 3)
+    for u, q_val in zip(U, obstruction_quadratic(pres, rep, U, data=data)):
         blocks = u.reshape(4, 3)
         reference = np.cross(blocks[0], blocks[1]) + np.cross(blocks[2], blocks[3])
         reference = data.basis_H2.T @ reference
-        q_val = obstruction_quadratic(pres, rep, u, data=data)
         if constant is None:
             constant = float((q_val @ reference) / (reference @ reference))
         err = np.linalg.norm(q_val - constant * reference) / np.linalg.norm(q_val)
@@ -199,13 +200,15 @@ def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):
     if defect > defect_tol:
         raise ValueError(f"representation is off the variety (defect {defect:.3e})")
     data = build_complex(pres, point, rank_tol)
+    dim_z1 = data.basis_Z1.shape[1]
+    if samples < dim_z1:
+        raise ValueError(f"--samples must be at least dim Z1 = {dim_z1}, "
+                         "or the cone directions cannot span Z1")
     directions, span_z1, span_h1 = sample_cone_directions(
         pres, point, count=samples, seed=seed, data=data)
-    q_max = 0.0
-    for direction in directions:
-        q_val = obstruction_quadratic(pres, point, CONE_EPS * direction, data=data)
-        q_max = max(q_max, float(np.linalg.norm(q_val)))
-    dim_z1 = data.basis_Z1.shape[1]
+    q_val = obstruction_quadratic(
+        pres, point, CONE_EPS * np.reshape(directions, (-1, pres.n * group.dim)), data=data)
+    q_max = float(_norm(q_val).max(initial=0.0))
     h1 = data.h_dims[1]
     success_rate = len(directions) / samples
     payload = {

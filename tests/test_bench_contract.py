@@ -14,6 +14,7 @@ import inspect
 from pathlib import Path
 
 import surfrep
+from surfrep import cohomology
 from surfrep.groups import LieGroupModel
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,3 +76,12 @@ def test_every_traced_key_names_a_wrapped_function():
         if attr.startswith("_") or not ok:
             missing.append(key)
     assert not missing, missing
+
+
+def test_the_bench_cone_step_is_the_library_step():
+    # workloads.py keeps its own CONE_EPS literal; if the library's step moved,
+    # the bench would go on timing the old one
+    steps = [node.value.value for node in ast.walk(parse("workloads.py"))
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+             and any(isinstance(t, ast.Name) and t.id == "CONE_EPS" for t in node.targets)]
+    assert steps == [cohomology.CONE_EPS]

@@ -189,12 +189,24 @@ def test_cone_span_central():
     assert payload["obstruction_residual_max"] <= 1e-8
 
 
-def test_cone_span_undersampled_fails_invariant():
-    # five directions cannot span a 12-dimensional cocycle space
+def test_cone_span_undersampled_fails_invariant(monkeypatch):
+    # five directions cannot span a 12-dimensional cocycle space, so the run
+    # is rejected once the complex is built, before any cone sample is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before checking --samples against dim Z1")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     result = invoke("cone-span", "--samples", "5", "--seed", "2", "--json")
-    assert result.exit_code == 2
-    report = json.loads(result.stdout)
-    assert report["status"].startswith("fail")
+    assert result.exit_code == 3
+    assert "--samples must be at least dim Z1 = 12" in result.stderr
+    assert result.stdout == ""
+
+
+def test_cone_span_obstruction_residual_is_pinned():
+    # a change to the obstruction walk or to its stacking must keep these bits
+    payload = payload_of(invoke("cone-span", "--rep", "central:[+,+,+,+]",
+                                "--samples", "120", "--json"))
+    assert payload["obstruction_residual_max"] == 1.5533855575865597e-10
 
 
 def test_cone_span_off_variety_is_input_error():
@@ -328,6 +340,14 @@ def test_genus2_report_checks_pass():
     assert payload["local_models"]["deep_zariski_dim"] == 10
     assert payload["local_models"]["middle_zariski_dim"] == 7
     assert payload["obstruction"]["max_relative_error"] <= 1e-8
+
+
+def test_genus2_report_obstruction_fit_is_pinned():
+    # a change to the obstruction walk or to its stacking must keep these bits
+    payload = payload_of(invoke("genus2-su2-report", "--samples", "40",
+                                "--seed", "7", "--json"))
+    assert payload["obstruction"]["constant"] == -1.0000000000000002
+    assert payload["obstruction"]["max_relative_error"] == 8.799360403080845e-16
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

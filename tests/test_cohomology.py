@@ -17,7 +17,7 @@ from surfrep.words import (
     surface_presentation,
 )
 from surfrep import cohomology, reports
-from surfrep.groups import group_from_name, su2, u1
+from surfrep.groups import LieGroupModel, group_from_name, su2, u1
 from surfrep.cohomology import (
     _centralizer,
     _d1,
@@ -458,6 +458,125 @@ def test_obstruction_rejects_non_cocycle():
     u = rng.standard_normal(12)
     with pytest.raises(ValueError):
         obstruction_quadratic(P2, rep, u)
+
+
+def letterwise_obstruction(pres, rep, u, data):
+    """The obstruction of one direction, walked letter by letter with six
+    separate 2x2 products per letter: the reference for the stacked walk."""
+    group = rep.group
+    d = group.dim
+    u2 = u.reshape(pres.n, d)
+    jets = {}
+    for j, y in enumerate(rep.values, start=1):
+        U = group.algebra_to_matrix(u2[j - 1])
+        yi = y.conj().T
+        jets[j, 1] = (y, y @ U, 0.5 * y @ U @ U)
+        jets[j, -1] = (yi, -U @ yi, 0.5 * U @ U @ yi)
+    coords = []
+    for r in pres.relators:
+        C0 = group.identity()
+        C1 = np.zeros_like(C0)
+        C2 = np.zeros_like(C0)
+        for letter in r.letters:
+            B0, B1, B2 = jets[letter]
+            C0, C1, C2 = C0 @ B0, C0 @ B1 + C1 @ B0, C0 @ B2 + C1 @ B1 + C2 @ B0
+        inv0 = C0.conj().T
+        S1 = inv0 @ C1
+        S2 = inv0 @ C2
+        coords.append(group.matrix_to_algebra(S2 - 0.5 * S1 @ S1))
+    return data.basis_H2.T @ np.concatenate(coords)
+
+
+# a maximal-torus direction per factor, so every group (products too) has torus points
+TORUS_AXIS = {"SU2": [0.0, 0.0, 1.0], "SO3": [0.0, 0.0, 1.0], "U1": [1.0]}
+
+
+def obstruction_points(name, pres):
+    """Central, torus and Newton-projected random points of the named group."""
+    group = group_from_name(name)
+    centers = group.center_elements
+    axis = np.concatenate([TORUS_AXIS[f] for f in name.split("x")])
+    angles = np.random.default_rng(pres.n).uniform(-2, 2, pres.n)
+    return {
+        "central": RepPoint(group, [centers[j % len(centers)] for j in range(pres.n)]),
+        "torus": RepPoint(group, [group.exp(t * axis) for t in angles]),
+        "random": rep_from_name(pres, group, f"random:{pres.n}"),
+    }
+
+
+@pytest.mark.parametrize("name", WALK_GROUPS)
+def test_stacked_obstruction_is_bit_identical_to_the_letterwise_walk(name):
+    # one direction, a stack of one and a stack of four, at every kind of point
+    for genus in range(1, 6):
+        pres = surface_presentation(genus)
+        for kind, rep in obstruction_points(name, pres).items():
+            data = build_complex(pres, rep)
+            rng = np.random.default_rng(genus)
+            U = 1e-3 * (data.basis_Z1 @ rng.standard_normal((data.basis_Z1.shape[1], 5))).T
+            want = np.array([letterwise_obstruction(pres, rep, u, data) for u in U])
+            for u, q in zip(U, want):
+                got = obstruction_quadratic(pres, rep, u, data)
+                assert got.shape == q.shape and np.array_equal(got, q), (genus, kind)
+            assert np.array_equal(obstruction_quadratic(pres, rep, U[:1], data), want[:1])
+            assert np.array_equal(obstruction_quadratic(pres, rep, U[1:], data), want[1:])
+
+
+def test_obstruction_stack_runs_in_chunks(monkeypatch):
+    # chunks of 3 over a stack of 7: the bits of the letterwise walk throughout
+    monkeypatch.setattr(cohomology, "CONE_CHUNK", 3)
+    rep = torus_rep()
+    data = build_complex(P2, rep)
+    U = (data.basis_Z1 @ np.random.default_rng(19).standard_normal((10, 7))).T
+    want = np.array([letterwise_obstruction(P2, rep, u, data) for u in U])
+    assert np.array_equal(obstruction_quadratic(P2, rep, U, data), want)
+
+
+def test_obstruction_is_empty_without_walking_where_h2_is_zero(monkeypatch):
+    rep = irreducible_rep()
+    data = build_complex(P2, rep)
+    assert data.h_dims[2] == 0
+    with pytest.raises(ValueError, match="not a cocycle"):
+        obstruction_quadratic(P2, rep, np.random.default_rng(21).standard_normal(12), data)
+
+    def no_jets(*args):
+        raise AssertionError("walked the jets of a point with H2 = 0")
+
+    monkeypatch.setattr(LieGroupModel, "algebra_to_matrix", no_jets)
+    U = data.basis_Z1[:, :4].T
+    assert obstruction_quadratic(P2, rep, U[0], data).shape == (0,)
+    assert obstruction_quadratic(P2, rep, U, data).shape == (4, 0)
+
+
+def test_obstruction_of_an_empty_stack_is_empty():
+    rep = central_rep()
+    data = build_complex(P2, rep)
+    assert obstruction_quadratic(P2, rep, np.zeros((0, 12)), data).shape == (0, 3)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_obstruction_fit_needs_a_cochain(count):
+    # a fit over no cochains has no constant, and its error of 0.0 would pass any bound
+    with pytest.raises(ValueError, match="at least one cochain"):
+        reports.measure_obstruction_constant(P2, central_rep(), count=count, seed=0)
+
+
+def test_obstruction_fit_draws_count_cochains_of_twelve():
+    # the stacked draw leaves a shared generator where count draws of 12 leave it
+    fitted, drawn = np.random.default_rng(3), np.random.default_rng(3)
+    reports.measure_obstruction_constant(P2, central_rep(), count=5, seed=fitted)
+    for _ in range(5):
+        drawn.standard_normal(12)
+    assert fitted.standard_normal() == drawn.standard_normal()
+
+
+@pytest.mark.parametrize("shape", [(11,), (13,), (2, 11), (1, 2, 12), ()])
+def test_obstruction_rejects_a_direction_of_the_wrong_size_first(monkeypatch, shape):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the complex before checking u")
+
+    monkeypatch.setattr(cohomology, "build_complex", no_build)
+    with pytest.raises(ValueError, match="u must have shape"):
+        obstruction_quadratic(P2, central_rep(), np.zeros(shape))
 
 
 # ------------------------------------------------------------- Newton solver
