@@ -18,8 +18,9 @@ import time
 import click
 import numpy as np
 
-from . import reports
+from . import groups, reports
 from .cohomology import ConvergenceError
+from .holonomy import FD_STEP
 from .reduction import MODELS
 
 # malformed flags and arguments are input errors, not invariant failures
@@ -35,7 +36,7 @@ OPTIONS = {
             "(default: all generators central +1)."),
     "seed": ("--seed", int, 0, "Sampling seed (default 0)."),
     "samples": ("--samples", int, 200, "Sample count (default 200)."),
-    "rank_tol": ("--tol-rank", float, 1e-8, "Relative singular-value cutoff (default 1e-8)."),
+    "rank_tol": ("--tol-rank", float, groups.RANK_TOL, "Relative singular-value cutoff (default 1e-8)."),
     "defect_tol": ("--tol-defect", float, 1e-9,
                    "Largest relator defect or residual accepted (default 1e-9)."),
     "nodes": (None, int, 7, None),
@@ -105,7 +106,7 @@ def command(name, build, params=()):
             tolerances = {key: values.get(key, OPTIONS[key][2]) for key in TOLERANCES}
             if not all(np.isfinite(t) and t > 0.0 for t in tolerances.values()):
                 raise ValueError("tolerances must be finite and positive")
-            tolerances["fd_step"] = reports.FD_STEP
+            tolerances["fd_step"] = FD_STEP
             payload, status = build(**given, **values)
         except ConvergenceError as exc:
             _fail(f"failed to converge: {exc}", 4)

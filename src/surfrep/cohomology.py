@@ -151,18 +151,10 @@ def _d1(pres, group, values):
     return D1
 
 
-def _svd(M):
-    # deterministic identity factors for the all-zero operator
-    if not M.any():
-        p, q = M.shape
-        return np.eye(p), np.zeros(min(p, q)), np.eye(q)
-    return np.linalg.svd(M)
-
-
 def _centralizer(group, values):
     """Orthonormal basis (columns) of the centralizer of the values in the
     algebra: ker D0, cut at RANK_TOL, from the SVD build_complex takes of D0."""
-    _, s, vt = _svd(_d0(group, values))
+    _, s, vt = np.linalg.svd(_d0(group, values))
     return vt[_rank(s, RANK_TOL):].T
 
 
@@ -172,18 +164,18 @@ def build_complex(pres, rep, rank_tol=RANK_TOL):
     d = group.dim
     D0, D1 = _d0(group, rep.values), _d1(pres, group, rep.values)
 
-    u0, s0, vt0 = _svd(D0)
+    u0, s0, vt0 = np.linalg.svd(D0)
     rank0 = _rank(s0, rank_tol)
     basis_H0 = vt0[rank0:].T
     basis_B1 = u0[:, :rank0]
 
-    u1, s1, vt1 = _svd(D1)
+    u1, s1, vt1 = np.linalg.svd(D1)
     rank1 = _rank(s1, rank_tol)
     basis_Z1 = vt1[rank1:].T
     basis_H2 = u1[:, rank1:]
 
     stacked = np.vstack([D1, basis_B1.T])
-    us, ss, vts = _svd(stacked)
+    us, ss, vts = np.linalg.svd(stacked)
     basis_H1 = vts[_rank(ss, rank_tol):].T
 
     h_dims = (d - rank0, (pres.n * d - rank1) - rank0, pres.m * d - rank1)
@@ -308,12 +300,12 @@ def _residual(group, rels, cmi):
 
 
 def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
-    """Gauss-Newton from S starts at once, values (n, S, m, m); as
-    newton_project_to_variety, which is its one-sample case. Each sample takes
-    the steps and halvings it takes alone: its own lstsq, its own line search.
-    Returns (values, errors, moved): errors[s] is the exception sample s ends
-    with, None once its relator defect is below tol, and moved[s] is False
-    where the start was already there."""
+    """Gauss-Newton from S starts at once, values (n, S, m, m), stepping within
+    the columns of slice_basis (None: everywhere); newton_project_to_variety is
+    its unsliced one-sample case. Each sample takes the steps and halvings it
+    takes alone: its own lstsq, its own line search. Returns (values, errors,
+    moved): errors[s] is the exception sample s ends with, None once its relator
+    defect is below tol, and moved[s] is False where the start was already there."""
     n, S, d = values.shape[0], values.shape[1], group.dim
     cmi = _dagger(cm)
     values = values.copy()
@@ -360,14 +352,12 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
     return values, errors, moved
 
 
-def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60,
-                              slice_basis=None):
-    """Gauss-Newton on the residual log(r_i(y) c^-1), stepping by y_j exp(delta_j);
-    optionally restricted to a slice (columns of slice_basis). The one-sample
-    case of the stacked iteration that sample_cone_directions runs."""
+def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60):
+    """Gauss-Newton on the residual log(r_i(y) c^-1), stepping by y_j exp(delta_j).
+    The one-sample case of the stacked iteration that sample_cone_directions runs."""
     values, errors, moved = _gauss_newton(
         pres, group, np.stack(start.values)[:, None], _class_matrix(group, c),
-        tol, max_iter, slice_basis)
+        tol, max_iter, None)
     if errors[0] is not None:
         raise errors[0]
     return RepPoint(group, list(values[:, 0])) if moved[0] else start
@@ -400,7 +390,7 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
         data = build_complex(pres, rep)
     Z1 = data.basis_Z1
     if data.rank0:
-        _, _, vt = _svd(data.basis_B1.T)
+        _, _, vt = np.linalg.svd(data.basis_B1.T)
         slice_basis = vt[data.rank0:].T
     else:
         slice_basis = None

@@ -156,10 +156,10 @@ class LieGroupModel:
     # sampling (Haar per group, deterministic per seed)
 
     def random_element(self, rng):
-        return self._random_element(_as_rng(rng))
+        return self._random_element(np.random.default_rng(rng))
 
     def random_algebra_vector(self, rng):
-        return _as_rng(rng).standard_normal(self.dim)
+        return np.random.default_rng(rng).standard_normal(self.dim)
 
     # group constraint
 
@@ -184,12 +184,6 @@ def _hat(c):
 def _mat(x):
     """Scalars (...) as (..., 1, 1), to scale a stack of matrices."""
     return np.asarray(x)[..., None, None]
-
-
-def _as_rng(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def _unitary_defect(g):
@@ -270,9 +264,7 @@ def so3():
 
     def project(M):
         u, _, vh = np.linalg.svd(M.real)
-        flip = np.linalg.det(u @ vh) < 0
-        if flip.any():
-            u[..., -1] *= np.where(flip, -1.0, 1.0)[..., None]
+        u[..., -1] *= np.where(np.linalg.det(u @ vh) < 0, -1.0, 1.0)[..., None]
         return (u @ vh).astype(complex)
 
     basis = []

@@ -20,6 +20,8 @@ from .cohomology import ConvergenceError
 from .groups import _frobenius, _norm
 
 MAX_SUBSTEPS = 1024
+TRANSPORT_TOL = 1e-10  # default refinement tolerance of every transport
+FD_STEP = 1e-4  # default step of the finite-difference oracle holonomy_derivative_fd
 # grid nodes of a path; one transport pass holds at most
 # (MAX_NODES - 1) * MAX_SUBSTEPS step matrices, so a stack of connections that
 # needs more at one refinement level runs in chunks of entries
@@ -165,7 +167,7 @@ def _refined_transport(conn, values, t_end, tol):
                    len(values), tol, _frobenius)
 
 
-def horizontal_transport(conn, t, n_sub=None, tol=1e-10):
+def horizontal_transport(conn, t, n_sub=None, tol=TRANSPORT_TOL):
     """Group element a(t) solving a' = -A a, a(0) = e; refines until stable to tol
     (ConvergenceError if it is not by MAX_SUBSTEPS)."""
     if not -1e-12 <= t <= conn.b + 1e-12:
@@ -178,7 +180,7 @@ def horizontal_transport(conn, t, n_sub=None, tol=1e-10):
     return _refined_transport(conn, conn.values[None], t, tol)[0]
 
 
-def holonomy(conn, n_sub=None, tol=1e-10):
+def holonomy(conn, n_sub=None, tol=TRANSPORT_TOL):
     return horizontal_transport(conn, conn.b, n_sub=n_sub, tol=tol)
 
 
@@ -201,15 +203,23 @@ def _twisted_integral(conn, var, n_sub):
     return np.einsum("c,k,ckd->d", h / 3, w, integrand[idx])
 
 
-def holonomy_derivative(conn, var, tol=1e-10):
+def _check_grid(conn, var):
+    got, want = (var.conn.b, len(var.conn.times)), (conn.b, len(conn.times))
+    if got != want:
+        raise ValueError(f"variation grid (length, nodes) {got} is not the connection's {want}")
+
+
+def holonomy_derivative(conn, var, tol=TRANSPORT_TOL):
     """Derivative of holonomy in the direction of the variation, left-translated
     to the algebra: the integral of Ad(a(t)^-1) theta(t) dt over [0, b]."""
+    _check_grid(conn, var)
     return _refine(lambda n, live: _twisted_integral(conn, var, n)[None], 1, tol, _norm)[0]
 
 
-def holonomy_derivative_fd(conn, var, s=1e-4, tol=1e-10):
+def holonomy_derivative_fd(conn, var, s=FD_STEP, tol=TRANSPORT_TOL):
     """Central finite difference along the affine family (transport data A - s*theta);
     the independent oracle for holonomy_derivative."""
+    _check_grid(conn, var)
     group = conn.group
     plus = PathConnection(group, conn.b, conn.values - s * var.values)
     minus = PathConnection(group, conn.b, conn.values + s * var.values)
@@ -224,6 +234,6 @@ def conjugation_invariance_check(conn, x):
     group = conn.group
     ad = group.Ad_matrix(x)
     gauged = PathConnection(group, conn.b, conn.values @ ad.T)
-    lhs, hol = _refined_transport(conn, np.stack([gauged.values, conn.values]), conn.b, 1e-10)
+    lhs, hol = _refined_transport(conn, np.stack([gauged.values, conn.values]), conn.b, TRANSPORT_TOL)
     rhs = x @ hol @ np.linalg.inv(x)
     return float(np.linalg.norm(lhs - rhs))

@@ -55,7 +55,7 @@ from .words import (
     verify_fox_identity,
 )
 
-FD_STEP = 1e-4  # holonomy-check's finite-difference step, echoed in every report
+CONE_SUCCESS_MIN = 0.95  # the share of cone samples a report needs kept
 
 
 def _first_failure(checks):
@@ -64,6 +64,13 @@ def _first_failure(checks):
         if not ok:
             return f"fail: {name}"
     return "pass"
+
+
+def _check_samples_span(samples, data):
+    """Fewer cone samples than dim Z1 can never span Z1: reject before any draw."""
+    if samples < data.basis_Z1.shape[1]:
+        raise ValueError(f"--samples must be at least dim Z1 = {data.basis_Z1.shape[1]}, "
+                         "or the cone directions cannot span Z1")
 
 
 def irreducible_rep(group):
@@ -200,10 +207,8 @@ def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):
     if defect > defect_tol:
         raise ValueError(f"representation is off the variety (defect {defect:.3e})")
     data = build_complex(pres, point, rank_tol)
+    _check_samples_span(samples, data)
     dim_z1 = data.basis_Z1.shape[1]
-    if samples < dim_z1:
-        raise ValueError(f"--samples must be at least dim Z1 = {dim_z1}, "
-                         "or the cone directions cannot span Z1")
     directions, span_z1, span_h1 = sample_cone_directions(
         pres, point, count=samples, seed=seed, data=data)
     q_val = obstruction_quadratic(
@@ -223,7 +228,7 @@ def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):
     status = _first_failure({
         "span_Z1": span_z1 == dim_z1,
         "span_H1": span_h1 == h1,
-        "success_rate": success_rate >= 0.95,
+        "success_rate": success_rate >= CONE_SUCCESS_MIN,
         "obstruction_residual": q_max <= 1e-8,
     })
     return payload, status
@@ -274,7 +279,7 @@ def holonomy_check_report(group, seed, samples, nodes):
         conn = PathConnection(group, b, rng.standard_normal((nodes, group.dim)))
         var = Variation(conn, rng.standard_normal((nodes, group.dim)))
         exact = holonomy_derivative(conn, var)
-        approx = holonomy_derivative_fd(conn, var, s=FD_STEP)
+        approx = holonomy_derivative_fd(conn, var)
         fd_max = max(fd_max, float(np.linalg.norm(exact - approx)))
 
     conj_max = 0.0
@@ -337,6 +342,7 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
         else:
             point = rep_from_name(pres, group, text)
         data = build_complex(pres, point, rank_tol)
+        _check_samples_span(samples, data)
         _, stratum = _orbit_type(group, data.h_dims[0])
         elements = sample_stabilizer(point, seed=seed, data=data)
         fixed = stabilizer_fixed_subspace(pres, point, elements, data=data)
@@ -357,7 +363,7 @@ def genus2_su2_report(seed, samples, rank_tol, defect_tol):
         checks[f"fixed_subspace_{name}"] = fixed == want_fixed
         checks[f"cone_span_Z1_{name}"] = span_z1 == entry["dim_Z1"]
         checks[f"cone_span_H1_{name}"] = span_h1 == entry["h_dims"][1]
-        checks[f"cone_success_{name}"] = entry["success_rate"] >= 0.95
+        checks[f"cone_success_{name}"] = entry["success_rate"] >= CONE_SUCCESS_MIN
         strata[name] = entry
         complexes[name] = point, data
 

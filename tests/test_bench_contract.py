@@ -13,10 +13,14 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import surfrep
-from surfrep import cohomology
+from surfrep import cli, cohomology, reports
 from surfrep.groups import LieGroupModel
 
+# the module itself: the package exports a function of the same name
+holonomy_module = importlib.import_module("surfrep.holonomy")
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERS = ("words", "groups", "holonomy", "cohomology", "reduction")
 
@@ -85,3 +89,22 @@ def test_the_bench_cone_step_is_the_library_step():
              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
              and any(isinstance(t, ast.Name) and t.id == "CONE_EPS" for t in node.targets)]
     assert steps == [cohomology.CONE_EPS]
+
+
+def bench_literal(name):
+    """The values of workloads.py's module-level assignments `name = <literal>`."""
+    return [node.value.value for node in parse("workloads.py").body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("HOL_TOL", holonomy_module.TRANSPORT_TOL),
+    ("FD_STEP", holonomy_module.FD_STEP),
+    ("CONE_SUCCESS_MIN", reports.CONE_SUCCESS_MIN),
+    ("DEFECT_TOL", cli.OPTIONS["defect_tol"][2]),
+])
+def test_the_bench_literals_are_the_library_values(name, value):
+    # workloads.py restates these; if the library's value moved, the bench
+    # would go on timing or gating on the old one
+    assert bench_literal(name) == [value]

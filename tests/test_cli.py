@@ -17,6 +17,7 @@ from click.testing import CliRunner
 
 from surfrep import cli, cohomology, reports, words
 from surfrep.cli import main
+from surfrep.groups import RANK_TOL
 
 # the module itself: the package exports a function of the same name
 holonomy_module = importlib.import_module("surfrep.holonomy")
@@ -160,6 +161,15 @@ def test_cohomology_rejects_nonpositive_tolerance(tmp_path):
         result = invoke("cohomology", "--config", str(path), "--json")
         assert result.exit_code == 3, text
         assert "must be a finite number" in result.stderr
+
+
+def test_tolerance_defaults_have_one_owner():
+    # the rank cutoff's default is the library's, and each tolerance's help
+    # text states the default it has
+    assert cli.OPTIONS["rank_tol"][2] is RANK_TOL
+    for key in cli.TOLERANCES:
+        _, _, default, text = cli.OPTIONS[key]
+        assert float(re.search(r"\(default ([^)]+)\)", text).group(1)) == default, key
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +358,20 @@ def test_genus2_report_obstruction_fit_is_pinned():
                                 "--seed", "7", "--json"))
     assert payload["obstruction"]["constant"] == -1.0000000000000002
     assert payload["obstruction"]["max_relative_error"] == 8.799360403080845e-16
+
+
+def test_genus2_report_undersampled_is_input_error(monkeypatch):
+    # 5 cone directions can never span the central point's 12-dimensional Z1,
+    # so the report stops once that complex is built, before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before checking --samples against dim Z1")
+
+    monkeypatch.setattr(reports, "sample_cone_directions", no_draw)
+    monkeypatch.setattr(reports, "sample_stabilizer", no_draw)
+    result = invoke("genus2-su2-report", "--samples", "5", "--json")
+    assert result.exit_code == 3
+    assert "--samples must be at least dim Z1 = 12" in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -261,6 +261,26 @@ def test_central_h2_basis_is_identity():
     assert np.allclose(data.basis_H2, np.eye(3), atol=1e-14)
 
 
+@pytest.mark.parametrize("group, text", [("SU2", "central:[+,+,+,+]"),
+                                         ("U1", "central:[+,-,-,+]")])
+def test_zero_operators_give_identity_bases(group, text):
+    # at central points D0 = D1 = 0 exactly (at a U1 random: point they are
+    # roundoff, 2e-16, not zero), and numpy's SVD of a zero matrix has
+    # identity factors: every basis is the identity's columns, bit for bit,
+    # with no special case for the zero operator
+    group = group_from_name(group)
+    data = build_complex(P2, rep_from_name(P2, group, text))
+    d = group.dim
+    assert not data.D0.any() and not data.D1.any()
+    for basis, size in ((data.basis_H0, d), (data.basis_Z1, 4 * d),
+                        (data.basis_H1, 4 * d), (data.basis_H2, d)):
+        assert np.array_equal(basis, np.eye(size))
+    for shape in ((3, 12), (15, 12)):
+        u, s, vt = np.linalg.svd(np.zeros(shape))
+        assert np.array_equal(u, np.eye(shape[0])) and np.array_equal(vt, np.eye(shape[1]))
+        assert not s.any()
+
+
 angle = st.floats(0.2, 1.3) | st.floats(-1.3, -0.2)
 
 

@@ -161,6 +161,19 @@ def test_random_element_deterministic_per_seed():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("name", ["SU2", "SO3", "U1", "SU2xU1"])
+def test_random_element_advances_the_callers_generator(name):
+    # a Generator is used as given, not reseeded: two calls on one generator
+    # are two sequential draws from it
+    model = group_from_name(name)
+    shared = np.random.default_rng(44)
+    first, second = model.random_element(shared), model.random_element(shared)
+    fresh = np.random.default_rng(44)
+    assert np.array_equal(first, model._random_element(fresh))
+    assert np.array_equal(second, model._random_element(fresh))
+    assert not np.array_equal(first, second)
+
+
 def test_random_su2_element_is_unitary_with_unit_det():
     model = su2()
     rng = np.random.default_rng(11)

@@ -217,6 +217,20 @@ def test_variation_shape_must_match():
         Variation(conn, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("derivative", [holonomy_derivative, holonomy_derivative_fd])
+@pytest.mark.parametrize("b, nodes", [(2.0, 5), (1.0, 3)], ids=["length", "nodes"])
+def test_variation_must_live_on_its_connections_grid(derivative, b, nodes):
+    # a variation is interpolated on its own connection's grid: made on a
+    # path of another length or node count, it would be read at the wrong
+    # times (or not at all) by a derivative that transports on conn's grid
+    model = su2()
+    conn = random_connection(model, n_nodes=5, b=1.0, seed=15)
+    other = random_connection(model, n_nodes=nodes, b=b, seed=16)
+    var = Variation(other, np.random.default_rng(17).standard_normal(other.values.shape))
+    with pytest.raises(ValueError, match="variation grid"):
+        derivative(conn, var)
+
+
 def test_connection_needs_two_nodes():
     with pytest.raises(ValueError):
         PathConnection(su2(), 1.0, np.zeros((1, 3)))
