@@ -27,7 +27,7 @@ from .reduction import MODELS
 click.UsageError.exit_code = 3
 
 # key: (flag, type, default, help). The key is also the config-file entry and
-# the report builder's parameter; keys without a flag come from a config only.
+# the report builder's parameter.
 OPTIONS = {
     "group": ("--group", str, "SU2", "Group name (default SU2)."),
     "genus": ("--genus", int, 2, "Surface genus (default 2)."),
@@ -39,7 +39,6 @@ OPTIONS = {
     "rank_tol": ("--tol-rank", float, groups.RANK_TOL, "Relative singular-value cutoff (default 1e-8)."),
     "defect_tol": ("--tol-defect", float, 1e-9,
                    "Largest relator defect or residual accepted (default 1e-9)."),
-    "nodes": (None, int, 7, None),
 }
 TOLERANCES = ("rank_tol", "defect_tol")
 # the JSON values a config may give an option of each type (booleans never)
@@ -88,8 +87,8 @@ def _fail(message, code):
 
 def command(name, build, params=()):
     """Register `name` running `build`: its keys are the parameters of `build`
-    that OPTIONS names; a flag per key that has one, --config (accepting exactly
-    those keys) if there are any, and --json."""
+    that OPTIONS names; a flag per key, --config (accepting exactly those keys)
+    if there are any, and --json."""
     keys = [key for key in inspect.signature(build).parameters if key in OPTIONS]
 
     def run(as_json, config=None, **given):
@@ -127,7 +126,7 @@ def command(name, build, params=()):
 
     options = [click.Option([OPTIONS[key][0], key], type=OPTIONS[key][1], default=None,
                             help=OPTIONS[key][3])
-               for key in keys if OPTIONS[key][0]]
+               for key in keys]
     if keys:
         options.append(click.Option(["--config"], type=click.Path(), default=None,
                                     help="JSON file of option values; flags win."))

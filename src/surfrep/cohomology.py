@@ -3,11 +3,11 @@
 The free-group word maps are differentiated through Fox calculus: evaluating
 group-ring elements under the adjoint action turns the algebraic 3-term
 complex into matrices D0 (conjugation directions) and D1 (relator
-linearization). Ranks of those give the cohomology dimensions, the quadratic
-jet of the relator gives the obstruction cone, and Gauss-Newton projection
-onto the solution variety gives tangent-direction sampling. Gauss-Newton runs
-over a stack of starts at once, each sample taking the steps it would take
-alone.
+linearization). Their SVDs give the cohomology bases, whose column counts are
+the cohomology dimensions; the quadratic jet of the relator gives the
+obstruction cone, and Gauss-Newton projection onto the solution variety gives
+tangent-direction sampling. Gauss-Newton runs over a stack of starts at once,
+each sample taking the steps it would take alone.
 """
 
 import bisect
@@ -161,7 +161,6 @@ def _centralizer(group, values):
 def build_complex(pres, rep, rank_tol=RANK_TOL):
     """Evaluate the complex at the representation and split off cohomology bases."""
     group = rep.group
-    d = group.dim
     D0, D1 = _d0(group, rep.values), _d1(pres, group, rep.values)
 
     u0, s0, vt0 = np.linalg.svd(D0)
@@ -175,10 +174,10 @@ def build_complex(pres, rep, rank_tol=RANK_TOL):
     basis_H2 = u1[:, rank1:]
 
     stacked = np.vstack([D1, basis_B1.T])
-    us, ss, vts = np.linalg.svd(stacked)
+    _, ss, vts = np.linalg.svd(stacked)
     basis_H1 = vts[_rank(ss, rank_tol):].T
 
-    h_dims = (d - rank0, (pres.n * d - rank1) - rank0, pres.m * d - rank1)
+    h_dims = (basis_H0.shape[1], basis_H1.shape[1], basis_H2.shape[1])
     return CochainData(D0, D1, rank0, rank1, h_dims, basis_H0, basis_Z1,
                        basis_B1, basis_H1, basis_H2, rank_tol)
 

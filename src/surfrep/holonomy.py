@@ -28,11 +28,6 @@ FD_STEP = 1e-4  # default step of the finite-difference oracle holonomy_derivati
 MAX_NODES = 65
 
 
-def _check_node_count(nodes):
-    if nodes > MAX_NODES:
-        raise ValueError(f"nodes must be at most {MAX_NODES}, got {nodes}")
-
-
 def _interpolate(conn, values, t):
     """Linear interpolation at time t (a scalar or an array of times) of samples
     (..., nodes, dim) on conn's uniform grid; the sample axis comes last."""
@@ -50,7 +45,8 @@ class PathConnection:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("need at least 2 grid samples of shape (n_nodes, dim)")
-        _check_node_count(values.shape[0])
+        if values.shape[0] > MAX_NODES:
+            raise ValueError(f"nodes must be at most {MAX_NODES}, got {values.shape[0]}")
         if values.shape[1] != group.dim:
             raise ValueError(f"samples have dim {values.shape[1]}, group algebra has dim {group.dim}")
         if not np.isfinite(values).all():

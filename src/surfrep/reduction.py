@@ -63,11 +63,13 @@ def _excess(x):
 
 class LinearMomentumModel:
     """A compact group acting orthogonally on W with its momentum map. The
-    factories so2_model() and so3_model() supply its kernels: momentum,
-    hilbert and jacobian of one point or a stack of points, the relation
-    suite relations(image, w) on their Hilbert images, the stratum rule
-    stratum(images), which labels a stack of images, and the zero-locus
-    constructor construct(rng, count), which returns points 1..count-1."""
+    factories so2_model() and so3_model() supply its kernels: action(g), the
+    orthogonal W_dim x W_dim matrix of a group element, and coad(g), its
+    matrix on the dual algebra coordinates; momentum, hilbert and jacobian of
+    one point or a stack of points, the relation suite relations(image, w) on
+    their Hilbert images, the stratum rule stratum(images), which labels a
+    stack of images, and the zero-locus constructor construct(rng, count),
+    which returns points 1..count-1."""
 
     def __init__(self, name, group, W_dim, invariant_count, action, momentum,
                  coad, hilbert, jacobian, construct, relations, stratum):
@@ -75,9 +77,9 @@ class LinearMomentumModel:
         self.group = group
         self.W_dim = W_dim
         self.invariant_count = invariant_count
-        self._action = action
+        self.action = action
         self._momentum = momentum
-        self._coad = coad
+        self.coad = coad
         self._hilbert = hilbert
         self._jacobian = jacobian
         self._construct = construct
@@ -92,17 +94,9 @@ class LinearMomentumModel:
             raise ValueError("point contains non-finite entries")
         return w
 
-    def action(self, g):
-        """Orthogonal W_dim x W_dim matrix of the group element g."""
-        return self._action(g)
-
     def momentum(self, w):
         """Momentum value of w as a coordinate vector on the dual algebra."""
         return self._momentum(self._point(w))
-
-    def coad(self, g):
-        """Matrix of g on the dual algebra coordinates."""
-        return self._coad(g)
 
 
 def so2_model():

@@ -30,7 +30,6 @@ from .groups import _norm, group_from_name, su2
 from .holonomy import (
     PathConnection,
     Variation,
-    _check_node_count,
     conjugation_invariance_check,
     holonomy,
     holonomy_derivative,
@@ -85,24 +84,18 @@ def measure_obstruction_constant(pres, rep, count, seed, data=None):
     """Fit q = c * (u1 x u2 + u3 x u4) over count >= 1 random cochains at a
     genus-2 SU(2) point and return (c, max relative error). seed is a seed or a
     numpy Generator, which is then advanced; data is the point's cochain data
-    (built with the default rank cutoff when omitted). The obstructions are
-    taken as one stack."""
+    (built with the default rank cutoff when omitted). The obstructions and
+    the fit are taken as one stack."""
     if count < 1:
         raise ValueError("the obstruction fit needs at least one cochain")
     if data is None:
         data = build_complex(pres, rep)
-    U = np.random.default_rng(seed).standard_normal((count, 4 * 3))
-    constant = None
-    worst = 0.0
-    for u, q_val in zip(U, obstruction_quadratic(pres, rep, U, data=data)):
-        blocks = u.reshape(4, 3)
-        reference = np.cross(blocks[0], blocks[1]) + np.cross(blocks[2], blocks[3])
-        reference = data.basis_H2.T @ reference
-        if constant is None:
-            constant = float((q_val @ reference) / (reference @ reference))
-        err = np.linalg.norm(q_val - constant * reference) / np.linalg.norm(q_val)
-        worst = max(worst, float(err))
-    return constant, worst
+    U = np.random.default_rng(seed).standard_normal((count, 4, 3))
+    q = obstruction_quadratic(pres, rep, U.reshape(count, 4 * 3), data=data)
+    ref = np.cross(U[:, 0], U[:, 1]) + np.cross(U[:, 2], U[:, 3])
+    ref = np.matmul(data.basis_H2.T, ref[..., None])[..., 0]
+    constant = float((q[0] @ ref[0]) / (ref[0] @ ref[0]))
+    return constant, float((_norm(q - constant * ref) / _norm(q)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +249,11 @@ def reduction_report(model, seed, samples, defect_tol):
     return payload, status
 
 
-def holonomy_check_report(group, seed, samples, nodes):
+def holonomy_check_report(group, seed, samples):
     """Exactness, derivative and gauge checks for path holonomy."""
-    b = 1.0  # path length
+    b, nodes = 1.0, 7  # path length and grid nodes
     if samples < 1:
         raise ValueError("--samples must be at least 1")
-    if nodes < 2:
-        raise ValueError("nodes must be at least 2")
-    _check_node_count(nodes)
     group = group_from_name(group)
     rng = np.random.default_rng(seed)
 

@@ -42,9 +42,6 @@ class Word:
     def __mul__(self, other):
         return word_multiply(self, other)
 
-    def __invert__(self):
-        return word_invert(self)
-
     def __repr__(self):
         return format_word(self)
 
@@ -129,8 +126,6 @@ class GroupRingElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement({w: c * other for w, c in self.terms.items()})
         if isinstance(other, Word):
             other = GroupRingElement.from_word(other)
         data = {}
@@ -139,11 +134,6 @@ class GroupRingElement:
                 uv = word_multiply(u, v)
                 data[uv] = data.get(uv, 0) + cu * cv
         return GroupRingElement(data)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __repr__(self):
         return format_ring(self)
@@ -162,20 +152,30 @@ def fox_terms(w: Word):
         yield (g, 1, k + 1) if e == 1 else (g, -1, k)
 
 
+def _check_fox_budget(w: Word, terms):
+    """Each Fox term is a suffix Word of its own, so the letters a term list
+    builds grow as len(w)^2 / 2: reject more than MAX_WORD_LEN before any is built."""
+    letters = sum(len(w) - start for _, _, start in terms)
+    if letters > MAX_WORD_LEN:
+        raise ValueError(f"Fox expansion needs {letters} letters, over the budget of {MAX_WORD_LEN}")
+
+
 def fox_derivative(w: Word, j: int) -> GroupRingElement:
     """Right Fox derivative dw/dx_j, satisfying 1 - w = sum_j (1 - x_j) dw/dx_j."""
     if j < 1:
         raise ValueError(f"generator index must be >= 1, got {j}")
-    terms = {}
-    for g, sign, start in fox_terms(w):
-        if g == j:
-            suffix = Word(w.letters[start:])
-            terms[suffix] = terms.get(suffix, 0) + sign
-    return GroupRingElement(terms)
+    terms = [term for term in fox_terms(w) if term[0] == j]
+    _check_fox_budget(w, terms)
+    out = {}
+    for _, sign, start in terms:
+        suffix = Word(w.letters[start:])
+        out[suffix] = out.get(suffix, 0) + sign
+    return GroupRingElement(out)
 
 
 def verify_fox_identity(w: Word) -> bool:
     """Check 1 - w = sum_j (1 - x_j) dw/dx_j exactly over the integers."""
+    _check_fox_budget(w, fox_terms(w))
     lhs = GroupRingElement.one() - GroupRingElement.from_word(w)
     rhs = GroupRingElement.zero()
     for j in range(1, w.max_generator() + 1):

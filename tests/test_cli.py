@@ -2,10 +2,10 @@
 
 Every command is driven through click's test runner; JSON payloads are
 parsed back and compared against the library-level expectations, and the
-exit-code contract (0 pass, 2 invariant failure, 3 input error) is pinned.
+exit-code contract (0 pass, 2 invariant failure, 3 input error, 4
+non-convergence) is pinned.
 """
 
-import importlib
 import inspect
 import json
 import re
@@ -18,9 +18,6 @@ from click.testing import CliRunner
 from surfrep import cli, cohomology, reports, words
 from surfrep.cli import main
 from surfrep.groups import RANK_TOL
-
-# the module itself: the package exports a function of the same name
-holonomy_module = importlib.import_module("surfrep.holonomy")
 
 
 def invoke(*args):
@@ -74,6 +71,17 @@ def test_fox_generator_budget(monkeypatch):
         result = invoke("fox", *args, "--json")
         assert result.exit_code == 3
         assert "budget" in result.stderr
+
+
+def test_fox_expansion_budget(monkeypatch):
+    # each Fox term is a suffix word of its own: x1^5 builds 4 + 3 + 2 + 1
+    # letters, x1^6 builds 15, over a budget of 10
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 10)
+    assert payload_of(invoke("fox", "x1^5", "--json"))["identity_ok"] is True
+    result = invoke("fox", "x1^6", "--json")
+    assert result.exit_code == 3
+    assert "Fox expansion needs 15 letters, over the budget of 10" in result.stderr
+    assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +153,31 @@ def test_stratify_stabilizer_checks_follow_tol_rank():
     assert payload["stratum"] == "G"
     assert payload["centralizer_dim"] == 3
     assert payload["fixed_subspace_dim"] == 0
+
+
+def test_disagreeing_rank_cuts_fail_euler():
+    # at cutoff 1.9e-12 D0 keeps its third singular value (3.3e-11), so B1 is
+    # not inside the cut Z1 and the SVD that splits off H1 keeps a value of
+    # 3.8e-6: basis_H1 has one column where rank-nullity counts none. The h
+    # dims are the bases' column counts, so Euler fails instead of passing
+    result = invoke("cohomology", "--group", "SU2", "--genus", "1", "--rep", "random:1",
+                    "--tol-rank", "1e-12", "--json")
+    assert result.exit_code == 2
+    report = json.loads(result.stdout)
+    assert report["status"] == "fail: euler"
+    assert report["payload"]["h_dims"] == [0, 1, 0]
+    assert report["payload"]["ranks"] == [3, 3]
+
+
+def test_non_convergence_exits_4(monkeypatch):
+    def stall(*args, **kwargs):
+        raise cohomology.ConvergenceError("line search stalled before reaching tolerance")
+
+    monkeypatch.setattr(cohomology, "newton_project_to_variety", stall)
+    result = invoke("cohomology", "--rep", "random:1", "--json")
+    assert result.exit_code == 4
+    assert "failed to converge: no solution found from seed 1" in result.stderr
+    assert result.stdout == ""
 
 
 def test_cohomology_rejects_nonpositive_tolerance(tmp_path):
@@ -285,19 +318,6 @@ def test_holonomy_check_rejects_zero_samples():
     assert "--samples" in result.stderr
 
 
-def test_holonomy_check_rejects_oversized_nodes(tmp_path, monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("sampled before checking nodes")
-
-    monkeypatch.setattr(holonomy_module, "MAX_NODES", 9)
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
-    config = tmp_path / "job.json"
-    config.write_text(json.dumps({"nodes": 10}))
-    result = invoke("holonomy-check", "--config", str(config), "--json")
-    assert result.exit_code == 3
-    assert "nodes" in result.stderr
-
-
 def test_holonomy_check_bounds():
     payload = payload_of(invoke("holonomy-check", "--samples", "8",
                                 "--seed", "5", "--json"))
@@ -418,6 +438,33 @@ def test_genus2_report_byte_deterministic():
     assert a.stdout_bytes == b.stdout_bytes
 
 
+# a report's payload must agree with itself: the fixed subspace and the cone's
+# span in H1 lie in H1, and its span in Z1 lies in Z1. The runs are the
+# README's and a genus-1 point at --tol-rank 1e-12, where the rank cut of D0
+# and the one that splits off H1 disagree
+SELF_CONSISTENT_RUNS = {
+    "readme-stratify": ["stratify", "--rep", "central:[+,-,+,-]"],
+    "readme-cone-span": ["cone-span", "--rep", "central:[+,+,+,+]", "--samples", "120"],
+    "readme-genus2": ["genus2-su2-report", "--seed", "7"],
+}
+for command in ("stratify", "cone-span"):
+    for group in ("SU2", "SO3", "SU2xU1"):
+        SELF_CONSISTENT_RUNS[f"{command}-{group}-genus1-tol1e-12"] = [
+            command, "--group", group, "--genus", "1", "--rep", "random:1", "--tol-rank", "1e-12"]
+
+
+@pytest.mark.parametrize("args", SELF_CONSISTENT_RUNS.values(), ids=SELF_CONSISTENT_RUNS)
+def test_payload_agrees_with_itself(args):
+    result = invoke(*args, "--json")
+    assert result.exit_code in (0, 2), result.output
+    payload = json.loads(result.stdout)["payload"]
+    for entry in payload.get("strata", {"": payload}).values():
+        h1 = entry["h1"] if "h1" in entry else entry["h_dims"][1]
+        assert entry.get("fixed_subspace_dim", 0) <= h1
+        assert entry.get("span_dim_H1", 0) <= h1
+        assert entry.get("span_dim_Z1", 0) <= entry.get("dim_Z1", 0)
+
+
 # ---------------------------------------------------------------------------
 # config files and output modes
 
@@ -447,11 +494,12 @@ def test_config_unknown_key_rejected(tmp_path):
     (["reduction", "so3"], {"rep": "central:[+,+,+,+]", "genus": 3, "rank_tol": 5}),
     (["cohomology"], {"fd_step": 1e-3}),
     (["holonomy-check"], {"rank_tol": 1e-6}),
-    # the path length and finite-difference step are fixed
+    # the path length, grid and finite-difference step are fixed
     (["holonomy-check"], {"b": 2.0}),
     (["holonomy-check"], {"fd_step": 1e-3}),
+    (["holonomy-check"], {"nodes": 7}),
 ], ids=["n", "word", "model", "reduction-rank_tol", "cohomology-fd_step",
-        "holonomy-rank_tol", "holonomy-b", "holonomy-fd_step"])
+        "holonomy-rank_tol", "holonomy-b", "holonomy-fd_step", "holonomy-nodes"])
 def test_config_key_the_command_does_not_read_rejected(tmp_path, args, config):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(config))
@@ -478,9 +526,13 @@ def test_config_value_of_wrong_type_rejected(tmp_path, config):
 @pytest.mark.parametrize("args, config, message", [
     (["fox", "x1", "--n", "0"], None, "--n must be at least 1"),
     (["cone-span", "--samples", "0"], None, "--samples must be at least 1"),
-    (["holonomy-check"], {"nodes": 1}, "nodes must be at least 2"),
     (["cohomology"], [1, 2], "config must be a JSON object"),
-], ids=["fox-n", "cone-span-samples", "holonomy-nodes", "config-list"])
+    (["cohomology", "--rep", "central:[+,+]"], None, "need 4 signs, got 2"),
+    (["cohomology", "--group", "SO3", "--rep", "central:[+,-,+,+]"], None,
+     "group center does not contain minus the identity"),
+    (["cohomology", "--rep", "torus:[0.7,x,-0.5,0.3]"], None, "bad angle list"),
+], ids=["fox-n", "cone-span-samples", "config-list", "central-sign-count",
+        "central-minus-SO3", "torus-angles"])
 def test_input_error_exits_3(tmp_path, args, config, message):
     if config is not None:
         path = tmp_path / "job.json"

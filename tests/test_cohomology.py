@@ -105,6 +105,8 @@ def test_bundle_class_requires_central_element():
     BundleClass(G, -EYE)
     with pytest.raises(ValueError):
         BundleClass(G, G.exp([0.3, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="lies off the group"):
+        BundleClass(G, 2 * EYE)
 
 
 # ------------------------------------------------------- group-ring evaluation

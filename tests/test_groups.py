@@ -220,6 +220,12 @@ def test_product_dims_add_and_operations_are_blockwise():
     assert np.allclose(prod.log(g), c, atol=1e-10)
 
 
+@pytest.mark.parametrize("factors", [(), (su2(),)], ids=["none", "one"])
+def test_product_needs_two_factors(factors):
+    with pytest.raises(ValueError, match="at least two factors"):
+        direct_product(*factors)
+
+
 def test_product_center_is_product_of_centers():
     prod = direct_product(su2(), u1())
     assert len(prod.center_elements) == 4

@@ -148,6 +148,22 @@ def test_sampler_rejects_unknown_method():
         sample_zero_locus(so2_model(), 5, seed=0, method="polish")
 
 
+def test_sampler_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        sample_zero_locus(so2_model(), 0, seed=0)
+
+
+@pytest.mark.parametrize("model", [so2_model, so3_model], ids=["so2", "so3"])
+def test_model_point_rejects_wrong_length_and_non_finite(model):
+    model = model()
+    with pytest.raises(ValueError, match=f"length {model.W_dim}"):
+        model.momentum(np.zeros(model.W_dim + 1))
+    w = np.zeros(model.W_dim)
+    w[-1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        model.momentum(w)
+
+
 def test_triple_determinants_vanish_on_zero_locus():
     """Every 3x3 determinant drawn from (q1,p1,q2,p2) vanishes on the locus."""
     for method in ("construct", "newton"):
@@ -341,6 +357,12 @@ def test_spanning_configurations_lie_on_locus():
     assert len(configs) == 10
     for w in configs:
         assert np.linalg.norm(momentum_of_point(w)) == 0.0
+
+
+def test_spanning_configurations_need_a_3_vector():
+    for v in ([1.0, 0.0], np.eye(3)):
+        with pytest.raises(ValueError, match="3-vector"):
+            spanning_configurations(v)
 
 
 def test_spanning_configurations_span_full_image():

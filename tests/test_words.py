@@ -49,6 +49,19 @@ def test_reduce_rejects_bad_generator_index():
         words.reduce([(1, 2)])
 
 
+def test_word_rejects_unreduced_letters():
+    with pytest.raises(ValueError, match="not freely reduced"):
+        Word(((1, 1), (2, 1), (2, -1)))
+
+
+def test_reduce_rejects_more_than_max_word_len_letters(monkeypatch):
+    # the raw letters are counted, before cancellation shortens them
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 10)
+    assert words.reduce([(1, 1), (1, -1)] * 5) == Word()
+    with pytest.raises(ValueError, match="exceeds 10"):
+        words.reduce([(1, 1), (1, -1)] * 5 + [(2, 1)])
+
+
 @given(raw_letters)
 def test_reduce_idempotent(ls):
     once = words.reduce(ls)
@@ -124,6 +137,23 @@ def test_fox_derivative_single_letters():
 def test_fox_derivative_rejects_bad_index():
     with pytest.raises(ValueError):
         fox_derivative(Word(), 0)
+
+
+def test_fox_expansion_checks_its_budget_before_building(monkeypatch):
+    # every term of x1^L is a suffix word of its own, L (L - 1) / 2 letters in
+    # all: over MAX_WORD_LEN the expansion is refused before any is built
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 10)
+    assert verify_fox_identity(w(*[(1, 1)] * 5))  # 4 + 3 + 2 + 1 letters
+    word = w(*[(1, 1)] * 6)  # 15 letters
+
+    def built(*args):
+        raise AssertionError("built a word past the Fox expansion budget")
+
+    monkeypatch.setattr(words, "Word", built)
+    with pytest.raises(ValueError, match="needs 15 letters, over the budget of 10"):
+        fox_derivative(word, 1)
+    with pytest.raises(ValueError, match="needs 15 letters, over the budget of 10"):
+        verify_fox_identity(word)
 
 
 def test_fox_identity_on_identity_word():
@@ -207,6 +237,11 @@ def test_surface_presentation_generator_budget():
 def test_presentation_rejects_relator_with_bad_generator():
     with pytest.raises(ValueError):
         words.Presentation(2, [w((3, 1))])
+
+
+def test_presentation_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generator"):
+        words.Presentation(0, [])
 
 
 # text syntax
