@@ -6,6 +6,8 @@ linear momentum-map local models with Hilbert maps, and path holonomy
 with its derivative formula.
 """
 
+import types
+
 from surfrep.cohomology import (
     BundleClass,
     CochainData,
@@ -77,67 +79,9 @@ from surfrep.words import (
     word_multiply,
 )
 
-__all__ = [
-    "BundleClass",
-    "CochainData",
-    "ConvergenceError",
-    "GroupRingElement",
-    "LieGroupModel",
-    "LinearMomentumModel",
-    "PathConnection",
-    "Presentation",
-    "RepPoint",
-    "Variation",
-    "Word",
-    "ZeroLocusPoint",
-    "build_complex",
-    "check_relations",
-    "classify_orbit_type",
-    "conjugation_invariance_check",
-    "conjugation_isomorphism_check",
-    "couple_invariants",
-    "direct_product",
-    "enumerate_central_reps",
-    "evaluate_group_ring",
-    "finite_diff_check_d0",
-    "finite_diff_check_d1",
-    "format_ring",
-    "format_word",
-    "fox_derivative",
-    "group_from_name",
-    "hilbert_map",
-    "holonomy",
-    "holonomy_derivative",
-    "holonomy_derivative_fd",
-    "horizontal_transport",
-    "minors_3x3",
-    "momentum_so2",
-    "momentum_so3",
-    "newton_project_to_variety",
-    "obstruction_quadratic",
-    "parse_word",
-    "psd_rank_stratum",
-    "psi_quadratic",
-    "reduce",
-    "relator_defect",
-    "rep_from_name",
-    "sample_cone_directions",
-    "sample_stabilizer",
-    "sample_zero_locus",
-    "so2_cone_model_report",
-    "so2_model",
-    "so3",
-    "so3_model",
-    "spanning_configurations",
-    "stabilizer_fixed_subspace",
-    "stratum_label",
-    "su2",
-    "surface_presentation",
-    "u1",
-    "verify_fox_identity",
-    "word_invert",
-    "word_multiply",
-    "zariski_dim_at_origin",
-]
+# every public name the imports above bind, and nothing else: submodules and
+# underscore names are left out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
 
 __version__ = "0.1.0"

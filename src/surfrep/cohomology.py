@@ -32,21 +32,26 @@ class ConvergenceError(RuntimeError):
 
 
 class RepPoint:
-    """A representation of the free group: one group element per generator."""
+    """A representation of the free group: one group element per generator.
+    Values are checked in order, each for shape, finiteness, then its group
+    defect; the defects of the well-formed values are taken as one stack."""
 
     def __init__(self, group, values):
         vals = [np.asarray(v, dtype=complex) for v in values]
         if not vals:
             raise ValueError("a representation needs at least one value")
         shape = (group.matrix_dim, group.matrix_dim)
-        for v in vals:
-            if v.shape != shape:
-                raise ValueError(f"representation matrices must have shape {shape}, got {v.shape}")
-            if not np.isfinite(v).all():
-                raise ValueError("representation matrices must be finite")
-            defect = group.group_defect(v)
-            if defect > GROUP_DEFECT_TOL:
-                raise ValueError(f"matrix lies off the group (defect {defect:.3e})")
+        bad = next((i for i, v in enumerate(vals)
+                    if v.shape != shape or not np.isfinite(v).all()), len(vals))
+        defects = group._defect(np.stack(vals[:bad])) if bad else np.empty(0)
+        off = np.flatnonzero(defects > GROUP_DEFECT_TOL)
+        if off.size:
+            raise ValueError(f"matrix lies off the group (defect {defects[off[0]]:.3e})")
+        if bad < len(vals):
+            if vals[bad].shape != shape:
+                raise ValueError(
+                    f"representation matrices must have shape {shape}, got {vals[bad].shape}")
+            raise ValueError("representation matrices must be finite")
         self.group = group
         self.values = vals
         self.n = len(vals)
@@ -102,17 +107,18 @@ def _suffixes(group, values, letters, starts):
     representation, one per start (starts non-decreasing), stacked
     (len(starts), ..., m, m), from one walk over the letters left to right.
     Inverse letters are conjugate transposes, and values[j] may be a stack
-    (..., m, m) of samples. At letter k the entries with start <= k, a prefix
-    of the stack, take one product, so each entry is the identity times its
-    letters in order: the bits of multiplying it out alone."""
-    shape = (len(starts),) + np.shape(values[0])[:-2] + (group.matrix_dim,) * 2
-    G = np.broadcast_to(group.identity(), shape).copy()
+    (..., m, m) of samples. Per sample the entries are held as one tall block
+    (len(starts) m, m); at letter k the entries with start <= k, its top rows,
+    take one product, so each entry is the identity times its letters in
+    order: the bits of multiplying it out alone."""
+    lead, m = np.shape(values[0])[:-2], group.matrix_dim
+    G = np.tile(group.identity(), lead + (len(starts), 1))
     for k, (j, e) in enumerate(letters):
         if j > len(values):
             raise ValueError(f"word uses generator x{j} but only {len(values)} values given")
-        c = bisect.bisect_right(starts, k)
-        G[:c] = G[:c] @ (values[j - 1] if e == 1 else _dagger(values[j - 1]))
-    return G
+        rows = bisect.bisect_right(starts, k) * m
+        G[..., :rows, :] = G[..., :rows, :] @ (values[j - 1] if e == 1 else _dagger(values[j - 1]))
+    return np.moveaxis(G.reshape(lead + (len(starts), m, m)), -3, 0)
 
 
 def _value(group, values, letters):

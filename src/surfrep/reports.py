@@ -113,6 +113,19 @@ def _named_rep(group, genus, rep):
     return group, pres, rep, point, relator_defect(pres, point)
 
 
+def _complex_checks(pres, group, data, on_variety):
+    """The Euler characteristic and, on the variety, Poincare duality of a
+    surface point's h dims: (euler_ok, duality_ok, status). Off the variety
+    duality_ok is the reason it was skipped and only Euler is asserted."""
+    h0, h1, h2 = data.h_dims
+    d = group.dim
+    euler_ok = (h0 - h1 + h2) == (1 - pres.n + pres.m) * d
+    if not on_variety:
+        return euler_ok, "skipped: rep off the variety", "pass" if euler_ok else "fail: euler"
+    duality_ok = (h0 == h2) and (h1 == 2 * h0 + (2 * pres.genus - 2) * d)
+    return euler_ok, duality_ok, _first_failure({"euler": euler_ok, "duality": duality_ok})
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -147,15 +160,7 @@ def cohomology_report(group, genus, rep, rank_tol, defect_tol):
     data = build_complex(pres, point, rank_tol)
     k, stratum = _orbit_type(group, data.h_dims[0])
     on_variety = defect <= defect_tol
-    h0, h1, h2 = data.h_dims
-    d = group.dim
-    euler_ok = (h0 - h1 + h2) == (1 - pres.n + pres.m) * d
-    if on_variety:
-        duality_ok = (h0 == h2) and (h1 == 2 * h0 + (2 * genus - 2) * d)
-        status = _first_failure({"euler": euler_ok, "duality": duality_ok})
-    else:
-        duality_ok = "skipped: rep off the variety"
-        status = "pass" if euler_ok else "fail: euler"
+    euler_ok, duality_ok, status = _complex_checks(pres, group, data, on_variety)
     payload = {
         "group": group.name, "genus": genus, "rep": text,
         "h_dims": list(data.h_dims),
@@ -177,6 +182,7 @@ def stratify_report(group, genus, rep, seed, rank_tol, defect_tol):
     k, stratum = _orbit_type(group, data.h_dims[0])
     elements = sample_stabilizer(point, seed=seed, data=data)
     fixed = stabilizer_fixed_subspace(pres, point, elements, data=data)
+    on_variety = defect <= defect_tol
     payload = {
         "group": group.name, "genus": genus, "rep": text, "seed": seed,
         "stratum": stratum,
@@ -185,9 +191,9 @@ def stratify_report(group, genus, rep, seed, rank_tol, defect_tol):
         "fixed_subspace_dim": fixed,
         "stabilizer_sample_count": len(elements),
         "relator_defect": defect,
-        "on_variety": defect <= defect_tol,
+        "on_variety": on_variety,
     }
-    return payload, "pass"
+    return payload, _complex_checks(pres, group, data, on_variety)[2]
 
 
 def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):

@@ -69,8 +69,23 @@ def reduce(letters: Iterable[Letter]) -> Word:
     return Word(tuple(stack))
 
 
+def _reduced(letters: Tuple[Letter, ...]) -> Word:
+    """A Word of letters already known to be valid and freely reduced, unchecked."""
+    w = Word.__new__(Word)
+    w.letters = letters
+    return w
+
+
 def word_multiply(u: Word, v: Word) -> Word:
-    return reduce(u.letters + v.letters)
+    """The reduced product uv. Both are reduced, so only the letters at the
+    junction can cancel; the budget is reduce's, on the raw letter count."""
+    a, b = u.letters, v.letters
+    if len(a) + len(b) > MAX_WORD_LEN:
+        raise ValueError(f"word length exceeds {MAX_WORD_LEN}")
+    k = 0
+    while k < min(len(a), len(b)) and a[-1 - k] == (b[k][0], -b[k][1]):
+        k += 1
+    return _reduced(a[:len(a) - k] + b[k:])
 
 
 def word_invert(w: Word) -> Word:
@@ -168,7 +183,7 @@ def fox_derivative(w: Word, j: int) -> GroupRingElement:
     _check_fox_budget(w, terms)
     out = {}
     for _, sign, start in terms:
-        suffix = Word(w.letters[start:])
+        suffix = _reduced(w.letters[start:])
         out[suffix] = out.get(suffix, 0) + sign
     return GroupRingElement(out)
 

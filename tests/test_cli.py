@@ -169,6 +169,17 @@ def test_disagreeing_rank_cuts_fail_euler():
     assert report["payload"]["ranks"] == [3, 3]
 
 
+def test_stratify_fails_euler_where_cohomology_does():
+    # stratify prints the same h dims as cohomology, so it asserts the same
+    # Euler and duality checks on them
+    result = invoke("stratify", "--group", "SU2", "--genus", "1", "--rep", "random:1",
+                    "--tol-rank", "1e-12", "--json")
+    assert result.exit_code == 2
+    report = json.loads(result.stdout)
+    assert report["status"] == "fail: euler"
+    assert report["payload"]["h_dims"] == [0, 1, 0]
+
+
 def test_non_convergence_exits_4(monkeypatch):
     def stall(*args, **kwargs):
         raise cohomology.ConvergenceError("line search stalled before reaching tolerance")

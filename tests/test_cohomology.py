@@ -85,6 +85,21 @@ def test_rep_point_rejects_nonfinite():
         RepPoint(G, [bad, EYE, EYE, EYE])
 
 
+def test_rep_point_reports_the_first_malformed_or_off_group_value_in_order():
+    # values are checked in order: an off-group value before a malformed one
+    # wins, naming the first off-group value, and a malformed value before an
+    # off-group one wins
+    first = f"lies off the group \\(defect {G.group_defect(1.1 * EYE):.3e}\\)"
+    with pytest.raises(ValueError, match=first):
+        RepPoint(G, [EYE, 1.1 * EYE, 1.5 * EYE, np.eye(3)])
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        RepPoint(G, [EYE, np.eye(3), 1.1 * EYE])
+    bad = EYE.copy()
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        RepPoint(G, [EYE, bad, 1.1 * EYE])
+
+
 def test_rep_point_rejects_an_empty_value_list():
     # an empty point used to pass and fail inside numpy in build_complex
     with pytest.raises(ValueError, match="at least one value"):
@@ -175,6 +190,17 @@ def test_d1_walk_is_bit_identical_to_fox_evaluation_at_twisted_point():
 WALK_GROUPS = ["SU2", "SO3", "U1", "SU2xU1", "SO3xSU2xU1"]
 
 
+@pytest.mark.parametrize("name", WALK_GROUPS)
+def test_rep_point_stacked_defect_is_each_values_defect(name):
+    # RepPoint checks its values' defects as one stack: the bits of each alone
+    group = group_from_name(name)
+    rng = np.random.default_rng(17)
+    vals = [group.random_element(rng) for _ in range(16)]
+    vals += [1.1 * vals[0], group.exp(rng.standard_normal(group.dim)) + 1e-9]
+    stacked = group._defect(np.stack(vals))
+    assert np.array_equal(stacked, [group.group_defect(v) for v in vals])
+
+
 @pytest.mark.parametrize("samples", [None, 5], ids=["point", "stack"])
 @pytest.mark.parametrize("name", WALK_GROUPS)
 def test_suffix_walk_is_bit_identical_to_each_suffix_product(name, samples):
@@ -197,6 +223,33 @@ def test_suffix_walk_is_bit_identical_to_each_suffix_product(name, samples):
             for k, s in enumerate(starts):
                 expected = functools.reduce(np.matmul, mats[s:], group.identity())
                 assert np.array_equal(walk[k], np.broadcast_to(expected, walk[k].shape)), s
+
+
+@pytest.mark.parametrize("samples", [None, 5], ids=["point", "stack"])
+@pytest.mark.parametrize("genus", [32, 64])
+@pytest.mark.parametrize("name", ["SU2", "SO3xSU2xU1"])
+def test_suffix_walk_is_bit_identical_at_high_genus(name, genus, samples):
+    # the tall block of started suffixes gives each the bits of its own product
+    # at the genera where its rows are many, for every start pattern D1 and
+    # relator values use
+    group = group_from_name(name)
+    m = group.matrix_dim
+    shape = () if samples is None else (samples,)
+    pres = surface_presentation(genus)
+    rng = np.random.default_rng(genus)
+    values = [np.reshape([group.random_element(rng) for _ in range(samples or 1)],
+                         shape + (m, m))
+              for _ in range(pres.n)]
+    letters = pres.relators[0].letters
+    mats = [values[j - 1] if e == 1 else values[j - 1].conj().swapaxes(-1, -2)
+            for j, e in letters]
+    fox_starts = [s for _, _, s in fox_terms(pres.relators[0])]
+    for starts in (list(range(len(letters) + 1)), fox_starts, [0]):
+        walk = _suffixes(group, values, letters, starts)
+        assert walk.shape == (len(starts),) + shape + (m, m)
+        for k, s in enumerate(starts):
+            expected = functools.reduce(np.matmul, mats[s:], group.identity())
+            assert np.array_equal(walk[k], np.broadcast_to(expected, walk[k].shape)), s
 
 
 def test_suffix_walk_rejects_a_generator_beyond_the_values():

@@ -62,6 +62,17 @@ def test_reduce_rejects_more_than_max_word_len_letters(monkeypatch):
         words.reduce([(1, 1), (1, -1)] * 5 + [(2, 1)])
 
 
+def test_word_multiply_checks_reduces_budget_even_where_letters_cancel(monkeypatch):
+    # only the junction cancels, but the raw letter count is what is bounded
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 6)
+    u, v = w((1, 1), (2, 1), (3, 1)), w((3, -1), (2, -1), (1, -1))
+    assert word_multiply(u, v) == Word()
+    with pytest.raises(ValueError, match="exceeds 6"):
+        word_multiply(u, v * w((4, 1)))
+    with pytest.raises(ValueError, match="exceeds 6"):
+        word_multiply(u * w((4, 1)), v)
+
+
 @given(raw_letters)
 def test_reduce_idempotent(ls):
     once = words.reduce(ls)
@@ -132,6 +143,19 @@ def test_fox_derivative_single_letters():
     assert fox_derivative(x, 2).is_zero()
     # d(x^-1)/dx = -x^-1
     assert fox_derivative(w((1, -1)), 1) == GroupRingElement({w((1, -1)): -1})
+
+
+@given(random_words, st.integers(min_value=1, max_value=4))
+def test_fox_derivative_terms_are_validated_words(u, j):
+    # the suffix terms skip Word's checks: they equal, and hash as, checked Words
+    expected = {}
+    for g, sign, start in words.fox_terms(u):
+        if g == j:
+            suffix = Word(u.letters[start:])
+            expected[suffix] = expected.get(suffix, 0) + sign
+    got = fox_derivative(u, j)
+    assert got == GroupRingElement(expected)
+    assert sorted(map(hash, got.terms)) == sorted(map(hash, GroupRingElement(expected).terms))
 
 
 def test_fox_derivative_rejects_bad_index():
