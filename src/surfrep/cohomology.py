@@ -132,8 +132,7 @@ def evaluate_group_ring(e, rep):
     group = rep.group
     out = np.zeros((group.dim, group.dim))
     for w, c in e.terms.items():
-        g = _value(group, rep.values, w.letters)
-        out += c * group.Ad_matrix(g.conj().T)
+        out += c * group.Ad_matrix(_dagger(_value(group, rep.values, w.letters)))
     return out
 
 
@@ -306,8 +305,8 @@ def _residual(group, rels, cmi):
 
 def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
     """Gauss-Newton from S starts at once, values (n, S, m, m), stepping within
-    the columns of slice_basis (None: everywhere); newton_project_to_variety is
-    its unsliced one-sample case. Each sample takes the steps and halvings it
+    the columns of slice_basis (the identity: everywhere); newton_project_to_variety
+    is its unsliced one-sample case. Each sample takes the steps and halvings it
     takes alone: its own lstsq, its own line search. Returns (values, errors,
     moved): errors[s] is the exception sample s ends with, None once its relator
     defect is below tol, and moved[s] is False where the start was already there."""
@@ -326,12 +325,9 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
         if not live.size:
             break
         Y = values[:, live]
-        D1 = _d1(pres, group, Y)
-        if slice_basis is not None:
-            D1 = D1 @ slice_basis
+        D1 = _d1(pres, group, Y) @ slice_basis
         step = np.stack([np.linalg.lstsq(A, -f, rcond=None)[0] for A, f in zip(D1, F[live])])
-        if slice_basis is not None:
-            step = np.matmul(slice_basis, step[..., None])[..., 0]
+        step = np.matmul(slice_basis, step[..., None])[..., 0]
         base = _norm(F[live])
         alpha = np.ones(len(live))
         todo = np.arange(len(live))
@@ -362,7 +358,7 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60)
     The one-sample case of the stacked iteration that sample_cone_directions runs."""
     values, errors, moved = _gauss_newton(
         pres, group, np.stack(start.values)[:, None], _class_matrix(group, c),
-        tol, max_iter, None)
+        tol, max_iter, np.eye(pres.n * group.dim))
     if errors[0] is not None:
         raise errors[0]
     return RepPoint(group, list(values[:, 0])) if moved[0] else start
@@ -378,10 +374,10 @@ def _on_group(group, values):
 
 def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, data=None):
     """Harvest variety tangent directions: step along random cocycles, project
-    back within the slice transverse to the conjugation orbit, and keep the
-    normalized displacement. Returns (directions, span in Z1, span in H1);
-    failures are skipped, so len(directions) carries the success count. The spans
-    are cut at data.rank_tol; data as in obstruction_quadratic.
+    back within the slice transverse to the conjugation orbit (everywhere at a
+    central point), and keep the normalized displacement. Returns (directions,
+    span in Z1, span in H1); failures are skipped, so len(directions) carries
+    the success count. The spans are cut at data.rank_tol; data as in obstruction_quadratic.
 
     Samples are projected together, CONE_CHUNK at a time, each as
     newton_project_to_variety would project it alone. Peak memory is that of
@@ -394,11 +390,8 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
     if data is None:
         data = build_complex(pres, rep)
     Z1 = data.basis_Z1
-    if data.rank0:
-        _, _, vt = np.linalg.svd(data.basis_B1.T)
-        slice_basis = vt[data.rank0:].T
-    else:
-        slice_basis = None
+    _, _, vt = np.linalg.svd(data.basis_B1.T)
+    slice_basis = vt[data.rank0:].T
     Y = np.stack(rep.values)[:, None]
     rng = np.random.default_rng(seed)
     dirs = []
@@ -417,9 +410,7 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
         norm = _norm(xi)
         keep = ~(norm < eps * 1e-6)
         dirs.extend(xi[keep] / norm[keep, None])
-    if not dirs:
-        return [], 0, 0
-    D = np.column_stack(dirs)
+    D = np.reshape(dirs, (-1, n * d)).T
     span_z1 = _rank(np.linalg.svd(Z1.T @ D, compute_uv=False), data.rank_tol)
     span_h1 = _rank(np.linalg.svd(data.basis_H1.T @ D, compute_uv=False), data.rank_tol)
     return dirs, span_z1, span_h1
@@ -456,8 +447,6 @@ def stabilizer_fixed_subspace(pres, rep, elements, data=None):
             raise ValueError(f"element does not stabilize the representation ({worst:.3e})")
     H1 = data.basis_H1
     h1 = H1.shape[1]
-    if h1 == 0:
-        return 0
     eye_n = np.eye(pres.n)
     cocycle_tol = 10 * tol * (1 + np.linalg.norm(data.D1))
     proj = data.basis_B1 @ data.basis_B1.T

@@ -2,7 +2,7 @@
 
 Each model carries an orthonormal Lie algebra basis for the Ad-invariant inner
 product <X,Y> = -scale * Re tr(XY), scale = -1 / Re tr(EE) per basis vector E.
-Algebra vectors are plain coordinate arrays in that basis (the AlgebraVector alias below).
+Algebra vectors are plain coordinate arrays in that basis, read off by matrix_to_algebra.
 
 The kernels (exp, log, project, defect, Ad) take stacks: coordinates (..., d)
 and matrices (..., m, m), with any number of leading axes. Each entry of a stack
@@ -13,8 +13,6 @@ caller agree exactly.
 import itertools
 
 import numpy as np
-
-AlgebraVector = np.ndarray
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]])
@@ -115,8 +113,7 @@ class LieGroupModel:
 
     def gram_matrix(self):
         """Trace-form Gram matrix of the basis; identity when the basis is orthonormal."""
-        traces = np.einsum("aij,bji->ab", self._basis_arr, self._basis_arr)
-        return -self._scales[:, None] * traces.real
+        return self.matrix_to_algebra(self._basis_arr).T
 
     # exp / log
 
@@ -140,13 +137,11 @@ class LieGroupModel:
         g (..., m, m)."""
         g = np.asarray(g, dtype=complex)
         conj = np.einsum("...ab,kbc,...cd->...kad", g, self._basis_arr, _dagger(g))
-        traces = np.einsum("aij,...kji->...ak", self._basis_arr, conj)
-        return -self._scales[:, None] * traces.real
+        return self.matrix_to_algebra(conj).swapaxes(-1, -2)
 
     def ad_matrix(self, coords):
-        X = self.algebra_to_matrix(coords)
-        cols = [self.matrix_to_algebra(X @ E - E @ X) for E in self.algebra_basis]
-        return np.column_stack(cols)
+        X, B = self.algebra_to_matrix(coords), self._basis_arr
+        return self.matrix_to_algebra(X @ B - B @ X).T
 
     def bracket(self, x, y):
         X = self.algebra_to_matrix(x)

@@ -17,7 +17,7 @@ it equals the twisted integral of Ad(a(t)^-1) theta(t), left-translated at the h
 import numpy as np
 
 from .cohomology import ConvergenceError
-from .groups import _frobenius, _norm
+from .groups import _dagger, _frobenius, _norm
 
 MAX_SUBSTEPS = 1024
 TRANSPORT_TOL = 1e-10  # default refinement tolerance of every transport
@@ -102,7 +102,7 @@ def _steps(conn, values, t_end, n_sub):
     A1, A2 = A[..., 0, :, :, :], A[..., 1, :, :, :]
     omega = -0.5 * hs * (A1 + A2) + (np.sqrt(3) / 12) * hs ** 2 * (A2 @ A1 - A1 @ A2)
     lam, V = np.linalg.eigh(1j * omega)  # Hermitian: exp(omega) = V exp(-i lam) V^H
-    return (V * np.exp(-1j * lam)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    return (V * np.exp(-1j * lam)[..., None, :]) @ _dagger(V)
 
 
 def _prefix(mats):
@@ -188,7 +188,7 @@ def _twisted_integral(conn, var, n_sub):
                            _prefix(_steps(conn, conn.values, conn.b, n_sub))])
     # Ad(a^-1) theta at every node, read off a^-1 Theta a in the algebra basis
     theta = group.algebra_to_matrix(var.at(ts))
-    twisted = mats.conj().swapaxes(-1, -2) @ theta @ mats
+    twisted = _dagger(mats) @ theta @ mats
     integrand = group.matrix_to_algebra(twisted)
     # composite Simpson per grid cell (nodes align, n_sub even)
     cells = len(conn.times) - 1
@@ -221,7 +221,7 @@ def holonomy_derivative_fd(conn, var, s=FD_STEP, tol=TRANSPORT_TOL):
     minus = PathConnection(group, conn.b, conn.values + s * var.values)
     y, gp, gm = _refined_transport(
         conn, np.stack([conn.values, plus.values, minus.values]), conn.b, tol)
-    yinv = y.conj().T
+    yinv = _dagger(y)
     return (group.log(yinv @ gp) - group.log(yinv @ gm)) / (2 * s)
 
 

@@ -38,6 +38,7 @@ from .holonomy import (
 from .reduction import (
     MAX_SAMPLES,
     MODELS,
+    momentum_so3,
     relation_residual_max,
     sample_zero_locus,
     so2_cone_model_report,
@@ -55,6 +56,10 @@ from .words import (
 )
 
 CONE_SUCCESS_MIN = 0.95  # the share of cone samples a report needs kept
+Q_MAX = 1e-8  # cone-span's largest obstruction residual
+CLOSED_FORM_MAX = 1e-10  # holonomy-check's largest closed-form error
+FD_GAP_MAX = 1e-6  # holonomy-check's largest gap to the finite-difference derivative
+GAUGE_MAX = 1e-9  # holonomy-check's largest conjugation residual
 
 
 def _first_failure(checks):
@@ -81,18 +86,18 @@ def irreducible_rep(group):
 
 
 def measure_obstruction_constant(pres, rep, count, seed, data=None):
-    """Fit q = c * (u1 x u2 + u3 x u4) over count >= 1 random cochains at a
-    genus-2 SU(2) point and return (c, max relative error). seed is a seed or a
-    numpy Generator, which is then advanced; data is the point's cochain data
-    (built with the default rank cutoff when omitted). The obstructions and
-    the fit are taken as one stack."""
+    """Fit q = c * momentum_so3(u1, u2, u3, u4) = c * (u1 x u2 + u3 x u4) over
+    count >= 1 random cochains at a genus-2 SU(2) point and return (c, max
+    relative error). seed is a seed or a numpy Generator, which is then
+    advanced; data is the point's cochain data (built with the default rank
+    cutoff when omitted). The obstructions and the fit are taken as one stack."""
     if count < 1:
         raise ValueError("the obstruction fit needs at least one cochain")
     if data is None:
         data = build_complex(pres, rep)
     U = np.random.default_rng(seed).standard_normal((count, 4, 3))
     q = obstruction_quadratic(pres, rep, U.reshape(count, 4 * 3), data=data)
-    ref = np.cross(U[:, 0], U[:, 1]) + np.cross(U[:, 2], U[:, 3])
+    ref = momentum_so3(U[:, 0], U[:, 1], U[:, 2], U[:, 3])
     ref = np.matmul(data.basis_H2.T, ref[..., None])[..., 0]
     constant = float((q[0] @ ref[0]) / (ref[0] @ ref[0]))
     return constant, float((_norm(q - constant * ref) / _norm(q)).max())
@@ -133,15 +138,14 @@ def _complex_checks(pres, group, data, on_variety):
 def fox_report(word, n):
     """Print all Fox derivatives of WORD and verify the fundamental identity."""
     word = parse_word(word)
-    if n is None:
-        n = max((g for g, _ in word.letters), default=1)
+    top = word.max_generator()
+    n = max(top, 1) if n is None else n
     if n < 1:
         raise ValueError("--n must be at least 1")
     if n > words.MAX_GENERATORS:
         raise ValueError(f"{n} generators exceed the budget of {words.MAX_GENERATORS}")
-    over = [g for g, _ in word.letters if g > n]
-    if over:
-        raise ValueError(f"word uses generator x{max(over)} beyond --n {n}")
+    if top > n:
+        raise ValueError(f"word uses generator x{top} beyond --n {n}")
     identity_ok = verify_fox_identity(word)
     payload = {
         "word": format_word(word),
@@ -228,7 +232,7 @@ def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):
         "span_Z1": span_z1 == dim_z1,
         "span_H1": span_h1 == h1,
         "success_rate": success_rate >= CONE_SUCCESS_MIN,
-        "obstruction_residual": q_max <= 1e-8,
+        "obstruction_residual": q_max <= Q_MAX,
     })
     return payload, status
 
@@ -301,9 +305,9 @@ def holonomy_check_report(group, seed, samples):
         "refinement_order": order,
     }
     status = _first_failure({
-        "closed_form": closed_max <= 1e-10,
-        "fd_derivative": fd_max <= 1e-6,
-        "conjugation": conj_max <= 1e-9,
+        "closed_form": closed_max <= CLOSED_FORM_MAX,
+        "fd_derivative": fd_max <= FD_GAP_MAX,
+        "conjugation": conj_max <= GAUGE_MAX,
         "refinement_order": order >= 3.5,
     })
     return payload, status

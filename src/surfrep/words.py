@@ -107,10 +107,6 @@ class GroupRingElement:
         self.terms = data
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({Word(): 1})
 
@@ -192,7 +188,7 @@ def verify_fox_identity(w: Word) -> bool:
     """Check 1 - w = sum_j (1 - x_j) dw/dx_j exactly over the integers."""
     _check_fox_budget(w, fox_terms(w))
     lhs = GroupRingElement.one() - GroupRingElement.from_word(w)
-    rhs = GroupRingElement.zero()
+    rhs = GroupRingElement()
     for j in range(1, w.max_generator() + 1):
         one_minus_xj = GroupRingElement({Word(): 1, Word(((j, 1),)): -1})
         rhs = rhs + one_minus_xj * fox_derivative(w, j)

@@ -132,7 +132,7 @@ def test_empty_batches_pass_through():
     empty = np.empty((4, 0, 2, 2), dtype=complex)
     assert _on_group(G, empty).shape == (0,)
     values, errors, moved = _gauss_newton(P2, G, empty, np.eye(2, dtype=complex),
-                                          tol=1e-12, max_iter=80, slice_basis=None)
+                                          tol=1e-12, max_iter=80, slice_basis=np.eye(12))
     assert values.shape == (4, 0, 2, 2) and errors == [] and moved.shape == (0,)
 
 
@@ -154,7 +154,7 @@ def test_mixed_batch_matches_one_sample_calls():
     starts = [solution, far, near, cut]
     values, errors, moved = _gauss_newton(
         P2, G, np.stack([np.stack(p.values) for p in starts], axis=1),
-        np.eye(2, dtype=complex), tol=1e-10, max_iter=3, slice_basis=None)
+        np.eye(2, dtype=complex), tol=1e-10, max_iter=3, slice_basis=np.eye(12))
 
     single = [_outcome(lambda p=p: newton_project_to_variety(P2, G, p, tol=1e-10, max_iter=3))
               for p in starts]

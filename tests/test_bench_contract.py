@@ -103,6 +103,10 @@ def bench_literal(name):
     ("FD_STEP", holonomy_module.FD_STEP),
     ("CONE_SUCCESS_MIN", reports.CONE_SUCCESS_MIN),
     ("DEFECT_TOL", cli.OPTIONS["defect_tol"][2]),
+    ("Q_MAX", reports.Q_MAX),
+    ("CLOSED_FORM_MAX", reports.CLOSED_FORM_MAX),
+    ("FD_GAP_MAX", reports.FD_GAP_MAX),
+    ("GAUGE_MAX", reports.GAUGE_MAX),
 ])
 def test_the_bench_literals_are_the_library_values(name, value):
     # workloads.py restates these; if the library's value moved, the bench

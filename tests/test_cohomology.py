@@ -741,6 +741,18 @@ def test_stabilizer_fixed_subspace_central():
     assert stabilizer_fixed_subspace(P2, rep, els) == 0
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_fixed_subspace_is_zero_where_h1_is(sign):
+    # <x1 | x1^2> at +-I: D1 = 2 I, so H1 and H2 vanish; the fixed subspace of
+    # an empty H1 is 0, with the whole group as stabilizer
+    pres = Presentation(1, [Word(((1, 1), (1, 1)))])
+    rep = RepPoint(G, [sign * EYE])
+    data = build_complex(pres, rep)
+    assert data.h_dims == (3, 0, 0)
+    els = sample_stabilizer(rep, count=6, seed=0, data=data)
+    assert stabilizer_fixed_subspace(pres, rep, els, data=data) == 0
+
+
 def test_stabilizer_fixed_subspace_builds_with_its_rank_tol(monkeypatch):
     # the fixed subspace is cut at the given complex's rank_tol; nothing is rebuilt
     seen = []

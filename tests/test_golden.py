@@ -27,6 +27,21 @@ RUNS = {
     "genus2-su2-report-seed0": (["genus2-su2-report", "--seed", "0"], 0),
     "cone-span-genus8": (["cone-span", "--genus", "8", "--rep", "random:1", "--samples", "100"], 0),
     "cohomology-genus16": (["cohomology", "--genus", "16", "--rep", "random:3"], 0),
+    # edge paths: central points (identity slice basis), product and SO3
+    # obstructions, a genus-1 cone and a too-tight rank cutoff (exit 2)
+    "cone-span-genus3-central": (["cone-span", "--genus", "3", "--rep", "central:[+,+,+,+,+,+]",
+                                  "--samples", "40"], 0),
+    "cone-span-su2xu1": (["cone-span", "--group", "SU2xU1", "--samples", "200"], 0),
+    "cone-span-so3": (["cone-span", "--group", "SO3", "--samples", "200"], 0),
+    "cone-span-genus1": (["cone-span", "--group", "SU2", "--genus", "1", "--rep", "random:1"], 2),
+    "cohomology-genus1-tight": (["cohomology", "--genus", "1", "--rep", "random:1",
+                                 "--tol-rank", "1e-12"], 2),
+    "stratify-genus1-tight": (["stratify", "--genus", "1", "--rep", "random:1",
+                               "--tol-rank", "1e-12"], 2),
+    "genus2-su2-report-seed3-json": (["genus2-su2-report", "--seed", "3", "--samples", "40",
+                                      "--json"], 0),
+    "fox-json": (["fox", "x1*x2*x1^-1*x2^-1", "--json"], 0),
+    "reduction-so2-json": (["reduction", "so2", "--json"], 0),
 }
 
 
