@@ -451,7 +451,8 @@ def stabilizer_fixed_subspace(pres, rep, elements, data=None):
     cocycle_tol = 10 * tol * (1 + np.linalg.norm(data.D1))
     proj = data.basis_B1 @ data.basis_B1.T
     off_b1 = np.eye(len(proj)) - proj
-    rows = []
+    # no element constrains H1 until a row says so
+    rows = [np.zeros((0, h1))]
     for s in elements:
         B = np.kron(eye_n, group.Ad_matrix(s))
         # the componentwise action must preserve cocycles and coboundaries

@@ -194,21 +194,27 @@ def _zero_locus_residuals(model, W):
 
 
 class ZeroLocusPoint:
-    """A point of the momentum zero locus, validated on construction."""
+    """A point of the momentum zero locus, validated on construction. The
+    validating pass also takes the relation residuals of its batch; the point
+    keeps that table and its row there, which check_relations reads. w is
+    read-only, so the row cannot go stale."""
 
     def __init__(self, model, w):
-        w = model._point(w)
-        self.model = model
-        self.w = w
-        self.residual = float(_zero_locus_residuals(model, w[None])[0])
+        (point,) = self._stack(model, model._point(w)[None].copy())
+        vars(self).update(vars(point))
 
     @classmethod
     def _stack(cls, model, W):
-        """One point per row of W, validated in one pass."""
+        """One point per row of W, validated in one pass that also takes every
+        row's relation residuals; W becomes read-only."""
+        residuals = _zero_locus_residuals(model, W).tolist()
+        relations = model._relations(model._hilbert(W), W)
+        W.flags.writeable = False
         points = []
-        for w, residual in zip(W, _zero_locus_residuals(model, W).tolist()):
+        for row, (w, residual) in enumerate(zip(W, residuals)):
             point = cls.__new__(cls)
             point.model, point.w, point.residual = model, w, residual
+            point._relations, point._row = relations, row
             points.append(point)
         return points
 
@@ -397,17 +403,27 @@ def check_relations(model, point):
     SO(2): the cone relation u^2 + v^2 = r^2 and the half-space r >= 0.
     SO(3): vanishing of det, psi, the six couple invariants and all 3x3
     minors, plus positive semidefiniteness and rank at most 2 of the Gram
-    image.  Every value is a nonnegative residual.
+    image.  Every value is a nonnegative residual, read from the row that
+    the pass validating the point stored.
     """
-    w = model._point(point.w)
-    return {k: float(v) for k, v in model._relations(model._hilbert(w), w).items()}
+    _check_model(model, point)
+    return {k: float(v[point._row]) for k, v in point._relations.items()}
 
 
 def relation_residual_max(model, points):
-    """Largest check_relations value over the points, in one stacked pass."""
-    W = _points_array(points)
-    relations = model._relations(model._hilbert(W), W)
-    return max(0.0, float(max(np.max(values) for values in relations.values())))
+    """Largest check_relations value over the points, read from the rows
+    their validating passes stored, one gather per pass."""
+    tables = {}
+    for point in points:
+        _check_model(model, point)
+        tables.setdefault(id(point._relations), (point._relations, []))[1].append(point._row)
+    return max(0.0, max(float(np.max(values[rows]))
+                        for relations, rows in tables.values() for values in relations.values()))
+
+
+def _check_model(model, point):
+    if point.model.name != model.name:
+        raise ValueError(f"point of model {point.model.name}, not {model.name}")
 
 
 def stratum_histogram(model, points):

@@ -753,6 +753,14 @@ def test_fixed_subspace_is_zero_where_h1_is(sign):
     assert stabilizer_fixed_subspace(pres, rep, els, data=data) == 0
 
 
+def test_no_stabilizer_element_fixes_all_of_h1():
+    # an empty element list constrains nothing: the fixed subspace is H1
+    data = build_complex(P2, torus_rep())
+    assert data.h_dims[1] == 8
+    assert stabilizer_fixed_subspace(P2, torus_rep(), [], data=data) == 8
+    assert stabilizer_fixed_subspace(P2, torus_rep(), []) == 8
+
+
 def test_stabilizer_fixed_subspace_builds_with_its_rank_tol(monkeypatch):
     # the fixed subspace is cut at the given complex's rank_tol; nothing is rebuilt
     seen = []

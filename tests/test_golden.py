@@ -42,6 +42,9 @@ RUNS = {
                                       "--json"], 0),
     "fox-json": (["fox", "x1*x2*x1^-1*x2^-1", "--json"], 0),
     "reduction-so2-json": (["reduction", "so2", "--json"], 0),
+    # the sample budget: the relation maximum over MAX_SAMPLES points
+    "reduction-so3-10000-json": (["reduction", "so3", "--samples", "10000", "--json"], 0),
+    "reduction-so2-10000": (["reduction", "so2", "--samples", "10000"], 0),
 }
 
 

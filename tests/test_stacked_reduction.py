@@ -139,6 +139,75 @@ def test_nan_residual_is_rejected():
 
 
 # ---------------------------------------------------------------------------
+# stored relation rows: a point carries its validating pass's residuals
+
+
+def fresh_relations(model, pt):
+    """The relation suite of one point, computed again from its coordinates."""
+    return {k: float(v) for k, v in model._relations(hilbert_map(model, pt.w), pt.w).items()}
+
+
+@pytest.mark.parametrize("method", ["construct", "newton"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stored_rows_equal_a_fresh_relation_suite(name, method):
+    # no recorded bits: holds under any BLAS, and a wrong row index fails it
+    model = MODELS[name]
+    points = sample_zero_locus(model, 60 if method == "construct" else 20, seed=4, method=method)
+    for pt in points:
+        assert check_relations(model, pt) == fresh_relations(model, pt)
+    single = ZeroLocusPoint(model, points[-1].w)
+    assert check_relations(model, single) == fresh_relations(model, single)
+    assert check_relations(model, single) == check_relations(model, points[-1])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_residual_max_reads_rows_of_every_pass(name):
+    # points of two sampling passes and single points, in mixed order
+    model = MODELS[name]
+    points = sample_zero_locus(model, 40, seed=6)[5:30]
+    newton = sample_zero_locus(model, 12, seed=6, method="newton")
+    single = [ZeroLocusPoint(model, pt.w) for pt in newton[::4]]
+    mixed = newton[1:] + points + single
+    want = max(0.0, max(max(fresh_relations(model, pt).values()) for pt in mixed))
+    assert relation_residual_max(model, mixed) == want
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sampled_points_are_read_only(name):
+    model = MODELS[name]
+    pt = sample_zero_locus(model, 5, seed=1)[3]
+    with pytest.raises(ValueError, match="read-only"):
+        pt.w[0] = 1.0
+    single = ZeroLocusPoint(model, pt.w)
+    with pytest.raises(ValueError, match="read-only"):
+        single.w[:] = 0.0
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_constructed_point_does_not_alias_its_input(name):
+    model = MODELS[name]
+    w = np.array(sample_zero_locus(model, 5, seed=1)[3].w)
+    pt = ZeroLocusPoint(model, w)
+    assert not np.shares_memory(pt.w, w)
+    want = check_relations(model, pt)
+    w[:] = 0.0
+    assert np.array_equal(pt.w, sample_zero_locus(model, 5, seed=1)[3].w)
+    assert w.flags.writeable
+    assert check_relations(model, pt) == want == fresh_relations(model, pt)
+
+
+def test_relations_reject_a_point_of_another_model():
+    so2_point = sample_zero_locus(so2_model(), 3, seed=0)[2]
+    so3_point = sample_zero_locus(so3_model(), 3, seed=0)[2]
+    with pytest.raises(ValueError):
+        check_relations(so2_model(), so3_point)
+    with pytest.raises(ValueError):
+        check_relations(so3_model(), so2_point)
+    with pytest.raises(ValueError):
+        relation_residual_max(so3_model(), [so3_point, so2_point])
+
+
+# ---------------------------------------------------------------------------
 # Newton sampling: stalled starts
 
 
