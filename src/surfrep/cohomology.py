@@ -32,9 +32,10 @@ class ConvergenceError(RuntimeError):
 
 
 class RepPoint:
-    """A representation of the free group: one group element per generator.
-    Values are checked in order, each for shape, finiteness, then its group
-    defect; the defects of the well-formed values are taken as one stack."""
+    """A representation of the free group: one group element per generator,
+    held as one read-only stack (n, m, m). Values are checked in order, each
+    for shape, finiteness, then its group defect; the defects of the
+    well-formed values are taken as one stack."""
 
     def __init__(self, group, values):
         vals = [np.asarray(v, dtype=complex) for v in values]
@@ -43,7 +44,8 @@ class RepPoint:
         shape = (group.matrix_dim, group.matrix_dim)
         bad = next((i for i, v in enumerate(vals)
                     if v.shape != shape or not np.isfinite(v).all()), len(vals))
-        defects = group._defect(np.stack(vals[:bad])) if bad else np.empty(0)
+        Y = np.asarray(vals[:bad]).reshape((bad,) + shape)
+        defects = group._defect(Y)
         off = np.flatnonzero(defects > GROUP_DEFECT_TOL)
         if off.size:
             raise ValueError(f"matrix lies off the group (defect {defects[off[0]]:.3e})")
@@ -52,9 +54,10 @@ class RepPoint:
                 raise ValueError(
                     f"representation matrices must have shape {shape}, got {vals[bad].shape}")
             raise ValueError("representation matrices must be finite")
+        Y.flags.writeable = False
         self.group = group
-        self.values = vals
-        self.n = len(vals)
+        self.values = Y
+        self.n = len(Y)
 
 
 class BundleClass:
@@ -164,7 +167,10 @@ def _centralizer(group, values):
 
 
 def build_complex(pres, rep, rank_tol=RANK_TOL):
-    """Evaluate the complex at the representation and split off cohomology bases."""
+    """Evaluate the complex at the representation and split off cohomology
+    bases, ranks cut at rank_tol (finite and positive)."""
+    if not 0 < rank_tol < np.inf:
+        raise ValueError(f"rank_tol must be finite and positive, got {rank_tol}")
     group = rep.group
     D0, D1 = _d0(group, rep.values), _d1(pres, group, rep.values)
 
@@ -210,7 +216,7 @@ def finite_diff_check_d1(pres, rep, u, h):
     d = group.dim
     u = np.asarray(u, dtype=float).reshape(pres.n, d)
     lin = (_d1(pres, group, rep.values) @ u.ravel()).reshape(pres.m, d)
-    Y, eye = np.stack(rep.values), group.identity()
+    Y, eye = rep.values, group.identity()
     r0i = _dagger(_relators_at(pres, group, Y, eye)[0])
     plus = _relators_at(pres, group, Y @ group.exp(h * u), eye)[0]
     minus = _relators_at(pres, group, Y @ group.exp(-h * u), eye)[0]
@@ -223,23 +229,22 @@ def finite_diff_check_d0(pres, rep, X, h):
     group = rep.group
     X = np.asarray(X, dtype=float)
     lin = (_d0(group, rep.values) @ X).reshape(rep.n, group.dim)
-    Y = np.stack(rep.values)
+    Y = rep.values
     ep = group.exp(h * X)
     em = group.exp(-h * X)
     xi = (group.log(_dagger(Y) @ em @ Y @ ep) - group.log(_dagger(Y) @ ep @ Y @ em)) / (2 * h)
     return float(_norm(xi - lin).max())
 
 
-def _jet_walk(pres, group, values, U):
+def _jet_walk(pres, group, Y, U):
     """The relators' second-order terms in algebra coordinates (k, relators d)
-    along a stack of directions U (k, n d). A relator's 2-jet C0 + t C1 + t^2 C2
-    is walked as one (k, 3, m, m) stack: per letter, one broadcast product of
-    the orders so far with the letter's 2-jet B, summed order by order as
-    C0 B0, C0 B1 + C1 B0, C0 B2 + C1 B1 + C2 B0, the bits of one direction's
-    walk alone."""
+    at the values Y (n, m, m) along a stack of directions U (k, n d). A
+    relator's 2-jet C0 + t C1 + t^2 C2 is walked as one (k, 3, m, m) stack: per
+    letter, one broadcast product of the orders so far with the letter's 2-jet
+    B, summed order by order as C0 B0, C0 B1 + C1 B0, C0 B2 + C1 B1 + C2 B0,
+    the bits of one direction's walk alone."""
     k, mm = len(U), group.matrix_dim
     X = group.algebra_to_matrix(U.reshape(k, pres.n, group.dim))
-    Y = np.stack(values)
     Yi = _dagger(Y)
     # the 2-jets at t = 0 of y_j exp(t u_j) and of its inverse: (k, n, 3, m, m)
     plus, minus = np.empty((2, k, pres.n, 3, mm, mm), dtype=complex)
@@ -357,11 +362,11 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60)
     """Gauss-Newton on the residual log(r_i(y) c^-1), stepping by y_j exp(delta_j).
     The one-sample case of the stacked iteration that sample_cone_directions runs."""
     values, errors, moved = _gauss_newton(
-        pres, group, np.stack(start.values)[:, None], _class_matrix(group, c),
+        pres, group, start.values[:, None], _class_matrix(group, c),
         tol, max_iter, np.eye(pres.n * group.dim))
     if errors[0] is not None:
         raise errors[0]
-    return RepPoint(group, list(values[:, 0])) if moved[0] else start
+    return RepPoint(group, values[:, 0]) if moved[0] else start
 
 
 def _on_group(group, values):
@@ -383,7 +388,12 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
     newton_project_to_variety would project it alone. Peak memory is that of
     one chunk, whatever count is: CONE_CHUNK stacked copies of D1 (relators * d
     by n * d floats each) and of the point's n matrices. Only the returned
-    directions grow with count, by n * d floats each."""
+    directions grow with count, by n * d floats each. count must be at least 1
+    and eps finite and positive."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     group = rep.group
     n, d = rep.n, group.dim
     cm = _class_matrix(group, c)
@@ -392,7 +402,7 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
     Z1 = data.basis_Z1
     _, _, vt = np.linalg.svd(data.basis_B1.T)
     slice_basis = vt[data.rank0:].T
-    Y = np.stack(rep.values)[:, None]
+    Y = rep.values[:, None]
     rng = np.random.default_rng(seed)
     dirs = []
     for first in range(0, count, CONE_CHUNK):

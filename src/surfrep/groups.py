@@ -84,11 +84,9 @@ class LieGroupModel:
     def __init__(self, name, basis, center_elements, *, exp, log, random_element,
                  project, defect, torus=None, stratum_labels=None):
         self.name = name
-        self.algebra_basis = [np.asarray(b, dtype=complex) for b in basis]
-        self.matrix_dim = self.algebra_basis[0].shape[0]
-        self.dim = len(self.algebra_basis)
-        self._basis_arr = np.stack(self.algebra_basis)
-        self._scales = -1 / np.einsum("kij,kji->k", self._basis_arr, self._basis_arr).real
+        self.algebra_basis = np.asarray(basis, dtype=complex)  # (d, m, m)
+        self.dim, self.matrix_dim = self.algebra_basis.shape[:2]
+        self._scales = -1 / np.einsum("kij,kji->k", self.algebra_basis, self.algebra_basis).real
         self.center_elements = [np.asarray(c, dtype=complex) for c in center_elements]
         self._exp = exp
         self._log = log
@@ -104,16 +102,16 @@ class LieGroupModel:
     # coordinates
 
     def algebra_to_matrix(self, coords):
-        return np.tensordot(np.asarray(coords, dtype=float), self._basis_arr, axes=1)
+        return np.tensordot(np.asarray(coords, dtype=float), self.algebra_basis, axes=1)
 
     def matrix_to_algebra(self, M):
         """Coordinates of an algebra matrix, or of each in a stack (..., m, m)."""
-        traces = np.einsum("kij,...ji->...k", self._basis_arr, np.asarray(M, dtype=complex))
+        traces = np.einsum("kij,...ji->...k", self.algebra_basis, np.asarray(M, dtype=complex))
         return -self._scales * traces.real
 
     def gram_matrix(self):
         """Trace-form Gram matrix of the basis; identity when the basis is orthonormal."""
-        return self.matrix_to_algebra(self._basis_arr).T
+        return self.matrix_to_algebra(self.algebra_basis).T
 
     # exp / log
 
@@ -136,11 +134,11 @@ class LieGroupModel:
         """Matrix of X -> g X g^-1 in algebra coordinates (real, orthogonal), for
         g (..., m, m)."""
         g = np.asarray(g, dtype=complex)
-        conj = np.einsum("...ab,kbc,...cd->...kad", g, self._basis_arr, _dagger(g))
+        conj = np.einsum("...ab,kbc,...cd->...kad", g, self.algebra_basis, _dagger(g))
         return self.matrix_to_algebra(conj).swapaxes(-1, -2)
 
     def ad_matrix(self, coords):
-        X, B = self.algebra_to_matrix(coords), self._basis_arr
+        X, B = self.algebra_to_matrix(coords), self.algebra_basis
         return self.matrix_to_algebra(X @ B - B @ X).T
 
     def bracket(self, x, y):

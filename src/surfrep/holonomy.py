@@ -51,8 +51,8 @@ class PathConnection:
             raise ValueError(f"samples have dim {values.shape[1]}, group algebra has dim {group.dim}")
         if not np.isfinite(values).all():
             raise ValueError("connection samples must be finite")
-        if not b > 0:
-            raise ValueError(f"path length must be positive, got {b}")
+        if not 0 < b < np.inf:
+            raise ValueError(f"path length must be finite and positive, got {b}")
         self.group = group
         self.b = float(b)
         self.values = values
@@ -138,7 +138,10 @@ def _refine(compute, k, tol, size):
     """A stack of k results, each refined on its own: compute(n_sub, live) gives
     the entries live at n_sub = 2, 4, 8, ..., and an entry is kept, and leaves the
     live set, at the first level where size(its change) is below tol. Raises
-    ConvergenceError when some entry has not settled by MAX_SUBSTEPS."""
+    ConvergenceError when some entry has not settled by MAX_SUBSTEPS, and
+    ValueError, before any compute, when tol is not finite and positive."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     live = np.arange(k)
     prev = compute(2, live)
     out = np.empty_like(prev)
@@ -165,7 +168,10 @@ def _refined_transport(conn, values, t_end, tol):
 
 def horizontal_transport(conn, t, n_sub=None, tol=TRANSPORT_TOL):
     """Group element a(t) solving a' = -A a, a(0) = e; refines until stable to tol
-    (ConvergenceError if it is not by MAX_SUBSTEPS)."""
+    (ConvergenceError if it is not by MAX_SUBSTEPS), or takes n_sub >= 1
+    substeps per cell when n_sub is given."""
+    if n_sub is not None and n_sub < 1:
+        raise ValueError(f"n_sub must be at least 1, got {n_sub}")
     if not -1e-12 <= t <= conn.b + 1e-12:
         raise ValueError(f"t = {t} outside [0, {conn.b}]")
     t = float(np.clip(t, 0.0, conn.b))
@@ -214,7 +220,9 @@ def holonomy_derivative(conn, var, tol=TRANSPORT_TOL):
 
 def holonomy_derivative_fd(conn, var, s=FD_STEP, tol=TRANSPORT_TOL):
     """Central finite difference along the affine family (transport data A - s*theta);
-    the independent oracle for holonomy_derivative."""
+    the independent oracle for holonomy_derivative. s is nonzero and finite."""
+    if s == 0 or not np.isfinite(s):
+        raise ValueError(f"finite-difference step must be nonzero and finite, got {s}")
     _check_grid(conn, var)
     group = conn.group
     plus = PathConnection(group, conn.b, conn.values - s * var.values)

@@ -177,22 +177,6 @@ def so3_model():
 MODELS = {"so2": so2_model, "so3": so3_model}  # by the reduction command's names
 
 
-def _zero_locus_residuals(model, W):
-    """Momentum residual of every row of W, each checked as ZeroLocusPoint
-    checks one point: finite entries, residual below RESIDUAL_TOL. The first
-    failing row raises."""
-    finite = np.isfinite(W).all(axis=1)
-    mu = model._momentum(np.where(finite[:, None], W, 0.0))
-    residual = _norm(mu)
-    bad = ~finite | ~(residual < RESIDUAL_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not finite[i]:
-            raise ValueError("point contains non-finite entries")
-        raise ValueError(f"momentum residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    return residual
-
-
 class ZeroLocusPoint:
     """A point of the momentum zero locus, validated on construction. The
     validating pass also takes the relation residuals of its batch; the point
@@ -206,12 +190,21 @@ class ZeroLocusPoint:
     @classmethod
     def _stack(cls, model, W):
         """One point per row of W, validated in one pass that also takes every
-        row's relation residuals; W becomes read-only."""
-        residuals = _zero_locus_residuals(model, W).tolist()
+        row's relation residuals; W becomes read-only. Each row is checked as
+        one point alone: finite entries, momentum residual below RESIDUAL_TOL.
+        The first failing row raises."""
+        finite = np.isfinite(W).all(axis=1)
+        residuals = _norm(model._momentum(np.where(finite[:, None], W, 0.0)))
+        bad = ~finite | ~(residuals < RESIDUAL_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                raise ValueError("point contains non-finite entries")
+            raise ValueError(f"momentum residual {residuals[i]:.3e} exceeds {RESIDUAL_TOL:.0e}")
         relations = model._relations(model._hilbert(W), W)
         W.flags.writeable = False
         points = []
-        for row, (w, residual) in enumerate(zip(W, residuals)):
+        for row, (w, residual) in enumerate(zip(W, residuals.tolist())):
             point = cls.__new__(cls)
             point.model, point.w, point.residual = model, w, residual
             point._relations, point._row = relations, row
@@ -239,7 +232,7 @@ def _area_pair(rng):
     # a planar pair whose signed area is at least 0.05 in size
     while True:
         a, b = rng.standard_normal(2), rng.standard_normal(2)
-        area = a[0] * b[1] - a[1] * b[0]
+        area = momentum_so2(a, b)
         if abs(area) > 0.05:
             return a, b, area
 
@@ -456,10 +449,8 @@ def spanning_configurations(v=None):
     v = np.array([1.0, 0.0, 0.0]) if v is None else np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    patterns = [tuple(int(k == i) for k in range(4)) for i in range(4)]
-    for i, j in itertools.combinations(range(4), 2):
-        patterns.append(tuple(int(k in (i, j)) for k in range(4)))
-    return [np.concatenate([c * v for c in pattern]) for pattern in patterns]
+    slots = [[i] for i in range(4)] + list(_COUPLES)
+    return [np.concatenate([int(k in s) * v for k in range(4)]) for s in slots]
 
 
 def _psd_rank_strata(S):

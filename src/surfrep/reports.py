@@ -70,6 +70,14 @@ def _first_failure(checks):
     return "pass"
 
 
+def _check_sample_budget(samples):
+    """A cone sample count is 1 to MAX_SAMPLES: reject any other before any work."""
+    if samples < 1:
+        raise ValueError("--samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
+
+
 def _check_samples_span(samples, data):
     """Fewer cone samples than dim Z1 can never span Z1: reject before any draw."""
     if samples < data.basis_Z1.shape[1]:
@@ -202,10 +210,7 @@ def stratify_report(group, genus, rep, seed, rank_tol, defect_tol):
 
 def cone_span_report(group, genus, rep, seed, samples, rank_tol, defect_tol):
     """Span of the obstruction cone inside cocycles and harmonic space."""
-    if samples < 1:
-        raise ValueError("--samples must be at least 1")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
+    _check_sample_budget(samples)
     group, pres, text, point, defect = _named_rep(group, genus, rep)
     if defect > defect_tol:
         raise ValueError(f"representation is off the variety (defect {defect:.3e})")
@@ -324,10 +329,7 @@ _WORKED_STRATA = {
 
 def genus2_su2_report(seed, samples, rank_tol, defect_tol):
     """Consolidated reproduction of the genus-2 SU(2) worked example."""
-    if samples < 1:
-        raise ValueError("--samples must be at least 1")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
+    _check_sample_budget(samples)
     group = su2()
     pres = surface_presentation(2)
 

@@ -1,5 +1,6 @@
 """Free-group words, presentations, integer group-ring elements, and right Fox derivatives."""
 
+import itertools
 import re
 from typing import Iterable, List, Tuple
 
@@ -45,9 +46,6 @@ class Word:
     def __repr__(self):
         return format_word(self)
 
-    def is_identity(self):
-        return not self.letters
-
     def max_generator(self):
         return max((g for g, _ in self.letters), default=0)
 
@@ -66,7 +64,7 @@ def reduce(letters: Iterable[Letter]) -> Word:
             stack.pop()
         else:
             stack.append((g, e))
-    return Word(tuple(stack))
+    return _reduced(tuple(stack))
 
 
 def _reduced(letters: Tuple[Letter, ...]) -> Word:
@@ -89,7 +87,7 @@ def word_multiply(u: Word, v: Word) -> Word:
 
 
 def word_invert(w: Word) -> Word:
-    return Word(tuple((g, -e) for g, e in reversed(w.letters)))
+    return _reduced(tuple((g, -e) for g, e in reversed(w.letters)))
 
 
 class GroupRingElement:
@@ -256,19 +254,11 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    if w.is_identity():
-        return "1"
     parts = []
-    run_g, run_e, run_len = None, None, 0
-    for g, e in w.letters + ((0, 0),):
-        if (g, e) == (run_g, run_e):
-            run_len += 1
-            continue
-        if run_len:
-            power = run_e * run_len
-            parts.append(f"x{run_g}" if power == 1 else f"x{run_g}^{power}")
-        run_g, run_e, run_len = g, e, 1
-    return "*".join(parts)
+    for (g, e), run in itertools.groupby(w.letters):
+        power = e * len(list(run))
+        parts.append(f"x{g}" if power == 1 else f"x{g}^{power}")
+    return "*".join(parts) or "1"
 
 
 def format_ring(e: GroupRingElement) -> str:

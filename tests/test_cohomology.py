@@ -100,6 +100,21 @@ def test_rep_point_reports_the_first_malformed_or_off_group_value_in_order():
         RepPoint(G, [EYE, bad, 1.1 * EYE])
 
 
+def test_rep_point_values_are_one_read_only_stack():
+    # a CochainData built from a point cannot go stale: neither a point's
+    # values nor a Newton result's can be written
+    rep = torus_rep()
+    assert rep.values.shape == (4, 2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        rep.values[0] = EYE
+    rng = np.random.default_rng(3)
+    start = RepPoint(G, [y @ G.exp(0.05 * rng.standard_normal(3)) for y in rep.values])
+    out = newton_project_to_variety(P2, G, start)
+    assert out is not start
+    with pytest.raises(ValueError, match="read-only"):
+        out.values[0, 0, 0] = 1.0
+
+
 def test_rep_point_rejects_an_empty_value_list():
     # an empty point used to pass and fail inside numpy in build_complex
     with pytest.raises(ValueError, match="at least one value"):
@@ -707,6 +722,27 @@ def test_cone_directions_span(make, expect):
     dirs, span_z1, span_h1 = sample_cone_directions(P2, make(), count=60, seed=2)
     assert (span_z1, span_h1) == expect
     assert len(dirs) >= 57  # at least 95% of projections succeed
+
+
+@pytest.mark.parametrize("count,eps", [(0, 1e-3), (-5, 1e-3), (10, np.nan), (10, 0.0),
+                                       (10, -1e-3), (10, np.inf)])
+def test_cone_sampling_rejects_inputs_that_draw_nothing(count, eps, monkeypatch):
+    # checked before the complex is built: these used to return no directions
+    # and spans (0, 0) without an error
+    def no_complex(*args, **kwargs):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(cohomology, "build_complex", no_complex)
+    with pytest.raises(ValueError, match="count|eps"):
+        sample_cone_directions(P2, torus_rep(), count=count, eps=eps)
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, -1.0, np.nan, np.inf])
+def test_build_complex_rejects_a_rank_cutoff_that_is_not_finite_and_positive(rank_tol):
+    # rank_tol -1 gave h dims (0, 6, 0) and nan (3, 12, 3) at this point, whose
+    # dims are (1, 8, 1)
+    with pytest.raises(ValueError, match="rank_tol"):
+        build_complex(P2, torus_rep(), rank_tol=rank_tol)
 
 
 def test_cone_directions_are_nearly_flat():

@@ -1,5 +1,6 @@
-"""The demos run to completion as scripts against the package under test, and
-the README's library example prints what its comments say."""
+"""The demos run to completion as scripts against the package under test and
+print their golden stdout (tests/golden/demo-<name>.txt), and the README's
+library example prints what its comments say."""
 
 import contextlib
 import io
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
@@ -20,7 +22,7 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout
+    assert result.stdout == (GOLDEN / f"demo-{Path(demo).stem}.txt").read_text()
 
 
 def test_readme_library_example():

@@ -209,6 +209,7 @@ def test_product_dims_add_and_operations_are_blockwise():
     assert prod.name == "SU2xU1"
     assert prod.dim == 4
     assert prod.matrix_dim == 3
+    assert prod.algebra_basis.shape == (4, 3, 3)
     c = np.array([0.3, -0.2, 0.5, 1.1])
     g = prod.exp(c)
     assert np.allclose(g[:2, :2], su2().exp(c[:3]), atol=1e-13)

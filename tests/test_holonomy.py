@@ -241,9 +241,43 @@ def test_connection_needs_two_nodes():
 def test_connection_rejects_wrong_dimension_and_nonpositive_length():
     with pytest.raises(ValueError, match="group algebra has dim"):
         PathConnection(su2(), 1.0, np.zeros((3, 2)))
-    for b in (0.0, -1.0, np.nan):
+    for b in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="path length"):
             PathConnection(su2(), b, np.zeros((3, 3)))
+
+
+# inputs that cannot work, each with the message it raises before any step is built
+UNWORKABLE = {
+    "no-substeps": (lambda conn, var: holonomy(conn, n_sub=0), "n_sub"),
+    "negative-substeps": (lambda conn, var: horizontal_transport(conn, 0.5, n_sub=-2), "n_sub"),
+    "zero-tol": (lambda conn, var: holonomy(conn, tol=0.0), "tol"),
+    "nan-tol": (lambda conn, var: holonomy(conn, tol=np.nan), "tol"),
+    "negative-tol-derivative": (lambda conn, var: holonomy_derivative(conn, var, tol=-1.0), "tol"),
+    "infinite-tol-fd": (lambda conn, var: holonomy_derivative_fd(conn, var, tol=np.inf), "tol"),
+    "zero-step": (lambda conn, var: holonomy_derivative_fd(conn, var, s=0.0), "step"),
+    "nan-step": (lambda conn, var: holonomy_derivative_fd(conn, var, s=np.nan), "step"),
+}
+
+
+@pytest.mark.parametrize("case", UNWORKABLE)
+def test_unworkable_inputs_are_rejected_before_any_step(case, monkeypatch):
+    conn = random_connection(su2(), seed=14)
+    var = Variation(conn, np.ones_like(conn.values))
+
+    def no_steps(*args):
+        raise AssertionError("a transport step was built")
+
+    monkeypatch.setattr(holonomy_module, "_steps", no_steps)
+    call, match = UNWORKABLE[case]
+    with pytest.raises(ValueError, match=match):
+        call(conn, var)
+
+
+def test_a_negative_finite_difference_step_is_accepted():
+    conn = random_connection(su2(), seed=14)
+    var = Variation(conn, np.ones_like(conn.values))
+    assert np.allclose(holonomy_derivative_fd(conn, var, s=-1e-4),
+                       holonomy_derivative_fd(conn, var), atol=1e-8)
 
 
 def test_variation_rejects_non_finite_samples():
