@@ -11,7 +11,6 @@ import types
 from surfrep.cohomology import (
     BundleClass,
     CochainData,
-    ConvergenceError,
     RepPoint,
     build_complex,
     classify_orbit_type,
@@ -29,6 +28,7 @@ from surfrep.cohomology import (
     stabilizer_fixed_subspace,
 )
 from surfrep.groups import (
+    ConvergenceError,
     LieGroupModel,
     direct_product,
     group_from_name,

@@ -15,7 +15,8 @@ import itertools
 
 import numpy as np
 
-from .groups import RANK_TOL, _cut, _cut_error, _dagger, _frobenius, _norm, _rank
+from .groups import (RANK_TOL, ConvergenceError, _cut, _cut_error, _dagger, _frobenius,
+                     _norm, _rank)
 from .words import fox_terms
 
 # Cone samples per stacked Gauss-Newton pass: a pass holds this many copies of
@@ -25,10 +26,6 @@ CONE_EPS = 1e-3  # step along a unit cocycle before a cone sample is projected b
 # Largest group defect of a point of G (RepPoint values, BundleClass targets and
 # their Ad-action's distance from the identity, projected cone samples)
 GROUP_DEFECT_TOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 class RepPoint:
@@ -61,14 +58,16 @@ class RepPoint:
 
 
 class BundleClass:
-    """A central target value for the relators (the topological twisting)."""
+    """A central target value for the relators (the topological twisting),
+    held as a read-only copy."""
 
     def __init__(self, group, central_element):
-        c = np.asarray(central_element, dtype=complex)
+        c = np.array(central_element, dtype=complex)
         if group.group_defect(c) > GROUP_DEFECT_TOL:
             raise ValueError("central element lies off the group")
         if np.linalg.norm(group.Ad_matrix(c) - np.eye(group.dim)) > GROUP_DEFECT_TOL:
             raise ValueError("element is not central (adjoint action is nontrivial)")
+        c.flags.writeable = False
         self.group = group
         self.central_element = c
 
@@ -430,13 +429,14 @@ def sample_stabilizer(rep, count=8, seed=0, data=None):
     """Center elements plus exponentials of random centralizer directions: ker D0,
     read from data.basis_H0 (data as in obstruction_quadratic, but never built
     here) or, without data, computed as build_complex computes it."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     group = rep.group
     els = [z.copy() for z in group.center_elements]
     Zc = _centralizer(group, rep.values) if data is None else data.basis_H0
     if Zc.shape[1]:
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            els.append(group.exp(Zc @ rng.standard_normal(Zc.shape[1])))
+        X = np.random.default_rng(seed).standard_normal((count, Zc.shape[1]))
+        els.extend(group.exp(np.matmul(Zc, X[..., None])[..., 0]))
     return els
 
 
@@ -446,8 +446,13 @@ def stabilizer_fixed_subspace(pres, rep, elements, data=None):
     data.rank_tol; data as in obstruction_quadratic. The checks scale with it
     too: each element must commute with the values to rank_tol / 10, and its
     action must preserve cocycles (to 10 rank_tol (1 + |D1|)) and coboundaries
-    (to 10 rank_tol)."""
+    (to 10 rank_tol). Every element must first lie on the group."""
     group = rep.group
+    m = group.matrix_dim
+    defects = group._defect(np.asarray(elements, dtype=complex).reshape(len(elements), m, m))
+    off = np.flatnonzero(~(defects <= GROUP_DEFECT_TOL))
+    if off.size:
+        raise ValueError(f"element lies off the group (defect {defects[off[0]]:.3e})")
     if data is None:
         data = build_complex(pres, rep)
     tol = data.rank_tol
@@ -511,7 +516,7 @@ def enumerate_central_reps(pres, group, c=None):
     out = []
     for combo in itertools.product(group.center_elements, repeat=pres.n):
         if _relators_at(pres, group, combo, cm)[1] <= 1e-9:
-            out.append(RepPoint(group, [v.copy() for v in combo]))
+            out.append(RepPoint(group, combo))
     return out
 
 

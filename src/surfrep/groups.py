@@ -59,14 +59,17 @@ def _dagger(g):
     return g.conj().swapaxes(-1, -2)
 
 
+class ConvergenceError(RuntimeError):
+    pass
+
+
 def _rank(s, tol):
     """Numerical rank from descending singular values (or eigenvalue magnitudes):
     the count above tol * max(s[0], 1). The cutoff is relative, floored at the
     O(1) scale of the package's operators so that roundoff-only spectra
-    (s[0] ~ 1e-16) count as rank zero. Every rank decision goes through here."""
-    if len(s) == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > tol * max(s[0], 1.0)))
+    (s[0] ~ 1e-16) count as rank zero. Every rank decision goes through here.
+    One spectrum (k,) gives an int, a stack (..., k) a list of ints per row."""
+    return np.sum(s > tol * np.maximum(s[..., :1], 1.0), axis=-1).tolist()
 
 
 class LieGroupModel:
@@ -260,19 +263,13 @@ def so3():
         u[..., -1] *= np.where(np.linalg.det(u @ vh) < 0, -1.0, 1.0)[..., None]
         return (u @ vh).astype(complex)
 
-    basis = []
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        basis.append(_hat(e).astype(complex))
-    model = LieGroupModel(
-        "SO3", basis, [np.eye(3, dtype=complex)], exp=exp, log=log,
+    return LieGroupModel(
+        "SO3", _hat(np.eye(3)), [np.eye(3, dtype=complex)], exp=exp, log=log,
         random_element=random_element, project=project,
         defect=lambda g: (_unitary_defect(g) + _abs(np.linalg.det(g) - 1)
                           + _frobenius(g.imag)),
-        torus=lambda t: model.exp([0.0, 0.0, t]),
+        torus=lambda t: exp(np.array([0.0, 0.0, t])),
     )
-    return model
 
 
 def u1(center_order=2):

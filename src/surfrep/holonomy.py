@@ -16,8 +16,7 @@ it equals the twisted integral of Ad(a(t)^-1) theta(t), left-translated at the h
 
 import numpy as np
 
-from .cohomology import ConvergenceError
-from .groups import _dagger, _frobenius, _norm
+from .groups import ConvergenceError, _dagger, _frobenius, _norm
 
 MAX_SUBSTEPS = 1024
 TRANSPORT_TOL = 1e-10  # default refinement tolerance of every transport
@@ -39,10 +38,11 @@ def _interpolate(conn, values, t):
 
 
 class PathConnection:
-    """Algebra-valued samples of a connection on a uniform grid over [0, b]."""
+    """Algebra-valued samples of a connection on a uniform grid over [0, b],
+    held as a read-only copy."""
 
     def __init__(self, group, b, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("need at least 2 grid samples of shape (n_nodes, dim)")
         if values.shape[0] > MAX_NODES:
@@ -53,6 +53,7 @@ class PathConnection:
             raise ValueError("connection samples must be finite")
         if not 0 < b < np.inf:
             raise ValueError(f"path length must be finite and positive, got {b}")
+        values.flags.writeable = False
         self.group = group
         self.b = float(b)
         self.values = values
@@ -64,16 +65,18 @@ class PathConnection:
 
 
 class Variation:
-    """A variation 1-form along the same grid as its PathConnection."""
+    """A variation 1-form along the same grid as its PathConnection, held as a
+    read-only copy."""
 
     def __init__(self, conn, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.shape != conn.values.shape:
             raise ValueError(
                 f"variation shape {values.shape} does not match connection grid {conn.values.shape}"
             )
         if not np.isfinite(values).all():
             raise ValueError("variation samples must be finite")
+        values.flags.writeable = False
         self.conn = conn
         self.values = values
 

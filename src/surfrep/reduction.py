@@ -18,8 +18,7 @@ import itertools
 
 import numpy as np
 
-from .cohomology import ConvergenceError
-from .groups import _hat, _norm, _rank, so3, u1
+from .groups import ConvergenceError, _hat, _norm, _rank, so3, u1
 
 RESIDUAL_TOL = 1e-10
 # Largest count sample_zero_locus accepts. The sampler and the stacked
@@ -455,7 +454,7 @@ def spanning_configurations(v=None):
 
 def _psd_rank_strata(S):
     eig = np.linalg.eigvalsh((S + np.swapaxes(S, 1, 2)) / 2.0)
-    ranks = [_rank(row, 1e-9) for row in np.sort(np.abs(eig), axis=1)[:, ::-1]]
+    ranks = _rank(np.sort(np.abs(eig), axis=1)[:, ::-1], 1e-9)
     return ["outside" if low < -1e-9 or rank > 2 else rank
             for low, rank in zip(eig[:, 0], ranks)]
 

@@ -2,7 +2,7 @@
 
 Each builder takes resolved inputs (names, counts, seeds, tolerances), runs
 the library computation and returns ``(payload, status)``: a dict of results
-and ``"pass"``, ``"fail: <check>"`` or ``"skipped: <reason>"``. Bad input
+and ``"pass"`` or ``"fail: <check>"``. Bad input
 raises ValueError and a failed iteration raises ConvergenceError; nothing is
 printed. The genus-2 SU(2) worked example is built from the same pieces as
 the single-representation reports. Each builds a point's complex once, with

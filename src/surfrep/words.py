@@ -109,8 +109,8 @@ class GroupRingElement:
         return cls({Word(): 1})
 
     @classmethod
-    def from_word(cls, w, coef=1):
-        return cls({w: coef})
+    def from_word(cls, w):
+        return cls({w: 1})
 
     def is_zero(self):
         return not self.terms

@@ -102,6 +102,27 @@ def test_stabilizer_and_orbit_type_read_the_complexs_centralizer(name, genus, ki
     assert classify_orbit_type(rep) == _orbit_type(group, data.h_dims[0])
 
 
+@pytest.mark.parametrize("name", ("SU2", "SO3", "U1", "SU2xU1", "SO3xSU2xU1"))
+def test_stabilizer_sample_is_one_exp_per_draw(name):
+    # one stacked draw and exp give each sample the bits of a per-sample loop
+    group = group_from_name(name)
+    pres = surface_presentation(2)
+    for text in ("random:1", rep_text(group, 2, "central")):
+        rep = rep_from_name(pres, group, text)
+        data = build_complex(pres, rep)
+        Zc = data.basis_H0
+        for seed, count in ((0, 1), (1, 8), (5, 13)):
+            rng = np.random.default_rng(seed)
+            expected = [z.copy() for z in group.center_elements]
+            if Zc.shape[1]:
+                expected += [group.exp(Zc @ rng.standard_normal(Zc.shape[1]))
+                             for _ in range(count)]
+            for given in (None, data):
+                els = sample_stabilizer(rep, count, seed, given)
+                assert len(els) == len(expected)
+                assert all(np.array_equal(e, x) for e, x in zip(els, expected))
+
+
 @pytest.mark.parametrize("genus", (2, 3))
 def test_twisted_su2_class_is_irreducible(genus):
     group = su2()

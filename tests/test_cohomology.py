@@ -139,6 +139,15 @@ def test_bundle_class_requires_central_element():
         BundleClass(G, 2 * EYE)
 
 
+def test_bundle_class_keeps_its_own_read_only_copy():
+    target = -EYE.copy()
+    c = BundleClass(G, target)
+    target[0, 0] = np.nan
+    assert np.array_equal(c.central_element, -EYE)
+    with pytest.raises(ValueError, match="read-only"):
+        c.central_element[0, 0] = 1.0
+
+
 # ------------------------------------------------------- group-ring evaluation
 
 def test_evaluate_identity_word_is_identity():
@@ -812,6 +821,26 @@ def test_stabilizer_fixed_subspace_builds_with_its_rank_tol(monkeypatch):
     els = sample_stabilizer(rep, count=6, seed=0)
     assert stabilizer_fixed_subspace(P2, rep, els, data=data) == 4
     assert seen == []
+
+
+@pytest.mark.parametrize("element", [2 * EYE, np.diag([1.0, 1.001])],
+                         ids=["twice-identity", "near-identity"])
+def test_stabilizer_rejects_elements_off_the_group(element):
+    # both commute with the torus values and pass the action checks: off the
+    # group they used to cut the fixed subspace to 0 silently
+    rep = torus_rep()
+    els = sample_stabilizer(rep, count=6, seed=0)
+    assert stabilizer_fixed_subspace(P2, rep, els) == 4
+    with pytest.raises(ValueError, match="off the group"):
+        stabilizer_fixed_subspace(P2, rep, els + [element])
+
+
+def test_stabilizer_sample_rejects_a_negative_count():
+    # a negative count used to return the centre elements alone
+    for rep in (torus_rep(), irreducible_rep()):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_stabilizer(rep, count=-1)
+    assert len(sample_stabilizer(torus_rep(), count=0)) == 2
 
 
 def test_stabilizer_rejects_noncommuting_element():

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from surfrep.cohomology import GROUP_DEFECT_TOL
-from surfrep.groups import direct_product, group_from_name, so3, su2, u1
+from surfrep.groups import _rank, direct_product, group_from_name, so3, su2, u1
 
 
 def models():
@@ -278,3 +278,23 @@ def test_so3_projection_of_reflections_is_a_rotation():
         assert abs(np.linalg.det(P) - 1) < 1e-12
         assert model.group_defect(P) <= GROUP_DEFECT_TOL
         assert np.array_equal(P, model.project_to_group(m))
+
+
+# rank decisions
+
+def test_rank_of_a_stack_is_the_rank_of_each_row():
+    rng = np.random.default_rng(4)
+    rows = [np.zeros(6), np.full(6, 1e-17), np.geomspace(1e-15, 1e-17, 6),
+            np.array([1.0, 1e-7, 1e-9, 0.0, 0.0, 0.0])]
+    for _ in range(40):
+        rows.append(np.sort(np.abs(rng.standard_normal(6))
+                            * 10.0 ** rng.integers(-17, 4, size=6))[::-1])
+    stack = np.array(rows)
+    for tol in (1e-8, 1e-9, 1e-12):
+        ranks = _rank(stack, tol)
+        assert ranks == [_rank(row, tol) for row in stack]
+        assert all(type(r) is int for r in ranks)
+        assert _rank(stack.reshape(4, 11, 6), tol) == np.reshape(ranks, (4, 11)).tolist()
+    assert _rank(stack[:, :0], 1e-8) == [0] * len(stack)
+    assert _rank(np.zeros(0), 1e-8) == 0
+    assert _rank(stack[:4], 1e-8) == [0, 0, 0, 2]

@@ -289,6 +289,26 @@ def test_variation_rejects_non_finite_samples():
             Variation(conn, values)
 
 
+def test_connection_and_variation_keep_their_own_read_only_copy():
+    # a caller's later write used to reach the stored samples, past the
+    # finiteness check: holonomy then refined to MAX_SUBSTEPS and raised
+    # ConvergenceError instead of the constructor's ValueError
+    model = su2()
+    A = np.random.default_rng(15).standard_normal((9, model.dim))
+    conn = PathConnection(model, 1.0, A)
+    theta = np.ones_like(A)
+    var = Variation(conn, theta)
+    expected = holonomy(conn)
+    derivative = holonomy_derivative(conn, var)
+    A[0, 0] = np.nan
+    theta[:] = np.nan
+    assert np.array_equal(holonomy(conn), expected)
+    assert np.array_equal(holonomy_derivative(conn, var), derivative)
+    for obj in (conn, var):
+        with pytest.raises(ValueError, match="read-only"):
+            obj.values[0, 0] = 0.0
+
+
 def test_transport_at_zero_is_identity_and_outside_the_path_raises():
     conn = random_connection(su2(), seed=3)
     assert np.array_equal(horizontal_transport(conn, 0.0), np.eye(2))
