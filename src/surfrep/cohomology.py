@@ -15,17 +15,14 @@ import itertools
 
 import numpy as np
 
-from .groups import (RANK_TOL, ConvergenceError, _cut, _cut_error, _dagger, _frobenius,
-                     _norm, _rank)
+from .groups import (GROUP_DEFECT_TOL, RANK_TOL, ConvergenceError, _cut, _cut_error, _dagger,
+                     _frobenius, _norm, _rank)
 from .words import fox_terms
 
 # Cone samples per stacked Gauss-Newton pass: a pass holds this many copies of
 # the point and of D1, so peak memory does not grow with the sample count.
 CONE_CHUNK = 64
 CONE_EPS = 1e-3  # step along a unit cocycle before a cone sample is projected back
-# Largest group defect of a point of G (RepPoint values, BundleClass targets and
-# their Ad-action's distance from the identity, projected cone samples)
-GROUP_DEFECT_TOL = 1e-10
 
 
 class RepPoint:

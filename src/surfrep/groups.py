@@ -21,6 +21,9 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _CUT_MARGIN = 1e-6
 # default relative cutoff of _rank for the complex (and so for the centralizer, ker D0)
 RANK_TOL = 1e-8
+# Largest group defect of a point of G (RepPoint values, BundleClass targets and
+# their Ad-action's distance from the identity, projected cone samples, gauge elements)
+GROUP_DEFECT_TOL = 1e-10
 
 
 def _norm(x):
@@ -77,7 +80,8 @@ class LieGroupModel:
 
     Group elements are square complex matrices. The factory functions su2(),
     so3(), u1(), direct_product() supply the group's kernels (exp, log,
-    random_element, project, defect), its maximal-torus map t -> element
+    random_element, project, defect, and Ad where it is not the conjugation of
+    the basis), its maximal-torus map t -> element
     (`torus`, None if it has none) and the names of its orbit-type strata by
     centralizer dimension (`stratum_labels`). The log kernel returns the
     coordinates and the rotation angles (..., k), one per factor; an element
@@ -85,7 +89,7 @@ class LieGroupModel:
     """
 
     def __init__(self, name, basis, center_elements, *, exp, log, random_element,
-                 project, defect, torus=None, stratum_labels=None):
+                 project, defect, Ad=None, torus=None, stratum_labels=None):
         self.name = name
         self.algebra_basis = np.asarray(basis, dtype=complex)  # (d, m, m)
         self.dim, self.matrix_dim = self.algebra_basis.shape[:2]
@@ -96,6 +100,7 @@ class LieGroupModel:
         self._random_element = random_element
         self._project = project
         self._defect = defect
+        self._Ad = Ad or self._conjugate_basis
         self.torus = torus
         self.stratum_labels = stratum_labels or {}
 
@@ -136,7 +141,9 @@ class LieGroupModel:
     def Ad_matrix(self, g):
         """Matrix of X -> g X g^-1 in algebra coordinates (real, orthogonal), for
         g (..., m, m)."""
-        g = np.asarray(g, dtype=complex)
+        return self._Ad(np.asarray(g, dtype=complex))
+
+    def _conjugate_basis(self, g):
         conj = np.einsum("...ab,kbc,...cd->...kad", g, self.algebra_basis, _dagger(g))
         return self.matrix_to_algebra(conj).swapaxes(-1, -2)
 
@@ -316,6 +323,13 @@ def direct_product(*factors):
         parts = [f._log(g[..., ms, ms]) for f, ms, _ in blocks]
         return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
+    def Ad(g):
+        """Block-diagonal: each factor's Ad on its own coordinates."""
+        out = np.zeros(g.shape[:-2] + (c0, c0))
+        for f, ms, cs in blocks:
+            out[..., cs, cs] = f._Ad(g[..., ms, ms])
+        return out
+
     zeros = [np.zeros((f.matrix_dim, f.matrix_dim)) for f in factors]
     basis = [assemble(zeros[:k] + [E] + zeros[k + 1:])
              for k, f in enumerate(factors) for E in f.algebra_basis]
@@ -325,7 +339,7 @@ def direct_product(*factors):
         exp=lambda coords: assemble([f.exp(coords[..., cs]) for f, _, cs in blocks]),
         log=log, random_element=lambda rng: assemble([f.random_element(rng) for f in factors]),
         project=lambda M: assemble([f.project_to_group(M[..., ms, ms]) for f, ms, _ in blocks]),
-        defect=lambda g: sum(f._defect(g[..., ms, ms]) for f, ms, _ in blocks),
+        defect=lambda g: sum(f._defect(g[..., ms, ms]) for f, ms, _ in blocks), Ad=Ad,
     )
 
 

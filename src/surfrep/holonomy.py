@@ -5,18 +5,28 @@ linearly interpolated. Transport solves a'(t) = -A(t) a(t), a(0) = e, by
 fourth-order Magnus steps, so a constant connection X transports exactly to
 exp(-X t) and no node leaves the group. Holonomy reads only the last node, so
 its steps are multiplied by a pairwise product tree (N - 1 products); the
-prefix scan of every node serves only the twisted integral. Connections on one
-grid (the finite-difference oracle's three, the gauge check's two) are
-transported as one stack, and each entry is refined until it is stable to tol
-on its own. The derivative of holonomy is taken
-along the affine family whose transport data at parameter s is A - s*theta (the
-convention under which it reduces to the plain integral of theta when A = 0):
-it equals the twisted integral of Ad(a(t)^-1) theta(t), left-translated at the holonomy.
+prefix scan of every node serves only the twisted integral.
+
+A connection is a read-only copy, so its step matrices over the whole path
+cannot go stale: it keeps them, one read-only array per refinement level
+2, 4, ..., MAX_SUBSTEPS that its holonomy or derivative has reached. So its
+holonomy, the derivative's scan and both oracles' holonomy of it build each
+level once. That is at most log2(MAX_SUBSTEPS) arrays and fewer than twice
+the top level's (nodes - 1) * MAX_SUBSTEPS step matrices: at MAX_NODES and
+MAX_SUBSTEPS, under 76 MB for the 6x6 matrices of SO3xSU2xU1, held as long as
+the connection is. Transport to t < b, or at a given n_sub, keeps nothing.
+The finite-difference oracle's two varied connections are transported as one
+stack, each entry refined until it is stable to tol on its own.
+
+The derivative of holonomy is taken along the affine family whose transport
+data at parameter s is A - s*theta (the convention under which it reduces to
+the plain integral of theta when A = 0): it equals the twisted integral of
+Ad(a(t)^-1) theta(t), left-translated at the holonomy.
 """
 
 import numpy as np
 
-from .groups import ConvergenceError, _dagger, _frobenius, _norm
+from .groups import GROUP_DEFECT_TOL, ConvergenceError, _dagger, _frobenius, _norm
 
 MAX_SUBSTEPS = 1024
 TRANSPORT_TOL = 1e-10  # default refinement tolerance of every transport
@@ -58,6 +68,7 @@ class PathConnection:
         self.b = float(b)
         self.values = values
         self.times = np.linspace(0.0, self.b, len(values))
+        self._levels = {}  # n_sub -> own step matrices over [0, b] (_own_steps)
 
     def at(self, t):
         """Linearly interpolated algebra value at time t."""
@@ -106,6 +117,17 @@ def _steps(conn, values, t_end, n_sub):
     omega = -0.5 * hs * (A1 + A2) + (np.sqrt(3) / 12) * hs ** 2 * (A2 @ A1 - A1 @ A2)
     lam, V = np.linalg.eigh(1j * omega)  # Hermitian: exp(omega) = V exp(-i lam) V^H
     return (V * np.exp(-1j * lam)[..., None, :]) @ _dagger(V)
+
+
+def _own_steps(conn, n_sub):
+    """conn's own step matrices over [0, b] at n_sub substeps per cell, as one
+    read-only array, built on first use and kept on conn. Only refinement levels
+    ask, so conn keeps at most log2(MAX_SUBSTEPS) of them."""
+    steps = conn._levels.get(n_sub)
+    if steps is None:
+        steps = conn._levels[n_sub] = _steps(conn, conn.values, conn.b, n_sub)
+        steps.flags.writeable = False
+    return steps
 
 
 def _prefix(mats):
@@ -182,6 +204,8 @@ def horizontal_transport(conn, t, n_sub=None, tol=TRANSPORT_TOL):
         return conn.group.identity()
     if n_sub is not None:
         return _transport(conn, conn.values[None], t, n_sub)[0]
+    if t == conn.b:
+        return _refine(lambda n, live: _product(_own_steps(conn, n))[None], 1, tol, _frobenius)[0]
     return _refined_transport(conn, conn.values[None], t, tol)[0]
 
 
@@ -193,8 +217,8 @@ def _twisted_integral(conn, var, n_sub):
     group = conn.group
     _, grid = _grid(conn, conn.b, n_sub)
     ts = np.concatenate([[0.0], grid[:, 1:].ravel()])
-    mats = np.concatenate([group.identity()[None],
-                           _prefix(_steps(conn, conn.values, conn.b, n_sub))])
+    mats = np.concatenate([group.identity()[None], _own_steps(conn, n_sub)])
+    _prefix(mats[1:])  # in place, on the copy: the kept steps stay as built
     # Ad(a^-1) theta at every node, read off a^-1 Theta a in the algebra basis
     theta = group.algebra_to_matrix(var.at(ts))
     twisted = _dagger(mats) @ theta @ mats
@@ -230,17 +254,22 @@ def holonomy_derivative_fd(conn, var, s=FD_STEP, tol=TRANSPORT_TOL):
     group = conn.group
     plus = PathConnection(group, conn.b, conn.values - s * var.values)
     minus = PathConnection(group, conn.b, conn.values + s * var.values)
-    y, gp, gm = _refined_transport(
-        conn, np.stack([conn.values, plus.values, minus.values]), conn.b, tol)
-    yinv = _dagger(y)
+    gp, gm = _refined_transport(conn, np.stack([plus.values, minus.values]), conn.b, tol)
+    yinv = _dagger(holonomy(conn, tol=tol))
     return (group.log(yinv @ gp) - group.log(yinv @ gm)) / (2 * s)
 
 
 def conjugation_invariance_check(conn, x):
-    """Residual of Hol(Ad(x) A) = x Hol(A) x^-1 for a constant gauge transformation."""
+    """Residual of Hol(Ad(x) A) = x Hol(A) x^-1 for a constant gauge transformation
+    x, which must be a point of the group: ValueError, before any transport,
+    for another shape or a group defect above GROUP_DEFECT_TOL."""
     group = conn.group
-    ad = group.Ad_matrix(x)
-    gauged = PathConnection(group, conn.b, conn.values @ ad.T)
-    lhs, hol = _refined_transport(conn, np.stack([gauged.values, conn.values]), conn.b, TRANSPORT_TOL)
-    rhs = x @ hol @ np.linalg.inv(x)
-    return float(np.linalg.norm(lhs - rhs))
+    m = group.matrix_dim
+    if np.shape(x) != (m, m):
+        raise ValueError(f"gauge element has shape {np.shape(x)}, the group's elements {(m, m)}")
+    defect = group.group_defect(x)
+    if not defect <= GROUP_DEFECT_TOL:
+        raise ValueError(f"gauge element is off the group (defect {defect:.3g})")
+    gauged = PathConnection(group, conn.b, conn.values @ group.Ad_matrix(x).T)
+    rhs = x @ holonomy(conn) @ np.linalg.inv(x)
+    return float(np.linalg.norm(holonomy(gauged) - rhs))

@@ -221,6 +221,17 @@ def test_product_dims_add_and_operations_are_blockwise():
     assert np.allclose(prod.log(g), c, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["SU2xU1", "SO3xSU2xU1", "SU2xSU2", "SO3xSO3"])
+def test_product_Ad_is_its_factors_blocks_bit_for_bit(name):
+    # each factor's Ad fills its own coordinate block: the same bits as
+    # conjugating the whole block-diagonal basis, stacked and one at a time
+    prod = group_from_name(name)
+    g = prod.exp(np.random.default_rng(21).standard_normal((400, prod.dim)))
+    blocks = prod.Ad_matrix(g)
+    assert np.array_equal(blocks, prod._conjugate_basis(g))
+    assert np.array_equal(blocks, [prod._conjugate_basis(x) for x in g])
+
+
 @pytest.mark.parametrize("factors", [(), (su2(),)], ids=["none", "one"])
 def test_product_needs_two_factors(factors):
     with pytest.raises(ValueError, match="at least two factors"):

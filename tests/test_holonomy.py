@@ -8,6 +8,7 @@ from surfrep.cohomology import ConvergenceError
 from surfrep.groups import direct_product, group_from_name, so3, su2, u1
 from surfrep.holonomy import (
     MAX_NODES,
+    MAX_SUBSTEPS,
     PathConnection,
     Variation,
     _prefix,
@@ -515,8 +516,9 @@ def test_stacked_oracles_equal_separate_holonomies(name):
 
 def test_transport_passes_stay_within_the_step_budget(monkeypatch):
     # a pass holds at most (MAX_NODES - 1) * MAX_SUBSTEPS step matrices: with
-    # the cap at 16, the oracle's three entries at 65 nodes run three to a pass
-    # up to 4 substeps per cell, two and one at 8, one at a time at 16
+    # the cap at 16, the oracle's two varied entries at 65 nodes run two to a
+    # pass up to 8 substeps per cell and one at a time at 16, where the stack
+    # raises before the connection's own holonomy is refined
     group = group_from_name("SU2")
     conn = reference_path(group, 8.0, MAX_NODES)
     var = Variation(conn, np.ones_like(conn.values))
@@ -527,8 +529,95 @@ def test_transport_passes_stay_within_the_step_budget(monkeypatch):
     with pytest.raises(ConvergenceError):
         holonomy_derivative_fd(conn, var, tol=1e-14)
     cells = MAX_NODES - 1
-    assert passes == [(3, 2 * cells), (3, 4 * cells), (2, 8 * cells), (1, 8 * cells)] + [
-        (1, 16 * cells)] * 3
+    assert passes == [(2, 2 * cells), (2, 4 * cells), (2, 8 * cells)] + [(1, 16 * cells)] * 2
     assert max(np.prod(shape) for shape in passes) <= cells * 16
     # chunks keep the bits of one pass
     assert np.array_equal(_transport(conn, values, conn.b, 16), whole)
+
+
+# ---------------------------------------------------------------------------
+# A connection's own steps: built once per refinement level, kept on it
+
+
+@pytest.mark.parametrize("path", sorted(REFERENCE_PATHS))
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_kept_steps_give_every_reading_the_bits_of_a_fresh_connection(name, path):
+    # in every order, and read twice, each reading equals the same reading of
+    # a connection that has kept nothing yet
+    group = group_from_name(name)
+    base = reference_path(group, *REFERENCE_PATHS[path])
+    rng = np.random.default_rng(19)
+    theta = rng.standard_normal(base.values.shape)
+    x = group.random_element(rng)
+
+    def fresh():
+        """H, D, F and the gauge residual of a new connection on base's samples."""
+        conn = PathConnection(group, base.b, base.values)
+        var = Variation(conn, theta)
+        return {
+            "H": lambda: holonomy(conn),
+            "D": lambda: holonomy_derivative(conn, var),
+            "F": lambda: holonomy_derivative_fd(conn, var),
+            "G": lambda: conjugation_invariance_check(conn, x),
+        }
+
+    expected = {key: read() for key, read in fresh().items()}
+    for order in ("HDFG", "DHDF", "FHGD", "GDDH"):
+        readings = fresh()
+        for key in order:
+            assert np.array_equal(readings[key](), expected[key]), (order, key)
+
+
+def test_kept_steps_are_read_only_and_the_scan_leaves_them_unchanged():
+    group = group_from_name("SU2xU1")
+    conn = reference_path(group, *REFERENCE_PATHS["smooth"])
+    var = Variation(conn, np.random.default_rng(20).standard_normal(conn.values.shape))
+    derivative = holonomy_derivative(conn, var)
+    assert conn._levels
+    for n, steps in conn._levels.items():
+        assert np.array_equal(steps, _steps(conn, conn.values, conn.b, n))
+        with pytest.raises(ValueError, match="read-only"):
+            steps[0, 0, 0] = 0.0
+    # the derivative scans again, in place on a copy of the kept steps
+    kept = {n: steps.copy() for n, steps in conn._levels.items()}
+    assert np.array_equal(holonomy_derivative(conn, var), derivative)
+    assert kept.keys() == conn._levels.keys()
+    for n, steps in conn._levels.items():
+        assert np.array_equal(steps, kept[n])
+
+
+def test_a_connection_keeps_at_most_one_step_array_per_refinement_level():
+    # transport to t < b and at a given n_sub keep nothing; the refinement
+    # levels over the whole path are kept once each, and this path, which never
+    # settles to 1e-14, reaches every one of them
+    conn = PathConnection(su2(), 1.0, 40 * np.random.default_rng(0).standard_normal((3, 3)))
+    var = Variation(conn, np.ones((3, 3)))
+    for t in np.linspace(0.0, conn.b, 51)[:-1]:
+        horizontal_transport(conn, t, tol=1e-6)
+    for n_sub in (1, 2, 3, 8, 2 * MAX_SUBSTEPS):
+        holonomy(conn, n_sub=n_sub)
+    assert conn._levels == {}
+    with pytest.raises(ConvergenceError):
+        holonomy(conn, tol=1e-14)
+    with pytest.raises(ConvergenceError):
+        holonomy_derivative(conn, var, tol=1e-14)
+    levels = int(np.log2(MAX_SUBSTEPS))
+    assert sorted(conn._levels) == [2 ** k for k in range(1, levels + 1)]
+    for n, steps in conn._levels.items():
+        assert steps.shape == (2 * n, 2, 2)  # two grid cells up to t = b
+
+
+@pytest.mark.parametrize("x, match", [
+    (2 * np.eye(2), "off the group"),
+    (np.eye(3), "shape"),
+    (np.zeros((2, 2)), "off the group"),
+], ids=["twice-identity", "wrong-size", "zero"])
+def test_gauge_element_off_the_group_is_rejected_before_any_transport(x, match, monkeypatch):
+    conn = random_connection(su2(), seed=11)
+
+    def no_steps(*args):
+        raise AssertionError("a transport step was built")
+
+    monkeypatch.setattr(holonomy_module, "_steps", no_steps)
+    with pytest.raises(ValueError, match=match):
+        conjugation_invariance_check(conn, x)
