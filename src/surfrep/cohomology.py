@@ -8,6 +8,11 @@ the cohomology dimensions; the quadratic jet of the relator gives the
 obstruction cone, and Gauss-Newton projection onto the solution variety gives
 tangent-direction sampling. Gauss-Newton runs over a stack of starts at once,
 each sample taking the steps it would take alone.
+
+A point's values are one read-only stack, so nothing built from them can go
+stale: a RepPoint keeps D0 with its SVD and the last complex build_complex made
+of it. That is at most one CochainData and one SVD of D0, all read-only,
+however many presentations or cutoffs are tried.
 """
 
 import bisect
@@ -52,6 +57,8 @@ class RepPoint:
         self.group = group
         self.values = Y
         self.n = len(Y)
+        self._d0 = None  # (D0, u, s, vt), taken once
+        self._complex = None  # ((relator letters, rank_tol), CochainData) of the last build
 
 
 class BundleClass:
@@ -70,7 +77,8 @@ class BundleClass:
 
 
 class CochainData:
-    """Evaluated 3-term complex: operators, ranks, and cohomology bases."""
+    """Evaluated 3-term complex: operators, ranks, and cohomology bases. Made
+    by build_complex, every array read-only, so a point can hand it out again."""
 
     def __init__(self, D0, D1, rank0, rank1, h_dims, basis_H0, basis_Z1,
                  basis_B1, basis_H1, basis_H2, rank_tol):
@@ -155,38 +163,65 @@ def _d1(pres, group, values):
     return D1
 
 
-def _centralizer(group, values):
-    """Orthonormal basis (columns) of the centralizer of the values in the
-    algebra: ker D0, cut at RANK_TOL, from the SVD build_complex takes of D0."""
-    _, s, vt = np.linalg.svd(_d0(group, values))
+def _read_only(*arrays):
+    """The arrays, made read-only; views taken afterwards are read-only too."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _point_d0(rep):
+    """The point's D0 and its SVD (D0, u, s, vt), read-only, taken once and kept."""
+    if rep._d0 is None:
+        D0 = _d0(rep.group, rep.values)
+        rep._d0 = _read_only(D0, *np.linalg.svd(D0))
+    return rep._d0
+
+
+def _point_centralizer(rep):
+    """Orthonormal basis (columns) of the centralizer of the point's values in
+    the algebra: ker D0, cut at RANK_TOL from the point's kept SVD of D0."""
+    _, _, s, vt = _point_d0(rep)
     return vt[_rank(s, RANK_TOL):].T
+
+
+def _centralizer(group, values):
+    """The centralizer of any values (on the group), as a point of them cuts it."""
+    return _point_centralizer(RepPoint(group, values))
 
 
 def build_complex(pres, rep, rank_tol=RANK_TOL):
     """Evaluate the complex at the representation and split off cohomology
-    bases, ranks cut at rank_tol (finite and positive)."""
+    bases, ranks cut at rank_tol (finite and positive). The point keeps the
+    result under its relator letters (not the presentation, whose list may
+    change) and rank_tol: the same key returns the same CochainData, and
+    another builds from the point's kept SVD of D0 and replaces it."""
     if not 0 < rank_tol < np.inf:
         raise ValueError(f"rank_tol must be finite and positive, got {rank_tol}")
-    group = rep.group
-    D0, D1 = _d0(group, rep.values), _d1(pres, group, rep.values)
-
-    u0, s0, vt0 = np.linalg.svd(D0)
+    _check_generators(pres, rep.values)
+    key = (tuple(r.letters for r in pres.relators), rank_tol)
+    if rep._complex is not None and rep._complex[0] == key:
+        return rep._complex[1]
+    D0, u0, s0, vt0 = _point_d0(rep)
     rank0 = _rank(s0, rank_tol)
     basis_H0 = vt0[rank0:].T
     basis_B1 = u0[:, :rank0]
 
-    u1, s1, vt1 = np.linalg.svd(D1)
+    D1 = _d1(pres, rep.group, rep.values)
+    D1, u1, s1, vt1 = _read_only(D1, *np.linalg.svd(D1))
     rank1 = _rank(s1, rank_tol)
     basis_Z1 = vt1[rank1:].T
     basis_H2 = u1[:, rank1:]
 
     stacked = np.vstack([D1, basis_B1.T])
-    _, ss, vts = np.linalg.svd(stacked)
+    _, ss, vts = _read_only(*np.linalg.svd(stacked))
     basis_H1 = vts[_rank(ss, rank_tol):].T
 
     h_dims = (basis_H0.shape[1], basis_H1.shape[1], basis_H2.shape[1])
-    return CochainData(D0, D1, rank0, rank1, h_dims, basis_H0, basis_Z1,
+    data = CochainData(D0, D1, rank0, rank1, h_dims, basis_H0, basis_Z1,
                        basis_B1, basis_H1, basis_H2, rank_tol)
+    rep._complex = (key, data)
+    return data
 
 
 def _relators_at(pres, group, values, cm):
@@ -266,10 +301,11 @@ def obstruction_quadratic(pres, rep, u, data=None):
     """Second-order term of the relator word map along a cocycle direction u
     (n d,), or along each of a stack (k, n d), projected to the complement of
     im D1; coordinates (h2,) or (k, h2) in basis_H2 of data, the point's
-    CochainData (built with the default rank cutoff when omitted). Where H2
-    is zero (on the variety h2 = h0, so wherever the centralizer is discrete)
-    the result is empty and nothing is walked. A stack is walked CONE_CHUNK
-    directions at a time, each direction with the bits it gets alone."""
+    CochainData (when omitted, build_complex's at the default rank cutoff,
+    which the point keeps). Where H2 is zero (on the variety h2 = h0, so
+    wherever the centralizer is discrete) the result is empty and nothing is
+    walked. A stack is walked CONE_CHUNK directions at a time, each direction
+    with the bits it gets alone."""
     group = rep.group
     nd = pres.n * group.dim
     u = np.asarray(u, dtype=float)
@@ -425,12 +461,13 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
 def sample_stabilizer(rep, count=8, seed=0, data=None):
     """Center elements plus exponentials of random centralizer directions: ker D0,
     read from data.basis_H0 (data as in obstruction_quadratic, but never built
-    here) or, without data, computed as build_complex computes it."""
+    here) or, without data, cut at RANK_TOL from the point's kept SVD of D0,
+    the one build_complex cuts."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     group = rep.group
     els = [z.copy() for z in group.center_elements]
-    Zc = _centralizer(group, rep.values) if data is None else data.basis_H0
+    Zc = _point_centralizer(rep) if data is None else data.basis_H0
     if Zc.shape[1]:
         X = np.random.default_rng(seed).standard_normal((count, Zc.shape[1]))
         els.extend(group.exp(np.matmul(Zc, X[..., None])[..., 0]))
@@ -443,37 +480,42 @@ def stabilizer_fixed_subspace(pres, rep, elements, data=None):
     data.rank_tol; data as in obstruction_quadratic. The checks scale with it
     too: each element must commute with the values to rank_tol / 10, and its
     action must preserve cocycles (to 10 rank_tol (1 + |D1|)) and coboundaries
-    (to 10 rank_tol). Every element must first lie on the group."""
+    (to 10 rank_tol). Every element must first lie on the group. The elements
+    are taken as one stack, each with the bits it gets alone: first every
+    element's commuting check, then each element's two action checks in turn,
+    so the first failure raises as a loop over the elements would."""
     group = rep.group
     m = group.matrix_dim
-    defects = group._defect(np.asarray(elements, dtype=complex).reshape(len(elements), m, m))
+    S = np.asarray(elements, dtype=complex).reshape(len(elements), m, m)
+    defects = group._defect(S)
     off = np.flatnonzero(~(defects <= GROUP_DEFECT_TOL))
     if off.size:
         raise ValueError(f"element lies off the group (defect {defects[off[0]]:.3e})")
     if data is None:
         data = build_complex(pres, rep)
     tol = data.rank_tol
-    for s in elements:
-        worst = max(float(np.linalg.norm(s @ y - y @ s)) for y in rep.values)
-        if worst > tol / 10:
-            raise ValueError(f"element does not stabilize the representation ({worst:.3e})")
+    Y = rep.values
+    worst = _frobenius(S[:, None] @ Y - Y @ S[:, None]).max(axis=1)
+    bad = np.flatnonzero(worst > tol / 10)
+    if bad.size:
+        raise ValueError(f"element does not stabilize the representation ({worst[bad[0]]:.3e})")
     H1 = data.basis_H1
     h1 = H1.shape[1]
-    eye_n = np.eye(pres.n)
+    B = np.kron(np.eye(pres.n), group.Ad_matrix(S))  # (elements, n d, n d)
     cocycle_tol = 10 * tol * (1 + np.linalg.norm(data.D1))
     proj = data.basis_B1 @ data.basis_B1.T
     off_b1 = np.eye(len(proj)) - proj
-    # no element constrains H1 until a row says so
-    rows = [np.zeros((0, h1))]
-    for s in elements:
-        B = np.kron(eye_n, group.Ad_matrix(s))
-        # the componentwise action must preserve cocycles and coboundaries
-        if np.linalg.norm(data.D1 @ (B @ data.basis_Z1)) > cocycle_tol:
+    # the componentwise action must preserve cocycles and coboundaries
+    cocycle = _frobenius(data.D1 @ (B @ data.basis_Z1))
+    coboundary = _frobenius(off_b1 @ (B @ data.basis_B1))
+    for z, b in zip(cocycle, coboundary):
+        if z > cocycle_tol:
             raise ValueError("action does not preserve the cocycle space")
-        if np.linalg.norm(off_b1 @ (B @ data.basis_B1)) > 10 * tol:
+        if b > 10 * tol:
             raise ValueError("action does not preserve the coboundary space")
-        rows.append(H1.T @ B @ H1 - np.eye(h1))
-    s = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    # one row block per element; no elements leave all of H1 fixed
+    rows = (H1.T @ B @ H1 - np.eye(h1)).reshape(len(S) * h1, h1)
+    s = np.linalg.svd(rows, compute_uv=False)
     return h1 - _rank(s, data.rank_tol)
 
 
@@ -484,7 +526,7 @@ def _orbit_type(group, k):
 
 def classify_orbit_type(rep):
     """Stabilizer dimension and its stratum label, from the centralizer (ker D0) of the values."""
-    return _orbit_type(rep.group, _centralizer(rep.group, rep.values).shape[1])
+    return _orbit_type(rep.group, _point_centralizer(rep).shape[1])
 
 
 def conjugation_isomorphism_check(pres, rep, x):

@@ -14,7 +14,8 @@ holonomy, the derivative's scan and both oracles' holonomy of it build each
 level once. That is at most log2(MAX_SUBSTEPS) arrays and fewer than twice
 the top level's (nodes - 1) * MAX_SUBSTEPS step matrices: at MAX_NODES and
 MAX_SUBSTEPS, under 76 MB for the 6x6 matrices of SO3xSU2xU1, held as long as
-the connection is. Transport to t < b, or at a given n_sub, keeps nothing.
+the connection is. Transport to t < b, or at a given n_sub (at most
+MAX_SUBSTEPS), keeps nothing.
 The finite-difference oracle's two varied connections are transported as one
 stack, each entry refined until it is stable to tol on its own.
 
@@ -193,10 +194,11 @@ def _refined_transport(conn, values, t_end, tol):
 
 def horizontal_transport(conn, t, n_sub=None, tol=TRANSPORT_TOL):
     """Group element a(t) solving a' = -A a, a(0) = e; refines until stable to tol
-    (ConvergenceError if it is not by MAX_SUBSTEPS), or takes n_sub >= 1
-    substeps per cell when n_sub is given."""
-    if n_sub is not None and n_sub < 1:
-        raise ValueError(f"n_sub must be at least 1, got {n_sub}")
+    (ConvergenceError if it is not by MAX_SUBSTEPS), or takes n_sub substeps
+    per cell when n_sub is given, 1 <= n_sub <= MAX_SUBSTEPS (the refinement's
+    budget, which bounds the step matrices a transport holds)."""
+    if n_sub is not None and not 1 <= n_sub <= MAX_SUBSTEPS:
+        raise ValueError(f"n_sub must be in [1, {MAX_SUBSTEPS}], got {n_sub}")
     if not -1e-12 <= t <= conn.b + 1e-12:
         raise ValueError(f"t = {t} outside [0, {conn.b}]")
     t = float(np.clip(t, 0.0, conn.b))

@@ -5,7 +5,9 @@ where the group has a maximal-torus map): the Euler characteristic, Poincare
 duality h0 = h2 and h1 = 2 h0 + (2g - 2) d, the finite-difference gaps of
 D0 and D1, Ad-equivariance of the complex under conjugation, and one
 centralizer: the stabilizer sample and the orbit type read ker D0 whether or
-not the point's complex is given. Also the twisted SU(2) class c = -I, where
+not the point's complex is given. A point keeps its complex: every per-point
+function gives the bits of a fresh point with the same values, in any call
+order. Also the twisted SU(2) class c = -I, where
 every solution is irreducible, the torus constructor on a product group,
 which has none, and the cross-layer oracle that ties holonomy to Fox calculus:
 D1 at a point of holonomies, applied to their derivatives, is the derivative
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from surfrep.cohomology import (
     BundleClass,
+    CochainData,
     RepPoint,
     _d0,
     _d1,
@@ -32,9 +35,12 @@ from surfrep.cohomology import (
     finite_diff_check_d0,
     finite_diff_check_d1,
     newton_project_to_variety,
+    obstruction_quadratic,
     relator_defect,
     rep_from_name,
+    sample_cone_directions,
     sample_stabilizer,
+    stabilizer_fixed_subspace,
 )
 from surfrep.groups import group_from_name, so3, su2
 from surfrep.holonomy import PathConnection, Variation, holonomy, holonomy_derivative
@@ -100,6 +106,55 @@ def test_stabilizer_and_orbit_type_read_the_complexs_centralizer(name, genus, ki
         alone = np.stack(sample_stabilizer(rep, seed=seed))
         assert np.array_equal(alone, np.stack(sample_stabilizer(rep, seed=seed, data=data)))
     assert classify_orbit_type(rep) == _orbit_type(group, data.h_dims[0])
+
+
+def assert_same(a, b):
+    """Equal bit for bit: arrays by array_equal, a CochainData field by field."""
+    if isinstance(a, CochainData):
+        a, b = vars(a), vars(b)
+        assert a.keys() == b.keys()
+        a, b = list(a.values()), list(b.values())
+    if isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+# the per-point calls, each given the point and the inputs it needs
+POINT_CALLS = {
+    "complex": lambda pres, rep, els, u: build_complex(pres, rep),
+    "orbit": lambda pres, rep, els, u: classify_orbit_type(rep),
+    "stabilizer": lambda pres, rep, els, u: sample_stabilizer(rep, count=4, seed=3),
+    "fixed": lambda pres, rep, els, u: stabilizer_fixed_subspace(pres, rep, els),
+    "cone": lambda pres, rep, els, u: sample_cone_directions(pres, rep, count=4, seed=5),
+    "obstruction": lambda pres, rep, els, u: obstruction_quadratic(pres, rep, u),
+}
+CALL_ORDERS = (
+    ("complex", "orbit", "stabilizer", "fixed", "cone", "obstruction"),
+    ("obstruction", "cone", "fixed", "stabilizer", "orbit", "complex"),
+    ("stabilizer", "fixed", "complex", "obstruction", "orbit", "cone"),
+)
+
+
+@pytest.mark.parametrize("name, genus, kind", CASES, ids=[f"{n}-g{g}-{k}" for n, g, k in CASES])
+def test_a_kept_complex_gives_the_bits_of_a_fresh_point(name, genus, kind):
+    group = group_from_name(name)
+    pres = surface_presentation(genus)
+    values = rep_from_name(pres, group, rep_text(group, genus, kind)).values
+    data = build_complex(pres, RepPoint(group, values))
+    els = sample_stabilizer(RepPoint(group, values), count=4, seed=2)
+    u = 1e-3 * data.basis_Z1[:, :2].T
+    fresh = {call: POINT_CALLS[call](pres, RepPoint(group, values), els, u)
+             for call in POINT_CALLS}
+    for order in CALL_ORDERS:
+        rep = RepPoint(group, values)
+        for call in order:
+            assert_same(POINT_CALLS[call](pres, rep, els, u), fresh[call])
+        assert build_complex(pres, rep) is build_complex(pres, rep)
 
 
 @pytest.mark.parametrize("name", ("SU2", "SO3", "U1", "SU2xU1", "SO3xSU2xU1"))

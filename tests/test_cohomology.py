@@ -849,6 +849,123 @@ def test_stabilizer_rejects_noncommuting_element():
         stabilizer_fixed_subspace(P2, torus_rep(), [G.random_element(rng)])
 
 
+def loop_fixed_subspace(pres, rep, elements, data):
+    """The fixed subspace one element at a time: the reference for the stack."""
+    group, tol = rep.group, data.rank_tol
+    for s in elements:
+        worst = max(float(np.linalg.norm(s @ y - y @ s)) for y in rep.values)
+        if worst > tol / 10:
+            raise ValueError(f"element does not stabilize the representation ({worst:.3e})")
+    H1 = data.basis_H1
+    h1 = H1.shape[1]
+    cocycle_tol = 10 * tol * (1 + np.linalg.norm(data.D1))
+    proj = data.basis_B1 @ data.basis_B1.T
+    off_b1 = np.eye(len(proj)) - proj
+    rows = [np.zeros((0, h1))]
+    for s in elements:
+        B = np.kron(np.eye(pres.n), group.Ad_matrix(s))
+        if np.linalg.norm(data.D1 @ (B @ data.basis_Z1)) > cocycle_tol:
+            raise ValueError("action does not preserve the cocycle space")
+        if np.linalg.norm(off_b1 @ (B @ data.basis_B1)) > 10 * tol:
+            raise ValueError("action does not preserve the coboundary space")
+        rows.append(H1.T @ B @ H1 - np.eye(h1))
+    return h1 - cohomology._rank(np.linalg.svd(np.vstack(rows), compute_uv=False), tol)
+
+
+def test_fixed_subspace_stack_matches_the_loop():
+    # the stack gives the loop's dimension and raises the loop's first error:
+    # every commuting check before any action check, then element by element
+    rng = np.random.default_rng(31)
+    stray = G.random_element(rng)
+    torus_els = sample_stabilizer(torus_rep(), count=6, seed=0)
+    cases = [
+        (central_rep(), build_complex(P2, central_rep()), sample_stabilizer(central_rep(), 6, 1)),
+        (torus_rep(), build_complex(P2, torus_rep()), torus_els),
+        (torus_rep(), build_complex(P2, torus_rep(), 1e-6), torus_els),
+        (irreducible_rep(), build_complex(P2, irreducible_rep()), sample_stabilizer(irreducible_rep())),
+        (torus_rep(), build_complex(P2, torus_rep()), []),
+        # a stray element after one whose action fails: the commuting check names it
+        (torus_rep(), build_complex(P2, irreducible_rep()), torus_els + [stray]),
+        # another point's complex: the action checks fail, the first element first
+        (torus_rep(), build_complex(P2, irreducible_rep()), torus_els),
+        (central_rep(), build_complex(P2, torus_rep()), [stray, EYE]),
+    ]
+    outcomes = set()
+    for rep, data, els in cases:
+        try:
+            expected = loop_fixed_subspace(P2, rep, els, data)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                stabilizer_fixed_subspace(P2, rep, els, data=data)
+            assert str(raised.value) == str(err)
+            outcomes.add(str(err).split(" (")[0])
+        else:
+            assert stabilizer_fixed_subspace(P2, rep, els, data=data) == expected
+    assert outcomes == {"element does not stabilize the representation",
+                        "action does not preserve the cocycle space"}
+
+
+def swapped_p2():
+    """<x1..x4 | [x3,x4][x1,x2]>: P2's generators with other relator letters."""
+    letters = P2.relators[0].letters
+    return Presentation(4, [Word(letters[4:] + letters[:4])])
+
+
+def kept_arrays(rep):
+    """Every array a point holds: its values, its D0 with its SVD, its complex's arrays."""
+    assert set(vars(rep)) == {"group", "values", "n", "_d0", "_complex"}
+    arrays = [rep.values, *(rep._d0 or ())]
+    if rep._complex is not None:
+        key, data = rep._complex
+        assert isinstance(data, cohomology.CochainData)
+        arrays += [a for a in vars(data).values() if isinstance(a, np.ndarray)]
+    return arrays
+
+
+def test_a_point_keeps_one_complex_per_relator_letters_and_rank_tol():
+    rep = torus_rep()
+    assert kept_arrays(rep) == [rep.values]
+    data = build_complex(P2, rep)
+    assert build_complex(P2, rep) is data
+    assert stabilizer_fixed_subspace(P2, rep, sample_stabilizer(rep)) == 4
+    assert build_complex(P2, rep) is data
+    # another cutoff, or other relators on as many generators, get their own complex
+    coarse = build_complex(P2, rep, 1e-6)
+    assert coarse is not data and coarse.rank_tol == 1e-6
+    assert build_complex(P2, rep, 1e-6) is coarse
+    swapped = build_complex(swapped_p2(), rep)
+    assert not np.array_equal(swapped.D1, data.D1)
+    assert np.array_equal(swapped.D1, build_complex(swapped_p2(), torus_rep()).D1)
+    # at most one complex and one SVD of D0, however many keys were tried
+    for tol in (1e-5, 1e-7, 1e-9, 1e-10):
+        build_complex(P2, rep, tol)
+    assert len(kept_arrays(rep)) == 1 + 4 + 7
+    again = build_complex(P2, rep)
+    assert again is not data and np.array_equal(again.basis_H1, data.basis_H1)
+
+
+def test_a_changed_relator_list_is_not_served_a_stale_complex():
+    pres = surface_presentation(2)
+    rep = torus_rep()
+    data = build_complex(pres, rep)
+    pres.relators[0] = swapped_p2().relators[0]
+    rebuilt = build_complex(pres, rep)
+    assert rebuilt is not data
+    assert np.array_equal(rebuilt.D1, build_complex(swapped_p2(), torus_rep()).D1)
+    pres.relators.append(pres.relators[0])
+    assert build_complex(pres, rep).D1.shape == (6, 12)
+
+
+def test_every_kept_array_is_read_only():
+    for rep in (central_rep(), torus_rep(), irreducible_rep()):
+        classify_orbit_type(rep)
+        build_complex(P2, rep)
+        for a in kept_arrays(rep):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+
 def test_centralizer_of_identity_is_whole_algebra():
     basis = _centralizer(G, [EYE])
     assert basis.shape == (3, 3)

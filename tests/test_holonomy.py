@@ -251,6 +251,7 @@ def test_connection_rejects_wrong_dimension_and_nonpositive_length():
 UNWORKABLE = {
     "no-substeps": (lambda conn, var: holonomy(conn, n_sub=0), "n_sub"),
     "negative-substeps": (lambda conn, var: horizontal_transport(conn, 0.5, n_sub=-2), "n_sub"),
+    "too-many-substeps": (lambda conn, var: holonomy(conn, n_sub=MAX_SUBSTEPS + 1), "n_sub"),
     "zero-tol": (lambda conn, var: holonomy(conn, tol=0.0), "tol"),
     "nan-tol": (lambda conn, var: holonomy(conn, tol=np.nan), "tol"),
     "negative-tol-derivative": (lambda conn, var: holonomy_derivative(conn, var, tol=-1.0), "tol"),
@@ -594,8 +595,10 @@ def test_a_connection_keeps_at_most_one_step_array_per_refinement_level():
     var = Variation(conn, np.ones((3, 3)))
     for t in np.linspace(0.0, conn.b, 51)[:-1]:
         horizontal_transport(conn, t, tol=1e-6)
-    for n_sub in (1, 2, 3, 8, 2 * MAX_SUBSTEPS):
+    for n_sub in (1, 2, 3, 8, MAX_SUBSTEPS):
         holonomy(conn, n_sub=n_sub)
+    with pytest.raises(ValueError, match="n_sub"):
+        holonomy(conn, n_sub=2 * MAX_SUBSTEPS)
     assert conn._levels == {}
     with pytest.raises(ConvergenceError):
         holonomy(conn, tol=1e-14)
