@@ -49,9 +49,7 @@ from surfrep.reduction import (
     LinearMomentumModel,
     ZeroLocusPoint,
     check_relations,
-    couple_invariants,
     hilbert_map,
-    minors_3x3,
     momentum_so2,
     momentum_so3,
     psd_rank_stratum,
@@ -75,7 +73,6 @@ from surfrep.words import (
     reduce,
     surface_presentation,
     verify_fox_identity,
-    word_invert,
     word_multiply,
 )
 

@@ -28,6 +28,10 @@ from .words import fox_terms
 # the point and of D1, so peak memory does not grow with the sample count.
 CONE_CHUNK = 64
 CONE_EPS = 1e-3  # step along a unit cocycle before a cone sample is projected back
+# Center tuples enumerate_central_reps may walk, one relator evaluation each:
+# len(center) ** n, four times more per genus for SU(2). 4096 is SU(2) at
+# genus 6 (about 0.7 s on a 2-vCPU host); the genus-2 report walks 16.
+MAX_CENTRAL_TUPLES = 4096
 
 
 class RepPoint:
@@ -67,6 +71,9 @@ class BundleClass:
 
     def __init__(self, group, central_element):
         c = np.array(central_element, dtype=complex)
+        # before the defect, which a non-finite entry would make NaN
+        if not np.isfinite(c).all():
+            raise ValueError("central element must be finite")
         if group.group_defect(c) > GROUP_DEFECT_TOL:
             raise ValueError("central element lies off the group")
         if np.linalg.norm(group.Ad_matrix(c) - np.eye(group.dim)) > GROUP_DEFECT_TOL:
@@ -183,11 +190,6 @@ def _point_centralizer(rep):
     the algebra: ker D0, cut at RANK_TOL from the point's kept SVD of D0."""
     _, _, s, vt = _point_d0(rep)
     return vt[_rank(s, RANK_TOL):].T
-
-
-def _centralizer(group, values):
-    """The centralizer of any values (on the group), as a point of them cuts it."""
-    return _point_centralizer(RepPoint(group, values))
 
 
 def build_complex(pres, rep, rank_tol=RANK_TOL):
@@ -311,11 +313,14 @@ def obstruction_quadratic(pres, rep, u, data=None):
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != nd:
         raise ValueError(f"u must have shape ({nd},) or (k, {nd}), got {u.shape}")
+    U = u.reshape(-1, nd)
+    size = _norm(U)
+    if not np.isfinite(size).all():
+        raise ValueError("direction must be finite")
     if data is None:
         data = build_complex(pres, rep)
-    U = u.reshape(-1, nd)
     lin = np.matmul(data.D1, U[..., None])[..., 0]
-    if (_norm(lin) > 1e-9 * np.maximum(1.0, _norm(U))).any():
+    if not (_norm(lin) <= 1e-9 * np.maximum(1.0, size)).all():
         raise ValueError("direction is not a cocycle (D1 u != 0)")
     H2 = data.basis_H2
     q = np.zeros((len(U), H2.shape[1]))
@@ -392,7 +397,12 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
 
 def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60):
     """Gauss-Newton on the residual log(r_i(y) c^-1), stepping by y_j exp(delta_j).
-    The one-sample case of the stacked iteration that sample_cone_directions runs."""
+    The one-sample case of the stacked iteration that sample_cone_directions runs;
+    tol must be finite and positive, max_iter at least 1."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     values, errors, moved = _gauss_newton(
         pres, group, start.values[:, None], _class_matrix(group, c),
         tol, max_iter, np.eye(pres.n * group.dim))
@@ -548,9 +558,14 @@ def conjugation_isomorphism_check(pres, rep, x):
 
 
 def enumerate_central_reps(pres, group, c=None):
-    """All tuples of center elements whose relator values hit the central target."""
+    """All tuples of center elements whose relator values hit the central target;
+    at most MAX_CENTRAL_TUPLES of them are walked."""
     if not group.center_elements:
         raise ValueError("group has no enumerable center list")
+    k = len(group.center_elements)
+    if k ** pres.n > MAX_CENTRAL_TUPLES:
+        raise ValueError(
+            f"{k} ** {pres.n} center tuples exceed the budget of {MAX_CENTRAL_TUPLES}")
     cm = _class_matrix(group, c)
     out = []
     for combo in itertools.product(group.center_elements, repeat=pres.n):

@@ -117,10 +117,6 @@ class LieGroupModel:
         traces = np.einsum("kij,...ji->...k", self.algebra_basis, np.asarray(M, dtype=complex))
         return -self._scales * traces.real
 
-    def gram_matrix(self):
-        """Trace-form Gram matrix of the basis; identity when the basis is orthonormal."""
-        return self.matrix_to_algebra(self.algebra_basis).T
-
     # exp / log
 
     def exp(self, coords):

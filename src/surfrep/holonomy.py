@@ -71,10 +71,6 @@ class PathConnection:
         self.times = np.linspace(0.0, self.b, len(values))
         self._levels = {}  # n_sub -> own step matrices over [0, b] (_own_steps)
 
-    def at(self, t):
-        """Linearly interpolated algebra value at time t."""
-        return _interpolate(self, self.values, t)
-
 
 class Variation:
     """A variation 1-form along the same grid as its PathConnection, held as a

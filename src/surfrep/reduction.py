@@ -93,10 +93,6 @@ class LinearMomentumModel:
             raise ValueError("point contains non-finite entries")
         return w
 
-    def momentum(self, w):
-        """Momentum value of w as a coordinate vector on the dual algebra."""
-        return self._momentum(self._point(w))
-
 
 def so2_model():
     """SO(2) acting diagonally on (q, p) in R^2 x R^2."""
@@ -357,36 +353,23 @@ def psi_quadratic(S):
 
 
 def _couples(w):
-    # 4x4 table of slot inner products, then each couple's two 2x2 determinants
+    """The six couple invariants, one per couple (a, b) of slot vectors in the
+    order of _COUPLES: the pairing of a ^ b with the momentum, zero on the zero
+    locus. A 4x4 table of slot inner products, then two 2x2 determinants each."""
     V = _so3_slots(w)
     G = np.vecdot(V[..., :, None, :], V[..., None, :, :])
     a, b = G[..., _COUPLES[:, 0], :], G[..., _COUPLES[:, 1], :]
     return a[..., 0] * b[..., 2] - a[..., 2] * b[..., 0] + a[..., 1] * b[..., 3] - a[..., 3] * b[..., 1]
 
 
-def couple_invariants(w):
-    """Six quadratic invariants attached to the slot couples.
-
-    For each couple (a, b) of distinct slot vectors, in the lexicographic
-    order on (q1, q2, p1, p2), the value is the pairing of a ^ b with the
-    momentum, written as a sum of two 2x2 determinants of inner products.
-    These all vanish on the zero locus.
-    """
-    return _couples(np.asarray(w, dtype=float))
-
-
 def _minors(S):
+    """All sixteen 3x3 minors of S (..., 4, 4), row triples varying slowest."""
     a = S[..., _MINOR_ROWS, _MINOR_COLS]
     return (
         a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
         - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
         + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
     )
-
-
-def minors_3x3(S):
-    """All sixteen 3x3 minors of a 4x4 matrix, row triples varying slowest."""
-    return _minors(np.asarray(S, dtype=float))
 
 
 def check_relations(model, point):

@@ -86,10 +86,6 @@ def word_multiply(u: Word, v: Word) -> Word:
     return _reduced(a[:len(a) - k] + b[k:])
 
 
-def word_invert(w: Word) -> Word:
-    return _reduced(tuple((g, -e) for g, e in reversed(w.letters)))
-
-
 class GroupRingElement:
     """Integer combination of words; terms maps Word -> nonzero int coefficient."""
 
@@ -114,10 +110,6 @@ class GroupRingElement:
 
     def is_zero(self):
         return not self.terms
-
-    def augmentation(self):
-        """Image under all generators -> 1, i.e. the coefficient sum."""
-        return sum(self.terms.values())
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms

@@ -4,8 +4,9 @@ perfbench/workloads.py imports its job bodies from the package, and
 perfbench/run.py reads per-layer counters by span name ("layer.function")
 from the tracer's calls and raised tables, which hold only the public
 functions the tracer wraps. A name the library drops would otherwise surface
-only as an ImportError in the bench, or a KeyError in its traced run. The
-files are parsed, never imported or changed.
+only as an ImportError in the bench, or a KeyError in its traced run, and a
+keyword it renames as a TypeError. The files are parsed, never imported or
+changed.
 """
 
 import ast
@@ -61,6 +62,29 @@ def test_every_name_the_workloads_import_is_exported():
     assert len(names) > 10
     missing = [n for n in names if n not in surfrep.__all__ or not hasattr(surfrep, n)]
     assert not missing, missing
+
+
+def test_every_keyword_the_workloads_pass_is_a_parameter():
+    imported = {alias.name for node in ast.walk(parse("workloads.py"))
+                if isinstance(node, ast.ImportFrom) and node.module == "surfrep"
+                for alias in node.names}
+    passed = {(node.func.id, kw.arg) for node in ast.walk(parse("workloads.py"))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in imported for kw in node.keywords}
+    assert {("sample_cone_directions", "eps"), ("holonomy_derivative_fd", "s"),
+            ("sample_zero_locus", "method"), ("newton_project_to_variety", "max_iter")} <= passed
+    missing = [(name, arg) for name, arg in sorted(passed)
+               if arg not in inspect.signature(getattr(surfrep, name)).parameters]
+    assert not missing, missing
+
+
+def test_the_tracer_reads_the_fox_word_by_its_parameter_name():
+    # tracer.py counts fox_derivative's letters from args[0] or kwargs["w"]
+    keys = [node.slice.value for node in ast.walk(parse("tracer.py"))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "kwargs" and isinstance(node.slice, ast.Constant)]
+    assert keys == ["w"]
+    assert next(iter(inspect.signature(surfrep.fox_derivative).parameters)) == "w"
 
 
 def test_every_traced_key_names_a_wrapped_function():

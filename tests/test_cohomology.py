@@ -19,7 +19,7 @@ from surfrep.words import (
 from surfrep import cohomology, reports
 from surfrep.groups import LieGroupModel, group_from_name, su2, u1
 from surfrep.cohomology import (
-    _centralizer,
+    _point_centralizer,
     _d1,
     _suffixes,
     BundleClass,
@@ -137,6 +137,18 @@ def test_bundle_class_requires_central_element():
         BundleClass(G, G.exp([0.3, 0.0, 0.0]))
     with pytest.raises(ValueError, match="lies off the group"):
         BundleClass(G, 2 * EYE)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_bundle_class_rejects_a_non_finite_element(entry):
+    # an all-NaN element passed both checks: relator_defect then returned nan
+    # and sample_cone_directions died in the SVD
+    with pytest.raises(ValueError, match="must be finite"):
+        BundleClass(G, np.full((2, 2), entry, dtype=complex))
+    element = -EYE.copy()
+    element[1, 0] = entry
+    with pytest.raises(ValueError, match="must be finite"):
+        BundleClass(G, element)
 
 
 def test_bundle_class_keeps_its_own_read_only_copy():
@@ -678,6 +690,24 @@ def test_obstruction_rejects_a_direction_of_the_wrong_size_first(monkeypatch, sh
         obstruction_quadratic(P2, central_rep(), np.zeros(shape))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(12,), (3, 12)])
+def test_obstruction_rejects_a_non_finite_direction_first(monkeypatch, entry, shape):
+    # a NaN direction passed the cocycle check and gave [nan nan nan] at the
+    # central point, whose D1 is zero
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the complex before checking u")
+
+    monkeypatch.setattr(cohomology, "build_complex", no_build)
+    u = np.zeros(shape)
+    u.reshape(-1, 12)[-1, 5] = entry
+    with pytest.raises(ValueError, match="direction must be finite"):
+        obstruction_quadratic(P2, central_rep(), u)
+    data = cohomology.CochainData(*([None] * 11))  # no operator is read
+    with pytest.raises(ValueError, match="direction must be finite"):
+        obstruction_quadratic(P2, central_rep(), u, data=data)
+
+
 # ------------------------------------------------------------- Newton solver
 
 def test_newton_returns_solution_unchanged():
@@ -718,6 +748,19 @@ def test_newton_raises_on_iteration_cap():
     start = RepPoint(G, [G.random_element(rng) for _ in range(4)])
     with pytest.raises(ConvergenceError):
         newton_project_to_variety(P2, G, start, tol=1e-9, max_iter=1)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(0.0, 60), (-1.0, 60), (np.nan, 60), (np.inf, 60),
+                                           (1e-9, 0), (1e-9, -5)])
+def test_newton_rejects_a_bad_tolerance_or_iteration_cap_first(monkeypatch, tol, max_iter):
+    # max_iter -5 raised "no convergence after -5 iterations"; tol -1 ran line
+    # searches until they stalled
+    def no_work(*args, **kwargs):
+        raise AssertionError("started Gauss-Newton before checking tol and max_iter")
+
+    monkeypatch.setattr(cohomology, "_gauss_newton", no_work)
+    with pytest.raises(ValueError, match="tol must be finite|max_iter must be at least 1"):
+        newton_project_to_variety(P2, G, torus_rep(), tol=tol, max_iter=max_iter)
 
 
 # ----------------------------------------------------------------- cone spans
@@ -967,12 +1010,12 @@ def test_every_kept_array_is_read_only():
 
 
 def test_centralizer_of_identity_is_whole_algebra():
-    basis = _centralizer(G, [EYE])
+    basis = _point_centralizer(RepPoint(G, [EYE]))
     assert basis.shape == (3, 3)
 
 
 def test_centralizer_of_torus_element():
-    basis = _centralizer(G, [np.diag([1j, -1j])])
+    basis = _point_centralizer(RepPoint(G, [np.diag([1j, -1j])]))
     assert basis.shape == (3, 1)
     # the fixed direction is the third basis axis
     assert abs(abs(basis[2, 0]) - 1.0) < 1e-10
@@ -980,7 +1023,8 @@ def test_centralizer_of_torus_element():
 
 def test_centralizer_of_generic_pair_is_trivial():
     rng = np.random.default_rng(10)
-    basis = _centralizer(G, [G.random_element(rng), G.random_element(rng)])
+    rep = RepPoint(G, [G.random_element(rng), G.random_element(rng)])
+    basis = _point_centralizer(rep)
     assert basis.shape == (3, 0)
 
 
@@ -1038,6 +1082,20 @@ def test_enumerate_central_reps_u1():
 def test_enumerate_rejects_unenumerable_center():
     with pytest.raises(ValueError):
         enumerate_central_reps(P2, u1(center_order=0))
+
+
+def test_enumerate_rejects_too_many_center_tuples_first(monkeypatch):
+    # 64 ** 2 tuples are walked; 65 ** 2 and SU(2) at genus 7 (4 ** 14) are not
+    assert cohomology.MAX_CENTRAL_TUPLES == 4096
+    assert len(enumerate_central_reps(P1, u1(center_order=64))) == 4096
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a center tuple before checking the count")
+
+    monkeypatch.setattr(cohomology, "_relators_at", no_walk)
+    for pres, group in ((P1, u1(center_order=65)), (surface_presentation(7), G)):
+        with pytest.raises(ValueError, match="center tuples exceed the budget of 4096"):
+            enumerate_central_reps(pres, group)
 
 
 def test_enumerate_against_twisted_class_is_empty():

@@ -80,7 +80,8 @@ def test_log_domain_error_at_cut_locus():
 
 def test_basis_orthonormal_under_trace_form():
     for model in models():
-        assert np.allclose(model.gram_matrix(), np.eye(model.dim), atol=1e-12)
+        gram = model.matrix_to_algebra(model.algebra_basis).T
+        assert np.allclose(gram, np.eye(model.dim), atol=1e-12)
 
 
 def test_coordinate_roundtrip():

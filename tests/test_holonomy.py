@@ -54,11 +54,12 @@ def test_constant_connection_closed_form():
 
 
 def test_off_grid_transport_matches_two_node_holonomy():
-    # up to t inside the first cell the path is the two-node segment to conn.at(t)
+    # up to t inside the first cell the path is the two-node segment to its value at t
     model = su2()
     conn = random_connection(model, n_nodes=5, seed=15, scale=2.0)
     t = 0.17
-    segment = PathConnection(model, t, [conn.values[0], conn.at(t)])
+    end = holonomy_module._interpolate(conn, conn.values, t)
+    segment = PathConnection(model, t, [conn.values[0], end])
     assert np.linalg.norm(horizontal_transport(conn, t) - holonomy(segment)) < 1e-12
     for n_sub in (2, 16):
         assert np.linalg.norm(

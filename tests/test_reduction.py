@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from surfrep.reduction import (
+    _couples,
+    _minors,
     ZeroLocusPoint,
     check_relations,
-    couple_invariants,
     hilbert_map,
-    minors_3x3,
     momentum_so2,
     momentum_so3,
     psd_rank_stratum,
@@ -75,15 +75,15 @@ def test_model_momentum_matches_standalone():
     m2, m3 = so2_model(), so3_model()
     for _ in range(20):
         w = rng.standard_normal(4)
-        assert m2.momentum(w)[0] == momentum_so2(w[0:2], w[2:4])
+        assert m2._momentum(m2._point(w))[0] == momentum_so2(w[0:2], w[2:4])
         w = rng.standard_normal(12)
         q1, q2, p1, p2 = slots(w)
-        assert np.all(m3.momentum(w) == momentum_so3(q1, p1, q2, p2))
+        assert np.all(m3._momentum(m3._point(w)) == momentum_so3(q1, p1, q2, p2))
 
 
 def test_momentum_of_zero_is_zero():
     for model in (so2_model(), so3_model()):
-        assert np.all(model.momentum(np.zeros(model.W_dim)) == 0.0)
+        assert np.all(model._momentum(model._point(np.zeros(model.W_dim))) == 0.0)
 
 
 def test_model_fields():
@@ -109,8 +109,8 @@ def test_momentum_equivariance():
         for _ in range(100):
             g = model.group.random_element(rng)
             w = rng.standard_normal(model.W_dim)
-            lhs = model.momentum(model.action(g) @ w)
-            rhs = model.coad(g) @ model.momentum(w)
+            lhs = model._momentum(model._point(model.action(g) @ w))
+            rhs = model.coad(g) @ model._momentum(model._point(w))
             assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -157,11 +157,11 @@ def test_sampler_rejects_an_empty_sample():
 def test_model_point_rejects_wrong_length_and_non_finite(model):
     model = model()
     with pytest.raises(ValueError, match=f"length {model.W_dim}"):
-        model.momentum(np.zeros(model.W_dim + 1))
+        model._point(np.zeros(model.W_dim + 1))
     w = np.zeros(model.W_dim)
     w[-1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        model.momentum(w)
+        model._point(w)
 
 
 def test_triple_determinants_vanish_on_zero_locus():
@@ -247,7 +247,7 @@ def test_couple_invariants_match_cross_pairing_everywhere():
             float(np.cross(vecs[i], vecs[j]) @ mu)
             for i, j in itertools.combinations(range(4), 2)
         ]
-        got = couple_invariants(w)
+        got = _couples(w)
         assert got.shape == (6,)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -256,7 +256,7 @@ def test_minors_match_determinant_route():
     rng = np.random.default_rng(10)
     M = rng.standard_normal((4, 4))
     S = M + M.T
-    got = minors_3x3(S)
+    got = _minors(S)
     assert got.shape == (16,)
     direct = [
         np.linalg.det(S[np.ix_(rows, cols)])
@@ -267,7 +267,7 @@ def test_minors_match_determinant_route():
 
 
 def test_minors_spot_check_diagonal():
-    got = minors_3x3(np.diag([1.0, 2.0, 3.0, 4.0]))
+    got = _minors(np.diag([1.0, 2.0, 3.0, 4.0]))
     # aligned row/column triples give products, misaligned give zero
     assert got[0] == 6.0 and got[15] == 24.0
     assert np.count_nonzero(got) == 4

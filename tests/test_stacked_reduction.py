@@ -25,9 +25,7 @@ from surfrep.reduction import (
     _couples,
     _minors,
     check_relations,
-    couple_invariants,
     hilbert_map,
-    minors_3x3,
     psi_quadratic,
     relation_residual_max,
     sample_zero_locus,
@@ -78,9 +76,9 @@ def test_samples_and_relations_match_the_one_point_path(name, method, seed):
            "relations": _sha(relations.tobytes()),
            "labels": _sha(labels.encode())}
     if name == "SO3":
-        got["couples"] = _sha(np.stack([couple_invariants(pt.w) for pt in points]).tobytes())
+        got["couples"] = _sha(np.stack([_couples(pt.w) for pt in points]).tobytes())
         got["minors"] = _sha(np.stack(
-            [minors_3x3(hilbert_map(model, pt.w)) for pt in points]).tobytes())
+            [_minors(hilbert_map(model, pt.w)) for pt in points]).tobytes())
     assert got == ONE_POINT_DIGESTS[name, method, seed]
 
 
@@ -95,7 +93,7 @@ def test_stacked_kernels_match_one_point_calls(name):
     stacked = model._relations(images, W)
     labels = model._stratum(images)
     for s, w in enumerate(W):
-        assert np.array_equal(model._momentum(W)[s], model.momentum(w))
+        assert np.array_equal(model._momentum(W)[s], model._momentum(model._point(w)))
         assert np.array_equal(images[s], hilbert_map(model, w))
         assert np.array_equal(model._jacobian(W)[s], model._jacobian(w))
         image = hilbert_map(model, w)
@@ -220,7 +218,7 @@ def one_at_a_time_newton(model, count, seed):
         for _ in range(reduction.NEWTON_STARTS):
             w = rng.standard_normal(model.W_dim)
             for _ in range(reduction.NEWTON_ITERS):
-                mu = model.momentum(w)
+                mu = model._momentum(model._point(w))
                 if np.linalg.norm(mu) < 1e-12:
                     break
                 step, *_ = np.linalg.lstsq(model._jacobian(w), -mu, rcond=None)
