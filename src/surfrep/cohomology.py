@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from .groups import (GROUP_DEFECT_TOL, RANK_TOL, ConvergenceError, _cut, _cut_error, _dagger,
-                     _frobenius, _norm, _rank)
+                     _elements, _frobenius, _norm, _rank)
 from .words import fox_terms
 
 # Cone samples per stacked Gauss-Newton pass: a pass holds this many copies of
@@ -36,28 +36,12 @@ MAX_CENTRAL_TUPLES = 4096
 
 class RepPoint:
     """A representation of the free group: one group element per generator,
-    held as one read-only stack (n, m, m). Values are checked in order, each
-    for shape, finiteness, then its group defect; the defects of the
-    well-formed values are taken as one stack."""
+    held as one read-only stack (n, m, m), checked as groups._elements checks."""
 
     def __init__(self, group, values):
-        vals = [np.asarray(v, dtype=complex) for v in values]
-        if not vals:
+        Y = _elements(group, values, "representation matrix")
+        if not len(Y):
             raise ValueError("a representation needs at least one value")
-        shape = (group.matrix_dim, group.matrix_dim)
-        bad = next((i for i, v in enumerate(vals)
-                    if v.shape != shape or not np.isfinite(v).all()), len(vals))
-        Y = np.asarray(vals[:bad]).reshape((bad,) + shape)
-        defects = group._defect(Y)
-        off = np.flatnonzero(defects > GROUP_DEFECT_TOL)
-        if off.size:
-            raise ValueError(f"matrix lies off the group (defect {defects[off[0]]:.3e})")
-        if bad < len(vals):
-            if vals[bad].shape != shape:
-                raise ValueError(
-                    f"representation matrices must have shape {shape}, got {vals[bad].shape}")
-            raise ValueError("representation matrices must be finite")
-        Y.flags.writeable = False
         self.group = group
         self.values = Y
         self.n = len(Y)
@@ -66,19 +50,13 @@ class RepPoint:
 
 
 class BundleClass:
-    """A central target value for the relators (the topological twisting),
-    held as a read-only copy."""
+    """A central target value for the relators (the topological twisting): a
+    point of the group (groups._elements) held as a read-only copy."""
 
     def __init__(self, group, central_element):
-        c = np.array(central_element, dtype=complex)
-        # before the defect, which a non-finite entry would make NaN
-        if not np.isfinite(c).all():
-            raise ValueError("central element must be finite")
-        if group.group_defect(c) > GROUP_DEFECT_TOL:
-            raise ValueError("central element lies off the group")
+        (c,) = _elements(group, [central_element], "central element")
         if np.linalg.norm(group.Ad_matrix(c) - np.eye(group.dim)) > GROUP_DEFECT_TOL:
             raise ValueError("element is not central (adjoint action is nontrivial)")
-        c.flags.writeable = False
         self.group = group
         self.central_element = c
 
@@ -490,17 +468,13 @@ def stabilizer_fixed_subspace(pres, rep, elements, data=None):
     data.rank_tol; data as in obstruction_quadratic. The checks scale with it
     too: each element must commute with the values to rank_tol / 10, and its
     action must preserve cocycles (to 10 rank_tol (1 + |D1|)) and coboundaries
-    (to 10 rank_tol). Every element must first lie on the group. The elements
-    are taken as one stack, each with the bits it gets alone: first every
-    element's commuting check, then each element's two action checks in turn,
-    so the first failure raises as a loop over the elements would."""
+    (to 10 rank_tol). Every element must first be a point of the group
+    (groups._elements). The elements are taken as one stack, each with the
+    bits it gets alone: first every element's commuting check, then each
+    element's two action checks in turn, so the first failure raises as a loop
+    over the elements would."""
     group = rep.group
-    m = group.matrix_dim
-    S = np.asarray(elements, dtype=complex).reshape(len(elements), m, m)
-    defects = group._defect(S)
-    off = np.flatnonzero(~(defects <= GROUP_DEFECT_TOL))
-    if off.size:
-        raise ValueError(f"element lies off the group (defect {defects[off[0]]:.3e})")
+    S = _elements(group, elements, "stabilizer element")
     if data is None:
         data = build_complex(pres, rep)
     tol = data.rank_tol
@@ -540,9 +514,11 @@ def classify_orbit_type(rep):
 
 
 def conjugation_isomorphism_check(pres, rep, x):
-    """True iff conjugating the representation by x leaves the cohomology dims
-    unchanged and Ad(x) intertwines the evaluated operators."""
+    """True iff conjugating the representation by x, a point of the group
+    (groups._elements), leaves the cohomology dims unchanged and Ad(x)
+    intertwines the evaluated operators."""
     group = rep.group
+    (x,) = _elements(group, [x], "conjugating element")
     xi = np.linalg.inv(x)
     crep = RepPoint(group, [x @ y @ xi for y in rep.values])
     a = build_complex(pres, rep)
@@ -603,6 +579,8 @@ def rep_from_name(pres, group, text):
             angles = [float(s) for s in items]
         except ValueError:
             raise ValueError(f"bad angle list {arg!r}") from None
+        if not np.isfinite(angles).all():
+            raise ValueError(f"bad angle list {arg!r}")
         if len(angles) != pres.n:
             raise ValueError(f"need {pres.n} angles, got {len(angles)}")
         if group.torus is None:

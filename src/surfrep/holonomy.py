@@ -27,7 +27,7 @@ Ad(a(t)^-1) theta(t), left-translated at the holonomy.
 
 import numpy as np
 
-from .groups import GROUP_DEFECT_TOL, ConvergenceError, _dagger, _frobenius, _norm
+from .groups import ConvergenceError, _dagger, _elements, _frobenius, _norm
 
 MAX_SUBSTEPS = 1024
 TRANSPORT_TOL = 1e-10  # default refinement tolerance of every transport
@@ -87,9 +87,6 @@ class Variation:
         values.flags.writeable = False
         self.conn = conn
         self.values = values
-
-    def at(self, t):
-        return _interpolate(self.conn, self.values, t)
 
 
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # on [0, 1]
@@ -218,7 +215,7 @@ def _twisted_integral(conn, var, n_sub):
     mats = np.concatenate([group.identity()[None], _own_steps(conn, n_sub)])
     _prefix(mats[1:])  # in place, on the copy: the kept steps stay as built
     # Ad(a^-1) theta at every node, read off a^-1 Theta a in the algebra basis
-    theta = group.algebra_to_matrix(var.at(ts))
+    theta = group.algebra_to_matrix(_interpolate(conn, var.values, ts))
     twisted = _dagger(mats) @ theta @ mats
     integrand = group.matrix_to_algebra(twisted)
     # composite Simpson per grid cell (nodes align, n_sub even)
@@ -259,15 +256,11 @@ def holonomy_derivative_fd(conn, var, s=FD_STEP, tol=TRANSPORT_TOL):
 
 def conjugation_invariance_check(conn, x):
     """Residual of Hol(Ad(x) A) = x Hol(A) x^-1 for a constant gauge transformation
-    x, which must be a point of the group: ValueError, before any transport,
-    for another shape or a group defect above GROUP_DEFECT_TOL."""
+    x, which must be a point of the group (groups._elements): ValueError, before
+    any transport, for another shape, a non-finite entry or a group defect above
+    GROUP_DEFECT_TOL."""
     group = conn.group
-    m = group.matrix_dim
-    if np.shape(x) != (m, m):
-        raise ValueError(f"gauge element has shape {np.shape(x)}, the group's elements {(m, m)}")
-    defect = group.group_defect(x)
-    if not defect <= GROUP_DEFECT_TOL:
-        raise ValueError(f"gauge element is off the group (defect {defect:.3g})")
+    (x,) = _elements(group, [x], "gauge element")
     gauged = PathConnection(group, conn.b, conn.values @ group.Ad_matrix(x).T)
     rhs = x @ holonomy(conn) @ np.linalg.inv(x)
     return float(np.linalg.norm(holonomy(gauged) - rhs))

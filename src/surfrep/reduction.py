@@ -388,6 +388,8 @@ def check_relations(model, point):
 def relation_residual_max(model, points):
     """Largest check_relations value over the points, read from the rows
     their validating passes stored, one gather per pass."""
+    if not points:
+        raise ValueError("the point list is empty")
     tables = {}
     for point in points:
         _check_model(model, point)
@@ -403,6 +405,8 @@ def _check_model(model, point):
 
 def stratum_histogram(model, points):
     """Count of each stratum label over the points, by sorted label."""
+    if not points:
+        raise ValueError("the point list is empty")
     labels = model._stratum(model._hilbert(_points_array(points)))
     return {label: labels.count(label) for label in sorted(set(labels))}
 
