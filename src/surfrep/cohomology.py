@@ -16,21 +16,22 @@ however many presentations or cutoffs are tried.
 """
 
 import bisect
+import dataclasses
 import itertools
 
 import numpy as np
 
 from .groups import (GROUP_DEFECT_TOL, RANK_TOL, ConvergenceError, _cut, _cut_error, _dagger,
-                     _elements, _frobenius, _norm, _rank)
+                     _elements, _frobenius, _norm, _on_group, _rank)
 from .words import fox_terms
 
 # Cone samples per stacked Gauss-Newton pass: a pass holds this many copies of
 # the point and of D1, so peak memory does not grow with the sample count.
 CONE_CHUNK = 64
 CONE_EPS = 1e-3  # step along a unit cocycle before a cone sample is projected back
-# Center tuples enumerate_central_reps may walk, one relator evaluation each:
-# len(center) ** n, four times more per genus for SU(2). 4096 is SU(2) at
-# genus 6 (about 0.7 s on a 2-vCPU host); the genus-2 report walks 16.
+# Center tuples enumerate_central_reps may walk, as one stack of relator
+# evaluations: len(center) ** n, four times more per genus for SU(2). 4096 is
+# SU(2) at genus 6 (about 0.3 s on a 2-vCPU host); the genus-2 report walks 16.
 MAX_CENTRAL_TUPLES = 4096
 
 
@@ -61,23 +62,23 @@ class BundleClass:
         self.central_element = c
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
 class CochainData:
-    """Evaluated 3-term complex: operators, ranks, and cohomology bases. Made
-    by build_complex, every array read-only, so a point can hand it out again."""
+    """Evaluated 3-term complex: operators, ranks, and cohomology bases. Made by
+    build_complex, every array read-only and no field rebindable, so a point can
+    hand it out again. Equal only to itself: its arrays have no one truth value."""
 
-    def __init__(self, D0, D1, rank0, rank1, h_dims, basis_H0, basis_Z1,
-                 basis_B1, basis_H1, basis_H2, rank_tol):
-        self.D0 = D0
-        self.D1 = D1
-        self.rank0 = rank0
-        self.rank1 = rank1
-        self.h_dims = h_dims
-        self.basis_H0 = basis_H0
-        self.basis_Z1 = basis_Z1
-        self.basis_B1 = basis_B1
-        self.basis_H1 = basis_H1
-        self.basis_H2 = basis_H2
-        self.rank_tol = rank_tol
+    D0: np.ndarray
+    D1: np.ndarray
+    rank0: int
+    rank1: int
+    h_dims: tuple
+    basis_H0: np.ndarray
+    basis_Z1: np.ndarray
+    basis_B1: np.ndarray
+    basis_H1: np.ndarray
+    basis_H2: np.ndarray
+    rank_tol: float
 
 
 def _class_matrix(group, c):
@@ -389,14 +390,6 @@ def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60)
     return RepPoint(group, values[:, 0]) if moved[0] else start
 
 
-def _on_group(group, values):
-    """Mask of the samples of stacked values (n, S, m, m) that RepPoint accepts:
-    finite, and no value further than GROUP_DEFECT_TOL from the group."""
-    ok = np.isfinite(values).all(axis=(0, 2, 3))
-    ok[ok] = ~(group._defect(values[:, ok]) > GROUP_DEFECT_TOL).any(axis=0)
-    return ok
-
-
 def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, data=None):
     """Harvest variety tangent directions: step along random cocycles, project
     back within the slice transverse to the conjugation orbit (everywhere at a
@@ -430,10 +423,10 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
         U = np.matmul(Z1, rng.standard_normal((size, Z1.shape[1]))[..., None])[..., 0]
         U = U / _norm(U)[:, None]
         starts = Y @ group.exp((eps * U).reshape(size, n, d).swapaxes(0, 1))
-        star, errors, _ = _gauss_newton(pres, group, starts[:, _on_group(group, starts)],
-                                        cm, 1e-12, 80, slice_basis)
+        ok = _on_group(group, starts).all(axis=0)
+        star, errors, _ = _gauss_newton(pres, group, starts[:, ok], cm, 1e-12, 80, slice_basis)
         star = star[:, [e is None for e in errors]]
-        star = star[:, _on_group(group, star)]
+        star = star[:, _on_group(group, star).all(axis=0)]
         # sample-major, so a cut raises for the sample a one-at-a-time loop reaches first
         xi = group.log((_dagger(Y) @ star).swapaxes(0, 1)).reshape(-1, n * d)
         xi = np.matmul(Z1, np.matmul(Z1.T, xi[..., None]))[..., 0]
@@ -535,19 +528,16 @@ def conjugation_isomorphism_check(pres, rep, x):
 
 def enumerate_central_reps(pres, group, c=None):
     """All tuples of center elements whose relator values hit the central target;
-    at most MAX_CENTRAL_TUPLES of them are walked."""
+    at most MAX_CENTRAL_TUPLES of them, walked as one stack of samples."""
     if not group.center_elements:
         raise ValueError("group has no enumerable center list")
     k = len(group.center_elements)
     if k ** pres.n > MAX_CENTRAL_TUPLES:
         raise ValueError(
             f"{k} ** {pres.n} center tuples exceed the budget of {MAX_CENTRAL_TUPLES}")
-    cm = _class_matrix(group, c)
-    out = []
-    for combo in itertools.product(group.center_elements, repeat=pres.n):
-        if _relators_at(pres, group, combo, cm)[1] <= 1e-9:
-            out.append(RepPoint(group, combo))
-    return out
+    combos = np.array(list(itertools.product(group.center_elements, repeat=pres.n)))
+    hit = _relators_at(pres, group, combos.swapaxes(0, 1), _class_matrix(group, c))[1] <= 1e-9
+    return [RepPoint(group, combo) for combo in combos[hit]]
 
 
 def rep_from_name(pres, group, text):
@@ -589,6 +579,8 @@ def rep_from_name(pres, group, text):
     if kind == "random":
         try:
             seed = int(arg)
+            if seed < 0:  # numpy's own error would not name the input
+                raise ValueError
         except ValueError:
             raise ValueError(f"bad seed {arg!r}") from None
         for attempt in range(8):

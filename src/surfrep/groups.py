@@ -21,8 +21,7 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _CUT_MARGIN = 1e-6
 # default relative cutoff of _rank for the complex (and so for the centralizer, ker D0)
 RANK_TOL = 1e-8
-# Largest group defect of a point of G (_elements, and the cone samples' mask), and
-# the largest distance of a BundleClass target's Ad-action from the identity
+# Largest defect of a point of G (_on_group), and BundleClass's bound on |Ad(c) - I|
 GROUP_DEFECT_TOL = 1e-10
 
 
@@ -66,25 +65,28 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+def _on_group(group, Y):
+    """Mask over the leading axes of Y (..., m, m): True where a matrix is a point
+    of G, finite with defect within GROUP_DEFECT_TOL (taken of finite ones only)."""
+    ok = np.isfinite(Y).all(axis=(-2, -1))
+    ok[ok] = ~(group._defect(Y[ok]) > GROUP_DEFECT_TOL)
+    return ok
+
+
 def _elements(group, elements, what):
     """The elements as one read-only (k, m, m) complex stack, a copy; each must be
-    a point of the group. They are checked in order, each for shape, then
-    finiteness, then its group defect (the defects of the elements before the
-    first malformed one taken as one stack), and the first that fails raises a
-    ValueError naming `what`."""
+    a point of the group. They are checked in order, each for shape and then by
+    _on_group, and the first that fails raises a ValueError naming `what`."""
     els = [np.asarray(g, dtype=complex) for g in elements]
     shape = (group.matrix_dim, group.matrix_dim)
-    bad = next((i for i, g in enumerate(els)
-                if g.shape != shape or not np.isfinite(g).all()), len(els))
+    bad = next((i for i, g in enumerate(els) if g.shape != shape), len(els))
     Y = np.asarray(els[:bad], dtype=complex).reshape((bad,) + shape)
-    defects = group._defect(Y)
-    off = np.flatnonzero(defects > GROUP_DEFECT_TOL)
-    if off.size:
-        raise ValueError(f"{what} lies off the group (defect {defects[off[0]]:.3e})")
+    off = Y[~_on_group(group, Y)]
+    if len(off):
+        raise ValueError(f"{what} lies off the group (defect {group.group_defect(off[0]):.3e})"
+                         if np.isfinite(off[0]).all() else f"{what} must be finite")
     if bad < len(els):
-        if els[bad].shape != shape:
-            raise ValueError(f"{what} must have shape {shape}, got {els[bad].shape}")
-        raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} must have shape {shape}, got {els[bad].shape}")
     Y.flags.writeable = False
     return Y
 

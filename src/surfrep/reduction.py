@@ -207,10 +207,6 @@ class ZeroLocusPoint:
         return points
 
 
-def _points_array(points):
-    return np.stack([point.w for point in points])
-
-
 def _construct_so2(rng, count):
     # point `index` draws q, then for index % 6 != 3 a factor t with p = t q
     scaled = np.arange(1, count) % 6 != 3
@@ -386,13 +382,11 @@ def check_relations(model, point):
 
 
 def relation_residual_max(model, points):
-    """Largest check_relations value over the points, read from the rows
-    their validating passes stored, one gather per pass."""
-    if not points:
-        raise ValueError("the point list is empty")
+    """Largest check_relations value over points that pass _point_vectors'
+    check, read from the rows their validating passes stored, one gather per pass."""
+    _point_vectors(model, points)
     tables = {}
     for point in points:
-        _check_model(model, point)
         tables.setdefault(id(point._relations), (point._relations, []))[1].append(point._row)
     return max(0.0, max(float(np.max(values[rows]))
                         for relations, rows in tables.values() for values in relations.values()))
@@ -401,13 +395,20 @@ def relation_residual_max(model, points):
 def _check_model(model, point):
     if point.model.name != model.name:
         raise ValueError(f"point of model {point.model.name}, not {model.name}")
+    return point
+
+
+def _point_vectors(model, points):
+    """The points' vectors (k, W_dim), after every point list's check: the list
+    is non-empty and each point is of the reader's model."""
+    if not points:
+        raise ValueError("the point list is empty")
+    return np.stack([_check_model(model, point).w for point in points])
 
 
 def stratum_histogram(model, points):
     """Count of each stratum label over the points, by sorted label."""
-    if not points:
-        raise ValueError("the point list is empty")
-    labels = model._stratum(model._hilbert(_points_array(points)))
+    labels = model._stratum(model._hilbert(_point_vectors(model, points)))
     return {label: labels.count(label) for label in sorted(set(labels))}
 
 
@@ -420,7 +421,7 @@ def zariski_dim_at_origin(model, samples):
     """
     if len(samples) < 2 * model.invariant_count:
         raise ValueError("not enough samples to trust the span rank")
-    rows = model._hilbert(_points_array(samples)).reshape(len(samples), -1)
+    rows = model._hilbert(_point_vectors(model, samples)).reshape(len(samples), -1)
     return _rank(np.linalg.svd(rows, compute_uv=False), 1e-8)
 
 

@@ -14,11 +14,10 @@ from surfrep.cohomology import (
     ConvergenceError,
     RepPoint,
     _gauss_newton,
-    _on_group,
     newton_project_to_variety,
     sample_cone_directions,
 )
-from surfrep.groups import _cut, _cut_error, group_from_name, su2
+from surfrep.groups import GROUP_DEFECT_TOL, _cut, _cut_error, _on_group, group_from_name, su2
 from surfrep.words import surface_presentation
 
 N = 5000
@@ -128,9 +127,39 @@ def test_chunks_where_every_sample_fails_are_skipped(monkeypatch):
     assert sample_cone_directions(P2, rep, count=16, seed=1) == ([], 0, 0)
 
 
+def _per_sample_mask(group, values):
+    """Reference per-sample mask over a stack (n, S, m, m): the samples whose
+    n values are all finite and within GROUP_DEFECT_TOL of the group."""
+    ok = np.isfinite(values).all(axis=(0, 2, 3))
+    ok[ok] = ~(group._defect(values[:, ok]) > GROUP_DEFECT_TOL).any(axis=0)
+    return ok
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_on_group_over_values_is_the_per_sample_mask(name):
+    group = group_from_name(name)
+    rng = np.random.default_rng(41)
+    n, S, m = 3, 200, group.matrix_dim
+    values = np.array([[group.random_element(rng) for _ in range(S)] for _ in range(n)])
+    # scaled values: defects on both sides of GROUP_DEFECT_TOL, and well off it
+    scale = 1 + rng.choice([0.0, 1e-12, 3e-11, 1e-10, 3e-10, 1e-3], (n, S))
+    values = values * scale[..., None, None]
+    for entry in (np.nan, np.inf, -np.inf):
+        hit = rng.random((n, S)) < 0.05
+        values[hit, rng.integers(m), rng.integers(m)] = entry
+    stacks = [values, values[:, :0], np.full((n, 4, m, m), np.nan, dtype=complex),
+              values[:1], values[:, :1]]
+    for Y in stacks:
+        want = _per_sample_mask(group, Y)
+        got = _on_group(group, Y).all(axis=0)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    mask = _per_sample_mask(group, values)
+    assert 0 < mask.sum() < S
+
+
 def test_empty_batches_pass_through():
     empty = np.empty((4, 0, 2, 2), dtype=complex)
-    assert _on_group(G, empty).shape == (0,)
+    assert _on_group(G, empty).all(axis=0).shape == (0,)
     values, errors, moved = _gauss_newton(P2, G, empty, np.eye(2, dtype=complex),
                                           tol=1e-12, max_iter=80, slice_basis=np.eye(12))
     assert values.shape == (4, 0, 2, 2) and errors == [] and moved.shape == (0,)

@@ -1,7 +1,9 @@
 """Tests for the evaluated Fox complex: twisted cohomology, obstruction cone,
 stabilizer strata, and the finite-difference oracles that pin the conventions."""
 
+import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from surfrep.words import (
     Word,
     fox_derivative,
     fox_terms,
+    parse_word,
     reduce,
     surface_presentation,
 )
@@ -1009,6 +1012,21 @@ def test_every_kept_array_is_read_only():
                 a[...] = 0.0
 
 
+def test_no_field_of_a_kept_complex_can_be_rebound():
+    # the point hands the same CochainData to every caller with the same key,
+    # so a rebound field would reach all of them
+    rep = torus_rep()
+    data = build_complex(P2, rep)
+    basis_H1 = data.basis_H1
+    for name in vars(data):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, name, None)
+    assert build_complex(P2, rep) is data and data.basis_H1 is basis_H1
+    assert [f.name for f in dataclasses.fields(data)] == [
+        "D0", "D1", "rank0", "rank1", "h_dims", "basis_H0", "basis_Z1",
+        "basis_B1", "basis_H1", "basis_H2", "rank_tol"]
+
+
 def test_centralizer_of_identity_is_whole_algebra():
     basis = _point_centralizer(RepPoint(G, [EYE]))
     assert basis.shape == (3, 3)
@@ -1077,6 +1095,23 @@ def test_enumerate_central_reps_genus1():
 def test_enumerate_central_reps_u1():
     assert len(enumerate_central_reps(P2, u1())) == 16
     assert len(enumerate_central_reps(P1, u1(center_order=3))) == 9
+
+
+def test_enumerate_central_reps_is_the_one_tuple_loop():
+    # the tuples are walked as one stack; each keeps the verdict and values
+    # that relator_defect gives it alone
+    pair, cube = Presentation(2, [parse_word("x1*x2")]), Presentation(2, [parse_word("x1^3*x2")])
+    cases = [(P2, G, None), (surface_presentation(3), G, None), (pair, G, None),
+             (pair, G, BundleClass(G, -EYE)), (cube, u1(center_order=3), None),
+             (P2, group_from_name("SU2xU1"), None)]
+    for pres, group, c in cases:
+        want = [np.stack(combo) for combo in itertools.product(group.center_elements, repeat=pres.n)
+                if relator_defect(pres, RepPoint(group, combo), c) <= 1e-9]
+        got = enumerate_central_reps(pres, group, c)
+        assert [rep.values.tobytes() for rep in got] == [w.tobytes() for w in want]
+    # x1 x2 hits I, and -I, at two of the four sign pairs: some tuples miss
+    assert len(enumerate_central_reps(pair, G)) == 2
+    assert len(enumerate_central_reps(pair, G, BundleClass(G, -EYE))) == 2
 
 
 def test_enumerate_rejects_unenumerable_center():

@@ -8,6 +8,7 @@ cannot work are rejected before any work too.
 """
 
 import importlib
+import itertools
 import re
 import warnings
 
@@ -87,6 +88,43 @@ def test_the_first_failing_element_names_the_error():
         stabilizer_fixed_subspace(P2, REP, [eye, np.eye(3), 2 * eye])
 
 
+def _alone(x, what):
+    """The message _elements gives for x alone, None when x is a point of G."""
+    try:
+        _elements(G, [x], what)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_a_mixed_list_raises_for_its_first_failing_element():
+    # in list order, each element checked for shape, then finiteness, then its
+    # defect: the first element that fails alone names the error
+    rng = np.random.default_rng(7)
+    pool = [np.eye(3), np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), 2 * np.eye(2),
+            (1 + 1e-9) * np.eye(2), G.random_element(rng), -np.eye(2)]
+    for size in (1, 2, 3, len(pool)):
+        for order in itertools.permutations(range(len(pool)), size):
+            elements = [pool[i] for i in order]
+            want = next(filter(None, (_alone(x, "element") for x in elements)), None)
+            if want is None:
+                assert len(_elements(G, elements, "element")) == size
+                continue
+            with pytest.raises(ValueError) as err:
+                _elements(G, elements, "element")
+            assert str(err.value) == want
+
+
+@pytest.mark.parametrize("seed", ["-1", "-12"])
+def test_a_negative_random_seed_is_a_bad_seed(seed, monkeypatch):
+    monkeypatch.setattr(G, "random_element", fail)
+    with pytest.raises(ValueError, match=re.escape(f"bad seed '{seed}'")):
+        rep_from_name(P2, G, f"random:{seed}")
+    result = CliRunner().invoke(main, ["cohomology", "--rep", f"random:{seed}"])
+    assert result.exit_code == 3
+    assert f"bad seed '{seed}'" in result.stderr
+
+
 @pytest.mark.parametrize("name", ["SU2", "SO3", "U1"])
 @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
 def test_a_non_finite_torus_angle_is_a_bad_angle_list(name, angle, monkeypatch):
@@ -114,3 +152,21 @@ def test_an_empty_point_list_is_rejected_before_any_work(name, monkeypatch):
     for summary in (reduction.relation_residual_max, reduction.stratum_histogram):
         with pytest.raises(ValueError, match="the point list is empty"):
             summary(model, [])
+
+
+@pytest.mark.parametrize("name", sorted(reduction.MODELS))
+def test_another_models_points_are_rejected_before_any_work(name, monkeypatch):
+    model = reduction.MODELS[name]()
+    other = reduction.MODELS[({"so2", "so3"} - {name}).pop()]()
+    points = reduction.sample_zero_locus(other, 2 * model.invariant_count, seed=0)
+    # one stray point anywhere in the list is enough
+    mixed = reduction.sample_zero_locus(model, 2 * model.invariant_count, seed=0)
+    mixed[-1] = points[-1]
+    monkeypatch.setattr(model, "_hilbert", fail)
+    monkeypatch.setattr(model, "_relations", fail)
+    message = f"point of model {other.name}, not {model.name}"
+    for summary in (reduction.relation_residual_max, reduction.stratum_histogram,
+                    reduction.zariski_dim_at_origin, reduction.check_relations):
+        for batch in (points, mixed):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                summary(model, batch[-1] if summary is reduction.check_relations else batch)
