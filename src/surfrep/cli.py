@@ -101,6 +101,8 @@ def command(name, build, params=()):
                 if value is None:
                     value = entries.get(key, default)
                 values[key] = None if value is None else kind(value)
+            if values.get("seed", 0) < 0:
+                raise ValueError(f"--seed must be a non-negative integer, got {values['seed']}")
             tolerances = {key: values.get(key, OPTIONS[key][2]) for key in TOLERANCES}
             if not all(np.isfinite(t) and t > 0.0 for t in tolerances.values()):
                 raise ValueError("tolerances must be finite and positive")

@@ -97,7 +97,7 @@ def _rank(s, tol):
     O(1) scale of the package's operators so that roundoff-only spectra
     (s[0] ~ 1e-16) count as rank zero. Every rank decision goes through here.
     One spectrum (k,) gives an int, a stack (..., k) a list of ints per row."""
-    return np.sum(s > tol * np.maximum(s[..., :1], 1.0), axis=-1).tolist()
+    return (s > tol * np.maximum(s[..., :1], 1.0)).sum(axis=-1).tolist()
 
 
 class LieGroupModel:

@@ -15,6 +15,7 @@ one-point functions call the same kernels.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -55,6 +56,17 @@ def _so3_slots(W):
     return W.reshape(W.shape[:-1] + (4, 3))
 
 
+def _image(image, shape):
+    """A Hilbert image as a float array, of the given shape with finite entries."""
+    image = np.asarray(image, dtype=float)
+    if image.shape != shape:
+        raise ValueError(f"expected a Hilbert image of shape {shape}, got {image.shape}")
+    # a scan of the entries costs less than np.isfinite at one point
+    if not all(map(math.isfinite, image.ravel().tolist())):
+        raise ValueError("image contains non-finite entries")
+    return image
+
+
 def _excess(x):
     """max(0.0, x) per entry, as Python's max gives it: x only where x > 0."""
     return np.where(x > 0.0, x, 0.0)
@@ -84,12 +96,13 @@ class LinearMomentumModel:
         self._construct = construct
         self._relations = relations
         self._stratum = stratum
+        self._image_shape = hilbert(np.zeros(W_dim)).shape
 
     def _point(self, w):
         w = np.asarray(w, dtype=float)
         if w.shape != (self.W_dim,):
             raise ValueError(f"expected a vector of length {self.W_dim}")
-        if not np.isfinite(w).all():
+        if not all(map(math.isfinite, w.tolist())):
             raise ValueError("point contains non-finite entries")
         return w
 
@@ -125,7 +138,7 @@ def so2_model():
         action=action, momentum=lambda W: momentum_so2(W[..., 0:2], W[..., 2:4])[..., None],
         coad=lambda g: np.eye(1),
         hilbert=hilbert, jacobian=jacobian, construct=_construct_so2, relations=relations,
-        stratum=lambda images: np.where(images[:, 2] <= 1e-9, "0", "1").tolist(),
+        stratum=lambda images: ["0" if r <= 1e-9 else "1" for r in images[:, 2].tolist()],
     )
 
 
@@ -273,9 +286,8 @@ def _project_starts(model, W):
         if not live.size:
             break
         X = W[live]
-        for row, J, x, m in zip(live, model._jacobian(X), X, mu):
-            step, *_ = np.linalg.lstsq(J, -m, rcond=None)
-            W[row] = x + step
+        steps = [np.linalg.lstsq(J, m, rcond=None)[0] for J, m in zip(model._jacobian(X), -mu)]
+        W[live] = X + steps
     return W, converged
 
 
@@ -444,7 +456,7 @@ def _psd_rank_strata(S):
     eig = np.linalg.eigvalsh((S + np.swapaxes(S, 1, 2)) / 2.0)
     ranks = _rank(np.sort(np.abs(eig), axis=1)[:, ::-1], 1e-9)
     return ["outside" if low < -1e-9 or rank > 2 else rank
-            for low, rank in zip(eig[:, 0], ranks)]
+            for low, rank in zip(eig[:, 0].tolist(), ranks)]
 
 
 def psd_rank_stratum(image):
@@ -452,14 +464,16 @@ def psd_rank_stratum(image):
 
     Rank uses the relative cutoff 1e-9 * max(largest eigenvalue, 1); matrices
     with a negative eigenvalue below -1e-9 or rank 3 and higher lie outside
-    the closure of the reduced space.
+    the closure of the reduced space. An image of another shape, or with a
+    non-finite entry, raises ValueError.
     """
-    return _psd_rank_strata(np.asarray(image, dtype=float)[None])[0]
+    return _psd_rank_strata(_image(image, (4, 4))[None])[0]
 
 
 def stratum_label(model, image):
-    """String stratum key for report histograms."""
-    return model._stratum(np.asarray(image, dtype=float)[None])[0]
+    """String stratum key for report histograms. The image must have the shape
+    of the model's Hilbert images and finite entries, else ValueError."""
+    return model._stratum(_image(image, model._image_shape)[None])[0]
 
 
 def so2_cone_model_report(count=60, seed=0):

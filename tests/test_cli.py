@@ -599,3 +599,22 @@ def test_readme_config_table_matches_report_signatures():
     for command, keys in rows.items():
         derived = [k for k in inspect.signature(REPORTS[command]).parameters if k in cli.OPTIONS]
         assert keys == derived, command
+
+
+@pytest.mark.parametrize("args", [
+    ["stratify"], ["cone-span"], ["reduction", "so2"], ["holonomy-check"], ["genus2-su2-report"],
+], ids=["stratify", "cone-span", "reduction", "holonomy-check", "genus2-su2-report"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_names_the_option(tmp_path, monkeypatch, args, source):
+    # rejected before any draw; numpy's own error named no option
+    monkeypatch.setattr(np.random, "default_rng", fail_if_called)
+    if source == "flag":
+        args = [*args, "--seed", "-1"]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"seed": -1}))
+        args = [*args, "--config", str(path)]
+    result = invoke(*args, "--json")
+    assert result.exit_code == 3
+    assert "--seed must be a non-negative integer, got -1" in result.stderr
+    assert result.stdout == ""

@@ -310,3 +310,19 @@ def test_rank_of_a_stack_is_the_rank_of_each_row():
     assert _rank(stack[:, :0], 1e-8) == [0] * len(stack)
     assert _rank(np.zeros(0), 1e-8) == 0
     assert _rank(stack[:4], 1e-8) == [0, 0, 0, 2]
+
+
+def test_rank_is_the_count_of_values_above_the_relative_cutoff():
+    # the rule as a formula of its own, over stacks of every rank, empty
+    # spectra included, and leading values of NaN or inf, which keep nothing
+    rng = np.random.default_rng(26)
+    shapes = [(0,), (1,), (6,), (5, 0), (7, 6), (3, 4, 5)]
+    for shape in shapes * 8:
+        s = -np.sort(-np.abs(rng.standard_normal(shape))
+                     * 10.0 ** rng.integers(-18, 5, size=shape), axis=-1)
+        if s.size and rng.random() < 0.5:
+            s[..., 0] = rng.choice([np.nan, np.inf], size=shape[:-1])
+        for tol in (1e-8, 1e-9, 1e-12, 0.5):
+            want = np.sum(s > tol * np.maximum(s[..., :1], 1.0), axis=-1).tolist()
+            got = _rank(s, tol)
+            assert got == want and type(got) is type(want)

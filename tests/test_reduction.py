@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from surfrep import reduction
 from surfrep.reduction import (
     _couples,
     _minors,
@@ -429,3 +430,66 @@ def test_so2_cone_model_report_values():
     assert report["smooth_dim"] == 4
     assert report["total_dim"] == 7
     assert report["relation_residual_max"] < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the one-point readers' checks and rules
+
+
+@pytest.mark.parametrize("model", [so2_model, so3_model], ids=["so2", "so3"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_model_point_rejects_a_non_finite_entry_at_every_position(model, value):
+    model = model()
+    for i in range(model.W_dim):
+        w = np.ones(model.W_dim)
+        w[i] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            model._point(w)
+        with pytest.raises(ValueError, match="non-finite"):
+            hilbert_map(model, w)
+
+
+def test_so2_stratum_rule_cuts_at_1e_9():
+    # r <= 1e-9 is the vertex; the next float up, and NaN, are not
+    model = so2_model()
+    images = np.zeros((3, 3))
+    images[:, 2] = [1e-9, np.nextafter(1e-9, 1), np.nan]
+    want = ["0", "1", "1"]
+    labels = model._stratum(images)
+    assert labels == want and all(type(label) is str for label in labels)
+    assert [model._stratum(image[None])[0] for image in images] == want
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("labelled an image before checking it")
+
+
+@pytest.mark.parametrize("model, image, message", [
+    (so2_model, np.zeros(5), r"shape \(3,\), got \(5,\)"),
+    (so2_model, np.zeros(2), r"shape \(3,\), got \(2,\)"),
+    (so2_model, np.zeros((1, 3)), r"shape \(3,\), got \(1, 3\)"),
+    (so2_model, np.array([0.0, 0.0, np.nan]), "non-finite"),
+    (so2_model, np.array([np.inf, 0.0, 1.0]), "non-finite"),
+    (so3_model, np.eye(3), r"shape \(4, 4\), got \(3, 3\)"),
+    (so3_model, np.zeros(10), r"shape \(4, 4\), got \(10,\)"),
+    (so3_model, np.full((4, 4), np.nan), "non-finite"),
+    (so3_model, np.diag([1.0, 1.0, -np.inf, 0.0]), "non-finite"),
+], ids=["so2-5", "so2-2", "so2-1x3", "so2-nan", "so2-inf", "so3-eye3", "so3-10",
+        "so3-nan", "so3-inf"])
+def test_stratum_label_rejects_an_image_it_cannot_label(monkeypatch, model, image, message):
+    model = model()
+    monkeypatch.setattr(model, "_stratum", fail_if_called)
+    with pytest.raises(ValueError, match=message):
+        stratum_label(model, image)
+
+
+@pytest.mark.parametrize("image, message", [
+    (np.eye(3), r"shape \(4, 4\), got \(3, 3\)"),
+    (np.zeros(16), r"shape \(4, 4\), got \(16,\)"),
+    (np.full((4, 4), np.nan), "non-finite"),
+    (np.diag([np.inf, 1.0, 0.0, 0.0]), "non-finite"),
+], ids=["eye3", "flat", "nan", "inf"])
+def test_psd_rank_stratum_rejects_an_image_it_cannot_label(monkeypatch, image, message):
+    monkeypatch.setattr(reduction, "_psd_rank_strata", fail_if_called)
+    with pytest.raises(ValueError, match=message):
+        psd_rank_stratum(image)
