@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 
 from .groups import (GROUP_DEFECT_TOL, RANK_TOL, ConvergenceError, _cut, _cut_error, _dagger,
-                     _elements, _frobenius, _norm, _on_group, _rank)
+                     _elements, _frobenius, _lstsq, _norm, _on_group, _rank)
 from .words import fox_terms
 
 # Cone samples per stacked Gauss-Newton pass: a pass holds this many copies of
@@ -328,9 +328,10 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
     """Gauss-Newton from S starts at once, values (n, S, m, m), stepping within
     the columns of slice_basis (the identity: everywhere); newton_project_to_variety
     is its unsliced one-sample case. Each sample takes the steps and halvings it
-    takes alone: its own lstsq, its own line search. Returns (values, errors,
-    moved): errors[s] is the exception sample s ends with, None once its relator
-    defect is below tol, and moved[s] is False where the start was already there."""
+    takes alone: its own line search, and its own lstsq's bits from one stacked
+    gelsd per iteration (groups._lstsq). Returns (values, errors, moved):
+    errors[s] is the exception sample s ends with, None once its relator defect
+    is below tol, and moved[s] is False where the start was already there."""
     n, S, d = values.shape[0], values.shape[1], group.dim
     cmi = _dagger(cm)
     values = values.copy()
@@ -347,8 +348,7 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
             break
         Y = values[:, live]
         D1 = _d1(pres, group, Y) @ slice_basis
-        step = np.stack([np.linalg.lstsq(A, -f, rcond=None)[0] for A, f in zip(D1, F[live])])
-        step = np.matmul(slice_basis, step[..., None])[..., 0]
+        step = np.matmul(slice_basis, _lstsq(D1, -F[live])[..., None])[..., 0]
         base = _norm(F[live])
         alpha = np.ones(len(live))
         todo = np.arange(len(live))
@@ -444,8 +444,8 @@ def sample_stabilizer(rep, count=8, seed=0, data=None):
     read from data.basis_H0 (data as in obstruction_quadratic, but never built
     here) or, without data, cut at RANK_TOL from the point's kept SVD of D0,
     the one build_complex cuts."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     group = rep.group
     els = [z.copy() for z in group.center_elements]
     Zc = _point_centralizer(rep) if data is None else data.basis_H0

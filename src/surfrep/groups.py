@@ -65,6 +65,21 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(A, b):
+    """Least-squares solutions (k, n) of a stack A (k, m, n), b (k, m), by one call
+    of numpy's gelsd gufunc (numpy.linalg._umath_linalg.lstsq): each row gets the
+    bits np.linalg.lstsq(A[i], b[i], rcond=None)[0] gives it, and the same error."""
+    rcond = np.finfo(float).eps * max(A.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        x = np.linalg._umath_linalg.lstsq(A, b[..., None], rcond, signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
 def _on_group(group, Y):
     """Mask over the leading axes of Y (..., m, m): True where a matrix is a point
     of G, finite with defect within GROUP_DEFECT_TOL (taken of finite ones only)."""

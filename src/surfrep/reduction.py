@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .groups import ConvergenceError, _hat, _norm, _rank, so3, u1
+from .groups import ConvergenceError, _hat, _lstsq, _norm, _rank, so3, u1
 
 RESIDUAL_TOL = 1e-10
 # Largest count sample_zero_locus accepts. The sampler and the stacked
@@ -274,8 +274,9 @@ def _construct_so3(rng, count):
 
 def _project_starts(model, W):
     """Gauss-Newton on mu = 0 from every row of W in one masked pass: each row
-    takes at most NEWTON_ITERS least-squares steps and stops once |mu| < 1e-12.
-    Returns the rows and whether each converged."""
+    takes at most NEWTON_ITERS least-squares steps, one stacked gelsd per
+    iteration (groups._lstsq, the bits of a per-row lstsq), and stops once
+    |mu| < 1e-12. Returns the rows and whether each converged."""
     converged = np.zeros(len(W), dtype=bool)
     live = np.arange(len(W))
     for _ in range(NEWTON_ITERS):
@@ -286,8 +287,7 @@ def _project_starts(model, W):
         if not live.size:
             break
         X = W[live]
-        steps = [np.linalg.lstsq(J, m, rcond=None)[0] for J, m in zip(model._jacobian(X), -mu)]
-        W[live] = X + steps
+        W[live] = X + _lstsq(model._jacobian(X), -mu)
     return W, converged
 
 

@@ -889,6 +889,18 @@ def test_stabilizer_sample_rejects_a_negative_count():
     assert len(sample_stabilizer(torus_rep(), count=0)) == 2
 
 
+def test_stabilizer_sample_rejects_a_non_integer_count_at_every_point():
+    # at a point with a discrete centralizer the count is never used, so 2.5
+    # and NaN used to return the two centre elements; at the torus and central
+    # points numpy raised a TypeError that did not name the count
+    points = (central_rep(), torus_rep(), rep_from_name(P2, G, "random:1"))
+    for rep, count in itertools.product(points, (2.5, np.nan, 3.0, "3", None)):
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            sample_stabilizer(rep, count=count)
+    for (rep, size), count in itertools.product(zip(points, (5, 5, 2)), (3, np.int64(3))):
+        assert len(sample_stabilizer(rep, count=count)) == size
+
+
 def test_stabilizer_rejects_noncommuting_element():
     rng = np.random.default_rng(27)
     with pytest.raises(ValueError):
