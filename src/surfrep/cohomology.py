@@ -9,6 +9,11 @@ obstruction cone, and Gauss-Newton projection onto the solution variety gives
 tangent-direction sampling. Gauss-Newton runs over a stack of starts at once,
 each sample taking the steps it would take alone.
 
+One walk over a relator's letters gives both its value and every suffix its
+Fox terms read, each distinct suffix once (_walk_plan), and D1 takes one
+stacked Ad of those suffixes per relator. Gauss-Newton walks each relator once
+per line-search trial and builds the next D1 from the accepted trial's walk.
+
 A point's values are one read-only stack, so nothing built from them can go
 stale: a RepPoint keeps D0 with its SVD and the last complex build_complex made
 of it. That is at most one CochainData and one SVD of D0, all read-only,
@@ -99,18 +104,20 @@ def _suffixes(group, values, letters, starts):
     """The suffix products y_s y_{s+1} ... of a word's letters at the
     representation, one per start (starts non-decreasing), stacked
     (len(starts), ..., m, m), from one walk over the letters left to right.
-    Inverse letters are conjugate transposes, and values[j] may be a stack
-    (..., m, m) of samples. Per sample the entries are held as one tall block
-    (len(starts) m, m); at letter k the entries with start <= k, its top rows,
-    take one product, so each entry is the identity times its letters in
-    order: the bits of multiplying it out alone."""
-    lead, m = np.shape(values[0])[:-2], group.matrix_dim
+    Inverse letters are conjugate transposes, taken of all values once per
+    walk, and values[j] may be a stack (..., m, m) of samples. Per sample the
+    entries are held as one tall block (len(starts) m, m); at letter k the
+    entries with start <= k, its top rows, take one product, so each entry is
+    the identity times its letters in order: the bits of multiplying it out alone."""
+    values = np.asarray(values)
+    inverses = _dagger(values)
+    lead, m = values.shape[1:-2], group.matrix_dim
     G = np.tile(group.identity(), lead + (len(starts), 1))
     for k, (j, e) in enumerate(letters):
         if j > len(values):
             raise ValueError(f"word uses generator x{j} but only {len(values)} values given")
         rows = bisect.bisect_right(starts, k) * m
-        G[..., :rows, :] = G[..., :rows, :] @ (values[j - 1] if e == 1 else _dagger(values[j - 1]))
+        G[..., :rows, :] = G[..., :rows, :] @ (values if e == 1 else inverses)[j - 1]
     return np.moveaxis(G.reshape(lead + (len(starts), m, m)), -3, 0)
 
 
@@ -134,19 +141,57 @@ def _d0(group, values):
     return (np.eye(group.dim) - group.Ad_matrix(_dagger(np.stack(values)))).reshape(-1, group.dim)
 
 
-def _d1(pres, group, values):
-    """D1 at the point, or one per sample (..., m d, n d) for stacked values.
-    Block (i, j) is dr_i/dx_j evaluated as in evaluate_group_ring, summed term
-    by term in letter order over the suffixes of one walk over r_i's letters."""
-    _check_generators(pres, values)
-    d = group.dim
-    D1 = np.zeros(np.shape(values[0])[:-2] + (pres.m * d, pres.n * d))
-    for i, r in enumerate(pres.relators):
+def _walk_plan(pres):
+    """How one walk per relator gives both its value and its rows of D1. Per
+    relator (starts, skip, rounds): starts are the distinct suffix starts of
+    its Fox terms (words.fox_terms) and start 0, the relator value, first;
+    the terms read walk[skip:] (skip is 1 where no term reads start 0); and
+    rounds hold the terms, each generator's q-th term in round q, as
+    (generator indices, signs, rows of walk[skip:]), so a round's blocks are
+    distinct and each block sums its terms in letter order."""
+    plan = []
+    for r in pres.relators:
         terms = list(fox_terms(r))
-        suffixes = _suffixes(group, values, r.letters, [s for _, _, s in terms])
-        for (j, sign, _), A in zip(terms, group.Ad_matrix(_dagger(suffixes))):
-            D1[..., i * d:(i + 1) * d, (j - 1) * d:j * d] += sign * A
+        starts = sorted({0, *(s for _, _, s in terms)})
+        skip = int(all(s for _, _, s in terms))
+        seen, rounds = {}, []
+        for j, sign, s in terms:
+            q = seen[j] = seen.get(j, -1) + 1
+            if q == len(rounds):
+                rounds.append(([], [], []))
+            for part, x in zip(rounds[q], (j - 1, sign, bisect.bisect_left(starts, s) - skip)):
+                part.append(x)
+        plan.append((starts, skip, [tuple(map(np.array, parts)) for parts in rounds]))
+    return plan
+
+
+def _walks(pres, group, values, plan):
+    """Each relator's walk (starts, ..., m, m) over its plan's starts."""
+    _check_generators(pres, values)
+    return [_suffixes(group, values, r.letters, starts)
+            for r, (starts, _, _) in zip(pres.relators, plan)]
+
+
+def _plan_d1(pres, group, plan, walks, lead):
+    """D1 (lead + (relators d, n d)) from the relators' walks: block (i, j) is
+    dr_i/dx_j evaluated as in evaluate_group_ring. Per relator one stacked Ad
+    of the suffixes its terms read, then one add per round, so each block sums
+    its terms from zeros in letter order."""
+    d = group.dim
+    D1 = np.zeros(lead + (pres.m * d, pres.n * d))
+    blocks = np.moveaxis(D1.reshape(lead + (pres.m, d, pres.n, d)), (-4, -2), (0, 1))
+    for i, (walk, (_, skip, rounds)) in enumerate(zip(walks, plan)):
+        A = group.Ad_matrix(_dagger(walk[skip:]))
+        for cols, signs, rows in rounds:
+            blocks[i, cols] += signs.reshape((-1,) + (1,) * (A.ndim - 1)) * A[rows]
     return D1
+
+
+def _d1(pres, group, values):
+    """D1 at the point, or one per sample (..., m d, n d) for stacked values,
+    from one walk over each relator's letters."""
+    plan = _walk_plan(pres)
+    return _plan_d1(pres, group, plan, _walks(pres, group, values, plan), np.shape(values[0])[:-2])
 
 
 def _read_only(*arrays):
@@ -205,15 +250,20 @@ def build_complex(pres, rep, rank_tol=RANK_TOL):
     return data
 
 
-def _relators_at(pres, group, values, cm):
-    """Relator values (relators, ..., m, m) at the point, or at each sample of
-    stacked values, and per sample their largest Frobenius distance to the
+def _relators(rels, shape, cm):
+    """The relator values rels, one (shape) per relator, as one stack
+    (relators,) + shape, and per sample their largest Frobenius distance to the
     central target cm (0 where the presentation has no relators)."""
-    _check_generators(pres, values)
-    rels = np.empty((pres.m,) + np.shape(values[0]), dtype=complex)
-    for i, r in enumerate(pres.relators):
-        rels[i] = _value(group, values, r.letters)
+    rels = np.array(rels, dtype=complex).reshape((len(rels),) + shape)
     return rels, _frobenius(rels - cm).max(axis=0, initial=0.0)
+
+
+def _relators_at(pres, group, values, cm):
+    """_relators at the point, or at each sample of stacked values, each
+    relator walked from start 0 alone."""
+    _check_generators(pres, values)
+    return _relators([_value(group, values, r.letters) for r in pres.relators],
+                     np.shape(values[0]), cm)
 
 
 def relator_defect(pres, rep, c=None):
@@ -335,7 +385,9 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
     n, S, d = values.shape[0], values.shape[1], group.dim
     cmi = _dagger(cm)
     values = values.copy()
-    rels, defect = _relators_at(pres, group, values, cm)
+    plan = _walk_plan(pres)
+    walks = _walks(pres, group, values, plan)
+    rels, defect = _relators([w[0] for w in walks], values.shape[1:], cm)
     F, angles = _residual(group, rels, cmi)
     cut = _cut(angles).any(axis=-1)
     moved = ~(defect < tol)
@@ -347,7 +399,7 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
         if not live.size:
             break
         Y = values[:, live]
-        D1 = _d1(pres, group, Y) @ slice_basis
+        D1 = _plan_d1(pres, group, plan, [w[:, live] for w in walks], (len(live),)) @ slice_basis
         step = np.matmul(slice_basis, _lstsq(D1, -F[live])[..., None])[..., 0]
         base = _norm(F[live])
         alpha = np.ones(len(live))
@@ -355,11 +407,14 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
         for _ in range(25):
             delta = (alpha[todo, None] * step[todo]).reshape(len(todo), n, d)
             trial = group.project_to_group(Y[:, todo] @ group.exp(delta.swapaxes(0, 1)))
-            rels, trial_defect = _relators_at(pres, group, trial, cm)
+            trial_walks = _walks(pres, group, trial, plan)
+            rels, trial_defect = _relators([w[0] for w in trial_walks], trial.shape[1:], cm)
             Ft, angles = _residual(group, rels, cmi)
             better = ~_cut(angles).any(axis=-1) & (_norm(Ft) < base[todo])
             done = live[todo[better]]
             values[:, done], F[done], defect[done] = trial[:, better], Ft[better], trial_defect[better]
+            for w, t in zip(walks, trial_walks):
+                w[:, done] = t[:, better]
             alpha[todo[~better]] /= 2
             todo = todo[~better]
             if not todo.size:
@@ -400,7 +455,8 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
     Samples are projected together, CONE_CHUNK at a time, each as
     newton_project_to_variety would project it alone. Peak memory is that of
     one chunk, whatever count is: CONE_CHUNK stacked copies of D1 (relators * d
-    by n * d floats each) and of the point's n matrices. Only the returned
+    by n * d floats each), of the point's n matrices and of each relator's
+    distinct suffixes (at most its length plus one matrices). Only the returned
     directions grow with count, by n * d floats each. count must be at least 1
     and eps finite and positive."""
     if count < 1:

@@ -72,7 +72,11 @@ def _lstsq_failed(err, flag):
 def _lstsq(A, b):
     """Least-squares solutions (k, n) of a stack A (k, m, n), b (k, m), by one call
     of numpy's gelsd gufunc (numpy.linalg._umath_linalg.lstsq): each row gets the
-    bits np.linalg.lstsq(A[i], b[i], rcond=None)[0] gives it, and the same error."""
+    bits np.linalg.lstsq(A[i], b[i], rcond=None)[0] gives it, and the same error.
+    A non-finite entry of A raises that error before gelsd, which does not return
+    on a row of infinities; one of b gives its row NaN, as lstsq does."""
+    if not np.isfinite(A).all():
+        _lstsq_failed(None, None)
     rcond = np.finfo(float).eps * max(A.shape[-2:])
     with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):

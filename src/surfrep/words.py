@@ -178,11 +178,13 @@ def verify_fox_identity(w: Word) -> bool:
     """Check 1 - w = sum_j (1 - x_j) dw/dx_j exactly over the integers."""
     _check_fox_budget(w, fox_terms(w))
     lhs = GroupRingElement.one() - GroupRingElement.from_word(w)
-    rhs = GroupRingElement()
+    rhs = {}
     for j in range(1, w.max_generator() + 1):
-        one_minus_xj = GroupRingElement({Word(): 1, Word(((j, 1),)): -1})
-        rhs = rhs + one_minus_xj * fox_derivative(w, j)
-    return lhs == rhs
+        xj = _reduced(((j, 1),))
+        for u, c in fox_derivative(w, j).terms.items():
+            for v, cv in ((u, c), (word_multiply(xj, u), -c)):
+                rhs[v] = rhs.get(v, 0) + cv
+    return lhs == GroupRingElement(rhs)
 
 
 class Presentation:

@@ -7,6 +7,11 @@ The stacks are the ones the loops solve: the momentum models' Jacobians
 (cohomology._gauss_newton), plus the shapes LAPACK treats apart.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,8 +89,8 @@ def test_edge_stacks_solve_as_one_row_at_a_time():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_entry_fails_as_the_loop_does(bad):
-    # one entry of A: gelsd fails, and both raise numpy's LinAlgError. (A whole
-    # row of infinities is left out: gelsd does not return on it, loop or stack.)
+    # one entry of A: gelsd fails, and both raise numpy's LinAlgError (a whole
+    # row of infinities, on which gelsd does not return, is the next test's)
     rng = np.random.default_rng(7)
     A, b = rng.standard_normal((6, 3, 4)), rng.standard_normal((6, 3))
     A[4, 1, 2] = bad
@@ -99,3 +104,25 @@ def test_a_non_finite_entry_fails_as_the_loop_does(bad):
     x = _lstsq(A, b)
     assert np.isnan(x[4]).all()
     assert np.array_equal(x, one_at_a_time(A, b), equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf"])
+def test_a_row_of_infinities_raises_instead_of_hanging(bad):
+    # gelsd spins on such a row, so _lstsq must raise before it: run in a
+    # child process, so that a hang fails the test instead of the suite
+    script = f"""
+import numpy as np
+from surfrep.groups import _lstsq
+rng = np.random.default_rng(7)
+A, b = rng.standard_normal((6, 3, 4)), rng.standard_normal((6, 3))
+A[4, 1] = float("{bad}")
+try:
+    _lstsq(A, b)
+except np.linalg.LinAlgError as error:
+    print(error)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "SVD did not converge in Linear Least Squares\n"

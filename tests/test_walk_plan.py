@@ -1,0 +1,142 @@
+"""The walk plan of the Fox complex: one walk over each relator's letters gives
+both the relator value (start 0) and every suffix D1's Fox terms read, each
+distinct suffix once, and D1 is assembled from them with the bits of the
+term-by-term sum. Gauss-Newton walks each relator once per trial and builds
+the next D1 from the accepted trial's walk.
+"""
+
+import numpy as np
+import pytest
+
+from surfrep import cohomology
+from surfrep.cohomology import (
+    _d1,
+    _suffixes,
+    _walk_plan,
+    _walks,
+    newton_project_to_variety,
+    RepPoint,
+)
+from surfrep.groups import _dagger, group_from_name
+from surfrep.words import Presentation, Word, fox_terms, parse_word, surface_presentation
+
+GROUPS = ["SU2", "SO3", "SU2xU1", "U1"]
+# a repeated generator, a leading inverse letter, powers, an empty relator
+ODD_RELATORS = ["x1^-1*x2*x1*x1*x2^-1", "x1^3*x2^-2*x1^-1*x3", "x2^-1*x1^-1*x2*x1", "x3^2"]
+
+
+def per_term_d1(pres, group, values):
+    """D1 as the terms' loop builds it: one walk over each relator's Fox-term
+    starts, one Ad per term, each term added to its block in letter order."""
+    d = group.dim
+    D1 = np.zeros(np.shape(values[0])[:-2] + (pres.m * d, pres.n * d))
+    for i, r in enumerate(pres.relators):
+        terms = list(fox_terms(r))
+        suffixes = _suffixes(group, values, r.letters, [s for _, _, s in terms])
+        for (j, sign, _), A in zip(terms, group.Ad_matrix(_dagger(suffixes))):
+            D1[..., i * d:(i + 1) * d, (j - 1) * d:j * d] += sign * A
+    return D1
+
+
+def odd_presentation():
+    return Presentation(3, [parse_word(text) for text in ODD_RELATORS] + [Word()])
+
+
+def random_values(group, n, samples, seed):
+    rng = np.random.default_rng(seed)
+    shape = () if samples is None else (samples,)
+    m = group.matrix_dim
+    return np.reshape([group.random_element(rng) for _ in range(n * (samples or 1))],
+                      (n,) + shape + (m, m))
+
+
+def central_values(group, n, samples):
+    """Values drawn from the group's center in a cyclic pattern, so that the
+    Ad matrices are exact and the block sums meet signed zeros."""
+    center = group.center_elements
+    idx = np.arange(n * (samples or 1)).reshape(n, samples or 1) % len(center)
+    idx = (idx + np.arange(n)[:, None]) % len(center)
+    values = np.stack(center)[idx]
+    return values[:, 0] if samples is None else values
+
+
+@pytest.mark.parametrize("samples", [None, 5], ids=["point", "stack"])
+@pytest.mark.parametrize("name", GROUPS)
+def test_plan_walk_entries_are_their_one_start_walks(name, samples):
+    group = group_from_name(name)
+    for pres in [surface_presentation(g) for g in (1, 2, 3, 8)] + [odd_presentation()]:
+        values = random_values(group, pres.n, samples, pres.n)
+        plan = _walk_plan(pres)
+        for r, (starts, _, _), walk in zip(pres.relators, plan, _walks(pres, group, values, plan)):
+            assert starts[0] == 0 and starts == sorted(set(starts))
+            for s, entry in zip(starts, walk):
+                alone = _suffixes(group, values, r.letters, [s])[0]
+                assert entry.tobytes() == alone.tobytes(), (r, s)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 8])
+def test_plan_walks_each_distinct_suffix_once(genus):
+    # a commutator's 4 terms read 3 distinct suffixes; its two rounds take
+    # every generator's positive then its inverse letter
+    pres = surface_presentation(genus)
+    ((starts, skip, rounds),) = _walk_plan(pres)
+    assert len(starts) == 3 * genus + 1 and skip == 1
+    assert len(rounds) == 2
+    for cols, _, _ in rounds:
+        assert sorted(cols) == list(range(2 * genus))
+    assert [list(signs) for _, signs, _ in rounds] == [[1] * 2 * genus, [-1] * 2 * genus]
+
+
+@pytest.mark.parametrize("samples", [None, 5], ids=["point", "stack"])
+@pytest.mark.parametrize("name", GROUPS)
+def test_d1_is_the_per_term_sum_bit_for_bit(name, samples):
+    group = group_from_name(name)
+    presentations = [surface_presentation(g) for g in (1, 2, 3, 8)]
+    presentations += [odd_presentation(), Presentation(3, [])]
+    for pres in presentations:
+        for values in (random_values(group, pres.n, samples, 7), central_values(group, pres.n, samples)):
+            D1 = _d1(pres, group, values)
+            expected = per_term_d1(pres, group, values)
+            assert D1.shape == expected.shape
+            assert D1.tobytes() == expected.tobytes()
+
+
+def test_d1_at_a_central_point_holds_the_sums_zeros():
+    # at the identity every Ad is I, so D1's blocks of a commutator sum +I - I
+    group = group_from_name("SU2")
+    pres = surface_presentation(2)
+    values = np.stack([group.identity()] * pres.n)
+    D1 = _d1(pres, group, values)
+    assert D1.tobytes() == per_term_d1(pres, group, values).tobytes()
+    assert not np.signbit(D1).any() and not D1.any()
+
+
+@pytest.mark.parametrize("name", ["SU2", "SO3", "SU2xU1"])
+@pytest.mark.parametrize("pres", [surface_presentation(2), surface_presentation(4),
+                                  Presentation(2, [parse_word("x1*x2*x1^-1*x2^-1"),
+                                                   parse_word("x1^-1*x2^2*x1")])],
+                         ids=["genus2", "genus4", "two-relators"])
+def test_one_sample_newton_walks_each_relator_once_per_trial(monkeypatch, name, pres):
+    # each trial of the line search walks each relator once, for its value and
+    # for D1 at it; no other walk but the start's
+    group = group_from_name(name)
+    counts = {"walks": 0, "trials": 0, "solves": 0}
+
+    def counted(key, f):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return call
+
+    rng = np.random.default_rng(3)
+    start = RepPoint(group, [group.random_element(rng) for _ in range(pres.n)])
+    monkeypatch.setattr(cohomology, "_suffixes", counted("walks", cohomology._suffixes))
+    monkeypatch.setattr(cohomology, "_lstsq", counted("solves", cohomology._lstsq))
+    monkeypatch.setattr(group, "project_to_group", counted("trials", group.project_to_group))
+    try:
+        newton_project_to_variety(pres, group, start, tol=1e-10, max_iter=200)
+    except cohomology.ConvergenceError:
+        pass
+    assert counts["solves"] >= 1 and counts["trials"] >= counts["solves"]
+    assert counts["walks"] == pres.m * (1 + counts["trials"])
+

@@ -191,6 +191,21 @@ def test_fox_identity_on_random_words(u):
     assert verify_fox_identity(u)
 
 
+def test_fox_identity_fails_where_a_derivative_drops_a_term(monkeypatch):
+    # the check reads every derivative from fox_derivative: one lost term fails it
+    full = words.fox_derivative
+
+    def dropped(word, j):
+        terms = dict(full(word, j).terms)
+        if j == 2:
+            terms.pop(next(iter(terms)))
+        return GroupRingElement(terms)
+
+    assert verify_fox_identity(commutator_word())
+    monkeypatch.setattr(words, "fox_derivative", dropped)
+    assert not verify_fox_identity(commutator_word())
+
+
 @given(random_words, random_words, st.integers(min_value=1, max_value=4))
 def test_fox_product_rule(u, v, j):
     lhs = fox_derivative(word_multiply(u, v), j)
