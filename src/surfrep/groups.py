@@ -154,7 +154,10 @@ class LieGroupModel:
     # coordinates
 
     def algebra_to_matrix(self, coords):
-        return np.tensordot(np.asarray(coords, dtype=float), self.algebra_basis, axes=1)
+        # np.tensordot(coords, basis, axes=1) without its Python bookkeeping: the same dot
+        coords = np.asarray(coords, dtype=float)
+        return np.dot(coords.reshape(-1, coords.shape[-1]), self.algebra_basis.reshape(self.dim, -1)
+                      ).reshape(coords.shape[:-1] + self.algebra_basis.shape[1:])
 
     def matrix_to_algebra(self, M):
         """Coordinates of an algebra matrix, or of each in a stack (..., m, m)."""
