@@ -7,26 +7,19 @@ exp(-X t) and no node leaves the group. Holonomy reads only the last node, so
 its steps are multiplied by a pairwise product tree (N - 1 products); the
 prefix scan of every node serves only the twisted integral.
 
-A connection is a read-only copy, so what it reads off its grid over the whole
-path cannot go stale. At each refinement level 2, 4, ..., MAX_SUBSTEPS that
-its holonomy, derivative or finite-difference oracle has reached it keeps, each
-read-only and built once:
-- the level's grid plan (_level_plan): the Gauss points' cells and fractions
-  and the step factors, then the node times' cells and fractions and the
-  Simpson weights and index table of the twisted integral;
-- its own step matrices, which its holonomy, the derivative's scan and both
-  oracles' holonomy of it read;
-- their product, its holonomy at that level, so a repeated holonomy refines
-  by reading.
-That is at most log2(MAX_SUBSTEPS) of each, over fewer than twice the top
-level's (nodes - 1) * MAX_SUBSTEPS substeps: at MAX_NODES and MAX_SUBSTEPS,
-under 76 MB of step matrices for the 6x6 matrices of SO3xSU2xU1 and under
-9.5 MB of plans for any group, under 85 MB in all, held as long as the
-connection is. Transport to t < b, or at a given n_sub (an integer, at most
-MAX_SUBSTEPS), keeps nothing.
+A connection is a read-only copy, so its step matrices over the whole path
+cannot go stale: it keeps them, one read-only array per refinement level
+2, 4, ..., MAX_SUBSTEPS that its holonomy or derivative has reached. So its
+holonomy, the derivative's scan and both oracles' holonomy of it build each
+level once. That is at most log2(MAX_SUBSTEPS) arrays and fewer than twice
+the top level's (nodes - 1) * MAX_SUBSTEPS step matrices: at MAX_NODES and
+MAX_SUBSTEPS, under 76 MB for the 6x6 matrices of SO3xSU2xU1, held as long as
+the connection is. Next to each level's steps it keeps their product, its
+holonomy at that level (one m x m matrix), so the oracles' repeated holonomy
+of it refines by reading. Transport to t < b, or at a given n_sub (an
+integer, at most MAX_SUBSTEPS), keeps nothing.
 The finite-difference oracle's two varied connections are transported as one
-stack on the connection's plan, each entry refined until it is stable to tol
-on its own.
+stack, each entry refined until it is stable to tol on its own.
 
 The derivative of holonomy is taken along the affine family whose transport
 data at parameter s is A - s*theta (the convention under which it reduces to
@@ -47,25 +40,15 @@ FD_STEP = 1e-4  # default step of the finite-difference oracle holonomy_derivati
 MAX_NODES = 65
 
 
-def _cells(conn, t):
-    """The grid cell i of each time t (a scalar or an array of times) on conn's
-    uniform grid, and the fraction of the cell before t, (..., 1)."""
-    nodes = len(conn.times)
-    cell = conn.b / (nodes - 1)
-    i = np.clip(np.floor(t / cell).astype(int), 0, nodes - 2)
-    return i, ((t - conn.times[i]) / cell)[..., None]
-
-
-def _lerp(values, i, frac):
-    """Samples (..., nodes, dim) interpolated in cells i at fractions frac."""
-    lo = values[..., i, :]
-    return lo + frac * (values[..., i + 1, :] - lo)
-
-
 def _interpolate(conn, values, t):
     """Linear interpolation at time t (a scalar or an array of times) of samples
     (..., nodes, dim) on conn's uniform grid; the sample axis comes last."""
-    return _lerp(values, *_cells(conn, t))
+    nodes = values.shape[-2]
+    cell = conn.b / (nodes - 1)
+    i = np.clip(np.floor(t / cell).astype(int), 0, nodes - 2)
+    frac = ((t - conn.times[i]) / cell)[..., None]
+    lo = values[..., i, :]
+    return lo + frac * (values[..., i + 1, :] - lo)
 
 
 class PathConnection:
@@ -89,9 +72,7 @@ class PathConnection:
         self.b = float(b)
         self.values = values
         self.times = np.linspace(0.0, self.b, len(values))
-        # per refinement level n_sub over [0, b], each built on first use
-        self._plans = {}  # n_sub -> grid plan (_level_plan)
-        self._levels = {}  # n_sub -> own step matrices (_own_steps)
+        self._levels = {}  # n_sub -> own step matrices over [0, b] (_own_steps)
         self._products = {}  # n_sub -> their product, the holonomy at n_sub (_own_product)
 
 
@@ -123,68 +104,35 @@ def _grid(conn, t_end, n_sub):
     return h, t0[:, None] + np.arange(n_sub + 1) * h[:, None]
 
 
-def _steps_plan(conn, h, grid, n_sub):
-    """What the steps at n_sub substeps per cell read off conn's grid (h and grid
-    as _grid gives them): the cells and fractions (2, N) of the two Gauss points
-    of each substep, and the step factors -h/2 and sqrt(3) h^2 / 12, (N, 1, 1)."""
-    hs = np.repeat(h, n_sub)[:, None, None]
-    gauss = grid[:, :-1].ravel() + np.outer(_GAUSS, hs.ravel())
-    return (*_cells(conn, gauss), -0.5 * hs, (np.sqrt(3) / 12) * hs ** 2)
-
-
-def _nodes_plan(conn, grid, n_sub):
-    """What the twisted integral at n_sub reads off conn's grid over [0, b]: the
-    cells and fractions of the N + 1 node times, and the composite Simpson rule
-    per grid cell (nodes align, n_sub even) as the weights h/3 (cells,) and w
-    (n_sub + 1,) and the node index table (cells, n_sub + 1)."""
-    ts = np.concatenate([[0.0], grid[:, 1:].ravel()])
-    cells = len(conn.times) - 1
-    w = np.where(np.arange(n_sub + 1) % 2, 4.0, 2.0)
-    w[[0, -1]] = 1.0
-    idx = n_sub * np.arange(cells)[:, None] + np.arange(n_sub + 1)
-    h = (ts[idx[:, -1]] - ts[idx[:, 0]]) / n_sub
-    return (*_cells(conn, ts), h / 3, w, idx)
-
-
-def _kept(store, n_sub, build):
-    """store[n_sub], made by build() on first use and kept, its arrays read-only.
-    Only refinement levels over [0, b] ask, so a store holds at most
-    log2(MAX_SUBSTEPS) entries."""
-    kept = store.get(n_sub)
-    if kept is None:
-        kept = store[n_sub] = build()
-        for a in kept if isinstance(kept, tuple) else (kept,):
-            a.flags.writeable = False
-    return kept
-
-
-def _level_plan(conn, n_sub):
-    """conn's grid plan at refinement level n_sub over [0, b], kept on conn: the
-    steps' four arrays, then the twisted integral's five, off one _grid."""
-    def build():
-        h, grid = _grid(conn, conn.b, n_sub)
-        return _steps_plan(conn, h, grid, n_sub) + _nodes_plan(conn, grid, n_sub)
-    return _kept(conn._plans, n_sub, build)
-
-
 def _steps(conn, values, t_end, n_sub):
     """Magnus step matrices E_1 ... E_N, n_sub per grid cell up to t_end, of every
-    connection in the stack values (..., nodes, dim) on conn's grid; on conn's
-    kept plan where it has one (_level_plan)."""
-    plan = conn._plans.get(n_sub) if t_end == conn.b else None
-    i, frac, c1, c2 = plan[:4] if plan else _steps_plan(conn, *_grid(conn, t_end, n_sub), n_sub)
-    A = conn.group.algebra_to_matrix(_lerp(values, i, frac))  # (..., 2, N, m, m)
+    connection in the stack values (..., nodes, dim) on conn's grid."""
+    h, grid = _grid(conn, t_end, n_sub)
+    hs = np.repeat(h, n_sub)[:, None, None]
+    gauss = grid[:, :-1].ravel() + np.outer(_GAUSS, hs.ravel())  # (2, substeps)
+    A = conn.group.algebra_to_matrix(_interpolate(conn, values, gauss))
     P = A[..., ::-1, :, :, :] @ A  # A2 A1 and A1 A2 in one matmul
     A1, A2 = A[..., 0, :, :, :], A[..., 1, :, :, :]
-    omega = c1 * (A1 + A2) + c2 * (P[..., 0, :, :, :] - P[..., 1, :, :, :])
+    commutator = P[..., 0, :, :, :] - P[..., 1, :, :, :]  # A2 A1 - A1 A2
+    omega = -0.5 * hs * (A1 + A2) + (np.sqrt(3) / 12) * hs ** 2 * commutator
     lam, V = np.linalg.eigh(1j * omega)  # Hermitian: exp(omega) = V exp(-i lam) V^H
     return (V * np.exp(-1j * lam)[..., None, :]) @ _dagger(V)
 
 
+def _kept(store, n_sub, build):
+    """store[n_sub], made by build() on first use and kept read-only. Only
+    refinement levels over [0, b] ask, so a store holds at most
+    log2(MAX_SUBSTEPS) arrays."""
+    kept = store.get(n_sub)
+    if kept is None:
+        kept = store[n_sub] = build()
+        kept.flags.writeable = False
+    return kept
+
+
 def _own_steps(conn, n_sub):
     """conn's own step matrices over [0, b] at n_sub substeps per cell, as one
-    read-only array, built on first use and kept on conn."""
-    _level_plan(conn, n_sub)
+    array, kept on conn."""
     return _kept(conn._levels, n_sub, lambda: _steps(conn, conn.values, conn.b, n_sub))
 
 
@@ -249,12 +197,9 @@ def _refine(compute, k, tol, size):
 
 def _refined_transport(conn, values, t_end, tol):
     """a(t_end) of every connection in the stack values on conn's grid, each
-    refined until stable to tol; over [0, b], on conn's kept plan of each level."""
-    def compute(n, live):
-        if t_end == conn.b:
-            _level_plan(conn, n)
-        return _transport(conn, values[live], t_end, n)
-    return _refine(compute, len(values), tol, _frobenius)
+    refined until stable to tol."""
+    return _refine(lambda n, live: _transport(conn, values[live], t_end, n),
+                   len(values), tol, _frobenius)
 
 
 def horizontal_transport(conn, t, n_sub=None, tol=TRANSPORT_TOL):
@@ -284,14 +229,21 @@ def holonomy(conn, n_sub=None, tol=TRANSPORT_TOL):
 
 def _twisted_integral(conn, var, n_sub):
     group = conn.group
-    i, frac, third, w, idx = _level_plan(conn, n_sub)[4:]
+    _, grid = _grid(conn, conn.b, n_sub)
+    ts = np.concatenate([[0.0], grid[:, 1:].ravel()])
     mats = np.concatenate([group.identity()[None], _own_steps(conn, n_sub)])
     _prefix(mats[1:])  # in place, on the copy: the kept steps stay as built
     # Ad(a^-1) theta at every node, read off a^-1 Theta a in the algebra basis
-    theta = group.algebra_to_matrix(_lerp(var.values, i, frac))
+    theta = group.algebra_to_matrix(_interpolate(conn, var.values, ts))
     twisted = _dagger(mats) @ theta @ mats
     integrand = group.matrix_to_algebra(twisted)
-    return np.einsum("c,k,ckd->d", third, w, integrand[idx])
+    # composite Simpson per grid cell (nodes align, n_sub even)
+    cells = len(conn.times) - 1
+    w = np.where(np.arange(n_sub + 1) % 2, 4.0, 2.0)
+    w[[0, -1]] = 1.0
+    idx = n_sub * np.arange(cells)[:, None] + np.arange(n_sub + 1)
+    h = (ts[idx[:, -1]] - ts[idx[:, 0]]) / n_sub
+    return np.einsum("c,k,ckd->d", h / 3, w, integrand[idx])
 
 
 def _check_grid(conn, var):

@@ -1,10 +1,11 @@
-"""A connection's grid plan and kept products give the bits of building each step alone.
+"""Transport's step kernel and a connection's kept products keep the bits of the formulas built alone.
 
-At each refinement level over [0, b] a PathConnection keeps the grid plan its
-steps and its twisted integral read, and the product of its own steps. These
-tests hold every array to the bits of the formulas it replaced, copied below
-as they stood before the plans: the step kernel with its two commutator
-products, the twisted integral, and algebra_to_matrix as np.tensordot.
+The step kernel takes both commutator products in one matmul,
+algebra_to_matrix is the np.dot that np.tensordot makes, and a PathConnection
+keeps the product of its own steps at each refinement level over [0, b]. These
+tests hold every array to the bits of the formulas they replaced, copied below
+as they stood before: the step kernel with its two commutator products, the
+twisted integral, and algebra_to_matrix as np.tensordot.
 """
 
 import importlib
@@ -18,7 +19,6 @@ from surfrep.holonomy import (
     MAX_SUBSTEPS,
     PathConnection,
     Variation,
-    _level_plan,
     _product,
     _steps,
     _transport,
@@ -36,7 +36,7 @@ GROUPS = ("SU2", "SO3", "U1", "SU2xU1", "SO3xSU2xU1")
 NODES = (2, 3, MAX_NODES)
 
 # ---------------------------------------------------------------------------
-# The formulas as they stood before the plans
+# The formulas as they stood before
 
 
 def _a2m_tensordot(group, coords):
@@ -115,25 +115,16 @@ def test_algebra_to_matrix_is_the_tensordot(name):
 
 @pytest.mark.parametrize("nodes", NODES)
 @pytest.mark.parametrize("name", GROUPS)
-def test_steps_keep_their_bits_with_and_without_a_kept_plan(name, nodes):
+def test_steps_keep_their_bits(name, nodes):
     group = group_from_name(name)
     conn = _connection(group, nodes, seed=nodes)
     stack = np.random.default_rng(2).standard_normal((2, nodes, group.dim))
     for n in (1, 2, 3, 8):
-        # no plan kept: whole path, t < b (the last cell cut), and a stack
-        assert not conn._plans
+        # whole path, t < b (the last cell cut), and a stack
         for t_end in (conn.b, 0.37 * conn.b):
             assert _same_bits(_steps(conn, conn.values, t_end, n),
                               _steps_alone(conn, conn.values, t_end, n))
         assert _same_bits(_steps(conn, stack, conn.b, n), _steps_alone(conn, stack, conn.b, n))
-    for n in (2, 4):
-        _level_plan(conn, n)
-        assert _same_bits(_steps(conn, conn.values, conn.b, n),
-                          _steps_alone(conn, conn.values, conn.b, n))
-        assert _same_bits(_steps(conn, stack, conn.b, n), _steps_alone(conn, stack, conn.b, n))
-        # the kept plan serves only the whole path
-        t = 0.61 * conn.b
-        assert _same_bits(_steps(conn, stack, t, n), _steps_alone(conn, stack, t, n))
 
 
 @pytest.mark.parametrize("nodes", NODES)
@@ -148,7 +139,7 @@ def test_refined_readings_keep_their_bits(name, nodes):
     holonomy_derivative(conn, var)
     holonomy_derivative_fd(conn, var)
     # the derivative may refine further than the holonomy
-    assert conn._levels.keys() == conn._plans.keys() >= conn._products.keys()
+    assert conn._levels.keys() >= conn._products.keys()
     for n, steps in conn._levels.items():
         alone = _steps_alone(conn, conn.values, conn.b, n)
         assert _same_bits(steps, alone), n
@@ -165,7 +156,7 @@ def test_refined_readings_keep_their_bits(name, nodes):
 
 
 @pytest.mark.parametrize("name", GROUPS)
-def test_chunked_passes_on_a_kept_plan_keep_the_bits_of_one_pass(name, monkeypatch):
+def test_chunked_passes_keep_the_bits_of_one_pass(name, monkeypatch):
     # with the budget at 16 substeps per cell, a MAX_NODES stack runs one entry per pass
     group = group_from_name(name)
     conn = _connection(group, MAX_NODES, seed=4)
@@ -178,7 +169,6 @@ def test_chunked_passes_on_a_kept_plan_keep_the_bits_of_one_pass(name, monkeypat
         return _steps(conn, values, t_end, n_sub)
 
     monkeypatch.setattr(holonomy_module, "_steps", counted)
-    _level_plan(conn, 16)
     got = _transport(conn, stack, conn.b, 16)
     assert passes == [1, 1, 1]
     assert _same_bits(got, _product(_steps_alone(conn, stack, conn.b, 16)))
@@ -204,14 +194,14 @@ def test_a_second_holonomy_multiplies_nothing_out(monkeypatch):
     assert calls == []
 
 
-def test_kept_plans_and_products_are_read_only_and_one_per_refinement_level():
+def test_kept_steps_and_products_are_read_only_and_one_per_refinement_level():
     # the call mix of the kept-steps test: transport to t < b and at a given
     # n_sub keep nothing; the refinements over the whole path, which never
     # settle to 1e-14 on this path, keep one of each per level
     values = 40 * np.random.default_rng(0).standard_normal((3, 3))
     conn = PathConnection(group_from_name("SU2"), 1.0, values)
     var = Variation(conn, np.ones((3, 3)))
-    stores = (conn._plans, conn._levels, conn._products)
+    stores = (conn._levels, conn._products)
     for t in np.linspace(0.0, conn.b, 51)[:-1]:
         horizontal_transport(conn, t, tol=1e-6)
     for n_sub in (1, 2, 3, 8, MAX_SUBSTEPS):
@@ -226,19 +216,9 @@ def test_kept_plans_and_products_are_read_only_and_one_per_refinement_level():
     for store in stores:
         assert sorted(store) == levels
         for kept in store.values():
-            for a in kept if isinstance(kept, tuple) else (kept,):
-                assert not a.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    a[(0,) * a.ndim] = a[(0,) * a.ndim]
-
-
-def test_the_plans_of_every_level_stay_within_their_bound():
-    # the bound the module docstring states: under 9.5 MB of plans at MAX_NODES
-    # over every refinement level, whatever the group
-    conn = PathConnection(group_from_name("SU2"), 1.0, np.zeros((MAX_NODES, 3)))
-    levels = [2 ** k for k in range(1, int(np.log2(MAX_SUBSTEPS)) + 1)]
-    total = sum(a.nbytes for n in levels for a in _level_plan(conn, n))
-    assert total < 9.5e6
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[(0,) * kept.ndim] = kept[(0,) * kept.ndim]
 
 
 # ---------------------------------------------------------------------------
