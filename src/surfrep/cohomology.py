@@ -143,25 +143,17 @@ def _d0(group, values):
 
 def _walk_plan(pres):
     """How one walk per relator gives both its value and its rows of D1. Per
-    relator (starts, skip, rounds): starts are the distinct suffix starts of
-    its Fox terms (words.fox_terms) and start 0, the relator value, first;
-    the terms read walk[skip:] (skip is 1 where no term reads start 0); and
-    rounds hold the terms, each generator's q-th term in round q, as
-    (generator indices, signs, rows of walk[skip:]), so a round's blocks are
-    distinct and each block sums its terms in letter order."""
+    relator (starts, skip, cols, signs, rows): starts are the distinct suffix
+    starts of its Fox terms (words.fox_terms) and start 0, the relator value,
+    first; the terms read walk[skip:] (skip is 1 where no term reads start 0);
+    and cols, signs and rows hold the terms in letter order, as generator
+    indices, signs and rows of walk[skip:]."""
     plan = []
     for r in pres.relators:
-        terms = list(fox_terms(r))
-        starts = sorted({0, *(s for _, _, s in terms)})
-        skip = int(all(s for _, _, s in terms))
-        seen, rounds = {}, []
-        for j, sign, s in terms:
-            q = seen[j] = seen.get(j, -1) + 1
-            if q == len(rounds):
-                rounds.append(([], [], []))
-            for part, x in zip(rounds[q], (j - 1, sign, bisect.bisect_left(starts, s) - skip)):
-                part.append(x)
-        plan.append((starts, skip, [tuple(map(np.array, parts)) for parts in rounds]))
+        j, signs, s = np.array(list(fox_terms(r)), dtype=int).reshape(-1, 3).T
+        starts = sorted({0, *s.tolist()})
+        skip = int(s.all())
+        plan.append((starts, skip, j - 1, signs, np.searchsorted(starts, s) - skip))
     return plan
 
 
@@ -169,21 +161,20 @@ def _walks(pres, group, values, plan):
     """Each relator's walk (starts, ..., m, m) over its plan's starts."""
     _check_generators(pres, values)
     return [_suffixes(group, values, r.letters, starts)
-            for r, (starts, _, _) in zip(pres.relators, plan)]
+            for r, (starts, *_) in zip(pres.relators, plan)]
 
 
 def _plan_d1(pres, group, plan, walks, lead):
     """D1 (lead + (relators d, n d)) from the relators' walks: block (i, j) is
     dr_i/dx_j evaluated as in evaluate_group_ring. Per relator one stacked Ad
-    of the suffixes its terms read, then one add per round, so each block sums
-    its terms from zeros in letter order."""
+    of the suffixes its terms read, then one unbuffered add (np.add.at), so
+    each block sums its terms from zeros in letter order."""
     d = group.dim
     D1 = np.zeros(lead + (pres.m * d, pres.n * d))
     blocks = np.moveaxis(D1.reshape(lead + (pres.m, d, pres.n, d)), (-4, -2), (0, 1))
-    for i, (walk, (_, skip, rounds)) in enumerate(zip(walks, plan)):
+    for i, (walk, (_, skip, cols, signs, rows)) in enumerate(zip(walks, plan)):
         A = group.Ad_matrix(_dagger(walk[skip:]))
-        for cols, signs, rows in rounds:
-            blocks[i, cols] += signs.reshape((-1,) + (1,) * (A.ndim - 1)) * A[rows]
+        np.add.at(blocks[i], cols, signs.reshape((-1,) + (1,) * (A.ndim - 1)) * A[rows])
     return D1
 
 
@@ -500,7 +491,7 @@ def sample_stabilizer(rep, count=8, seed=0, data=None):
     read from data.basis_H0 (data as in obstruction_quadratic, but never built
     here) or, without data, cut at RANK_TOL from the point's kept SVD of D0,
     the one build_complex cuts."""
-    if not isinstance(count, (int, np.integer)) or count < 0:
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
     group = rep.group
     els = [z.copy() for z in group.center_elements]
@@ -585,8 +576,6 @@ def conjugation_isomorphism_check(pres, rep, x):
 def enumerate_central_reps(pres, group, c=None):
     """All tuples of center elements whose relator values hit the central target;
     at most MAX_CENTRAL_TUPLES of them, walked as one stack of samples."""
-    if not group.center_elements:
-        raise ValueError("group has no enumerable center list")
     k = len(group.center_elements)
     if k ** pres.n > MAX_CENTRAL_TUPLES:
         raise ValueError(

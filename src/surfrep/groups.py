@@ -322,17 +322,14 @@ def so3():
     )
 
 
-def u1(center_order=2):
-    """U(1) as 1x1 unitary matrices; center_order picks the finite cyclic subgroup
-    recorded as enumerable center (0 means none is enumerated)."""
+def u1():
+    """U(1) as 1x1 unitary matrices, with {1, -1} recorded as enumerable center."""
     def log(g):
         z = g[..., 0, :1]
         theta = np.arctan2(z.imag, z.real)
         return theta, theta
 
-    center = [
-        np.array([[np.exp(2j * np.pi * k / center_order)]]) for k in range(center_order)
-    ] if center_order else []
+    center = [np.array([[np.exp(2j * np.pi * k / 2)]]) for k in range(2)]
     return LieGroupModel(
         "U1", [np.array([[1j]])], center,
         exp=lambda coords: np.exp(1j * coords[..., None]), log=log,

@@ -264,16 +264,17 @@ def holonomy_derivative(conn, var, tol=TRANSPORT_TOL):
 
 def holonomy_derivative_fd(conn, var, s=FD_STEP, tol=TRANSPORT_TOL):
     """Central finite difference along the affine family (transport data A - s*theta);
-    the independent oracle for holonomy_derivative. s is nonzero and finite."""
+    the independent oracle for holonomy_derivative. s is nonzero, s and A -+ s*theta finite."""
     if s == 0 or not np.isfinite(s):
         raise ValueError(f"finite-difference step must be nonzero and finite, got {s}")
     _check_grid(conn, var)
-    group = conn.group
-    plus = PathConnection(group, conn.b, conn.values - s * var.values)
-    minus = PathConnection(group, conn.b, conn.values + s * var.values)
-    gp, gm = _refined_transport(conn, np.stack([plus.values, minus.values]), conn.b, tol)
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+        varied = conn.values + np.multiply.outer([-s, s], var.values)  # A - s theta, A + s theta
+    if not np.isfinite(varied).all():
+        raise ValueError("varied connection samples must be finite")
+    gp, gm = _refined_transport(conn, varied, conn.b, tol)
     yinv = _dagger(holonomy(conn, tol=tol))
-    return (group.log(yinv @ gp) - group.log(yinv @ gm)) / (2 * s)
+    return (conn.group.log(yinv @ gp) - conn.group.log(yinv @ gm)) / (2 * s)
 
 
 def conjugation_invariance_check(conn, x):

@@ -892,9 +892,10 @@ def test_stabilizer_sample_rejects_a_negative_count():
 def test_stabilizer_sample_rejects_a_non_integer_count_at_every_point():
     # at a point with a discrete centralizer the count is never used, so 2.5
     # and NaN used to return the two centre elements; at the torus and central
-    # points numpy raised a TypeError that did not name the count
+    # points numpy raised a TypeError that did not name the count. True is an
+    # int to isinstance, and it used to take those same two paths
     points = (central_rep(), torus_rep(), rep_from_name(P2, G, "random:1"))
-    for rep, count in itertools.product(points, (2.5, np.nan, 3.0, "3", None)):
+    for rep, count in itertools.product(points, (2.5, np.nan, 3.0, "3", None, True)):
         with pytest.raises(ValueError, match="count must be a non-negative integer"):
             sample_stabilizer(rep, count=count)
     for (rep, size), count in itertools.product(zip(points, (5, 5, 2)), (3, np.int64(3))):
@@ -1106,7 +1107,6 @@ def test_enumerate_central_reps_genus1():
 
 def test_enumerate_central_reps_u1():
     assert len(enumerate_central_reps(P2, u1())) == 16
-    assert len(enumerate_central_reps(P1, u1(center_order=3))) == 9
 
 
 def test_enumerate_central_reps_is_the_one_tuple_loop():
@@ -1114,7 +1114,7 @@ def test_enumerate_central_reps_is_the_one_tuple_loop():
     # that relator_defect gives it alone
     pair, cube = Presentation(2, [parse_word("x1*x2")]), Presentation(2, [parse_word("x1^3*x2")])
     cases = [(P2, G, None), (surface_presentation(3), G, None), (pair, G, None),
-             (pair, G, BundleClass(G, -EYE)), (cube, u1(center_order=3), None),
+             (pair, G, BundleClass(G, -EYE)), (cube, u1(), None),
              (P2, group_from_name("SU2xU1"), None)]
     for pres, group, c in cases:
         want = [np.stack(combo) for combo in itertools.product(group.center_elements, repeat=pres.n)
@@ -1126,21 +1126,18 @@ def test_enumerate_central_reps_is_the_one_tuple_loop():
     assert len(enumerate_central_reps(pair, G, BundleClass(G, -EYE))) == 2
 
 
-def test_enumerate_rejects_unenumerable_center():
-    with pytest.raises(ValueError):
-        enumerate_central_reps(P2, u1(center_order=0))
-
-
 def test_enumerate_rejects_too_many_center_tuples_first(monkeypatch):
-    # 64 ** 2 tuples are walked; 65 ** 2 and SU(2) at genus 7 (4 ** 14) are not
+    # SU2xU1's center has 4 elements: 4 ** 6 tuples at genus 3 are walked;
+    # 4 ** 8 at genus 4 and SU(2) at genus 7 (2 ** 14) are not
     assert cohomology.MAX_CENTRAL_TUPLES == 4096
-    assert len(enumerate_central_reps(P1, u1(center_order=64))) == 4096
+    product = group_from_name("SU2xU1")
+    assert len(enumerate_central_reps(surface_presentation(3), product)) == 4096
 
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a center tuple before checking the count")
 
     monkeypatch.setattr(cohomology, "_relators_at", no_walk)
-    for pres, group in ((P1, u1(center_order=65)), (surface_presentation(7), G)):
+    for pres, group in ((surface_presentation(4), product), (surface_presentation(7), G)):
         with pytest.raises(ValueError, match="center tuples exceed the budget of 4096"):
             enumerate_central_reps(pres, group)
 

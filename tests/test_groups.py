@@ -258,11 +258,7 @@ def test_center_elements_act_trivially():
         for c in model.center_elements:
             assert np.allclose(model.Ad_matrix(c), np.eye(model.dim), atol=1e-10)
     assert len(su2().center_elements) == 2
-    assert len(u1(center_order=4).center_elements) == 4
-
-
-def test_u1_full_center_configuration_is_empty_list():
-    assert u1(center_order=0).center_elements == []
+    assert len(u1().center_elements) == 2
 
 
 def test_project_to_group_removes_drift():

@@ -259,6 +259,9 @@ UNWORKABLE = {
     "infinite-tol-fd": (lambda conn, var: holonomy_derivative_fd(conn, var, tol=np.inf), "tol"),
     "zero-step": (lambda conn, var: holonomy_derivative_fd(conn, var, s=0.0), "step"),
     "nan-step": (lambda conn, var: holonomy_derivative_fd(conn, var, s=np.nan), "step"),
+    # s theta overflows to inf, with no overflow warning before the error
+    "overflowing-step": (lambda conn, var: holonomy_derivative_fd(
+        conn, Variation(conn, 10 * var.values), s=1e308), "samples must be finite"),
 }
 
 

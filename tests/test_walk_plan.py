@@ -1,8 +1,8 @@
 """The walk plan of the Fox complex: one walk over each relator's letters gives
 both the relator value (start 0) and every suffix D1's Fox terms read, each
-distinct suffix once, and D1 is assembled from them with the bits of the
-term-by-term sum. Gauss-Newton walks each relator once per trial and builds
-the next D1 from the accepted trial's walk.
+distinct suffix once, and D1 adds the terms in letter order (one np.add.at
+per relator) with the bits of the term-by-term sum. Gauss-Newton walks each
+relator once per trial and builds the next D1 from the accepted trial's walk.
 """
 
 import numpy as np
@@ -67,7 +67,7 @@ def test_plan_walk_entries_are_their_one_start_walks(name, samples):
     for pres in [surface_presentation(g) for g in (1, 2, 3, 8)] + [odd_presentation()]:
         values = random_values(group, pres.n, samples, pres.n)
         plan = _walk_plan(pres)
-        for r, (starts, _, _), walk in zip(pres.relators, plan, _walks(pres, group, values, plan)):
+        for r, (starts, *_), walk in zip(pres.relators, plan, _walks(pres, group, values, plan)):
             assert starts[0] == 0 and starts == sorted(set(starts))
             for s, entry in zip(starts, walk):
                 alone = _suffixes(group, values, r.letters, [s])[0]
@@ -76,15 +76,14 @@ def test_plan_walk_entries_are_their_one_start_walks(name, samples):
 
 @pytest.mark.parametrize("genus", [1, 2, 8])
 def test_plan_walks_each_distinct_suffix_once(genus):
-    # a commutator's 4 terms read 3 distinct suffixes; its two rounds take
-    # every generator's positive then its inverse letter
+    # a commutator's 4 terms read 3 distinct suffixes; its terms stay in
+    # letter order, x_a, x_b, x_a^-1, x_b^-1, each with its generator and sign
     pres = surface_presentation(genus)
-    ((starts, skip, rounds),) = _walk_plan(pres)
+    ((starts, skip, cols, signs, rows),) = _walk_plan(pres)
     assert len(starts) == 3 * genus + 1 and skip == 1
-    assert len(rounds) == 2
-    for cols, _, _ in rounds:
-        assert sorted(cols) == list(range(2 * genus))
-    assert [list(signs) for _, signs, _ in rounds] == [[1] * 2 * genus, [-1] * 2 * genus]
+    assert cols.tolist() == [c for h in range(genus) for c in (2 * h, 2 * h + 1) * 2]
+    assert signs.tolist() == [1, 1, -1, -1] * genus
+    assert [starts[k + skip] for k in rows] == [s for _, _, s in fox_terms(pres.relators[0])]
 
 
 @pytest.mark.parametrize("samples", [None, 5], ids=["point", "stack"])
