@@ -139,6 +139,8 @@ class LieGroupModel:
         self.dim, self.matrix_dim = self.algebra_basis.shape[:2]
         self._scales = -1 / np.einsum("kij,kji->k", self.algebra_basis, self.algebra_basis).real
         self.center_elements = [np.asarray(c, dtype=complex) for c in center_elements]
+        if not self.center_elements:
+            raise ValueError("center_elements is empty; the identity is central in every group")
         self._exp = exp
         self._log = log
         self._random_element = random_element

@@ -35,6 +35,7 @@ _TRIPLES = list(itertools.combinations(range(4), 3))
 _MINOR_ROWS = np.array([rows for rows in _TRIPLES for _ in _TRIPLES])[:, :, None]
 _MINOR_COLS = np.array([cols for _ in _TRIPLES for cols in _TRIPLES])[:, None, :]
 _COUPLES = np.array(list(itertools.combinations(range(4), 2)))
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def momentum_so2(q, p):
@@ -46,9 +47,15 @@ def momentum_so2(q, p):
 
 def momentum_so3(q1, p1, q2, p2):
     """Cross-product sum q1 x p1 + q2 x p2 of vectors (..., 3), the SO(3) momentum value."""
-    return np.cross(np.asarray(q1, dtype=float), np.asarray(p1, dtype=float)) + np.cross(
-        np.asarray(q2, dtype=float), np.asarray(p2, dtype=float)
-    )
+    vectors = [np.asarray(v, dtype=float) for v in (q1, p1, q2, p2)]
+    if any(v.shape[-1:] != (3,) for v in vectors):
+        raise ValueError("momentum_so3 takes vectors of length 3")
+    q1, p1, q2, p2 = vectors
+    # np.cross's products and differences, component k from the entries after
+    # it (_NEXT) and before it (_PREV), without its moveaxis and broadcast
+    # bookkeeping
+    return ((q1[..., _NEXT] * p1[..., _PREV] - q1[..., _PREV] * p1[..., _NEXT])
+            + (q2[..., _NEXT] * p2[..., _PREV] - q2[..., _PREV] * p2[..., _NEXT]))
 
 
 def _so3_slots(W):
@@ -118,7 +125,10 @@ def so2_model():
 
     def hilbert(W):
         q, p = W[..., 0:2], W[..., 2:4]
-        qq, pp, qp = np.vecdot(q, q), np.vecdot(p, p), np.vecdot(q, p)
+        # one point takes ndarray.dot, the ddot that np.vecdot calls on a
+        # stack, without the gufunc's per-call cost
+        dot = np.ndarray.dot if W.ndim == 1 else np.vecdot
+        qq, pp, qp = dot(q, q), dot(p, p), dot(q, p)
         return np.array([qq - pp, 2.0 * qp, qq + pp]).T
 
     # W.T unpacks the coordinates of one point as scalars, of a stack as columns
@@ -185,10 +195,21 @@ def so3_model():
 MODELS = {"so2": so2_model, "so3": so3_model}  # by the reduction command's names
 
 
+class _Batch:
+    """The points one validating pass made: their model, their vectors W
+    (read-only) and the relation residual tables of every row. Each point
+    keeps its batch next to its row; the point-list readers group by it."""
+
+    __slots__ = ("model", "W", "relations")
+
+    def __init__(self, model, W, relations):
+        self.model, self.W, self.relations = model, W, relations
+
+
 class ZeroLocusPoint:
     """A point of the momentum zero locus, validated on construction. The
     validating pass also takes the relation residuals of its batch; the point
-    keeps that table and its row there, which check_relations reads. w is
+    keeps that batch and its row there, which check_relations reads. w is
     read-only, so the row cannot go stale."""
 
     def __init__(self, model, w):
@@ -209,13 +230,13 @@ class ZeroLocusPoint:
             if not finite[i]:
                 raise ValueError("point contains non-finite entries")
             raise ValueError(f"momentum residual {residuals[i]:.3e} exceeds {RESIDUAL_TOL:.0e}")
-        relations = model._relations(model._hilbert(W), W)
+        batch = _Batch(model, W, model._relations(model._hilbert(W), W))
         W.flags.writeable = False
         points = []
         for row, (w, residual) in enumerate(zip(W, residuals.tolist())):
             point = cls.__new__(cls)
             point.model, point.w, point.residual = model, w, residual
-            point._relations, point._row = relations, row
+            point._batch, point._row = batch, row
             points.append(point)
         return points
 
@@ -232,43 +253,59 @@ def _construct_so2(rng, count):
     return np.concatenate([q, p], axis=1)
 
 
-def _area_pair(rng):
-    # a planar pair whose signed area is at least 0.05 in size
-    while True:
-        a, b = rng.standard_normal(2), rng.standard_normal(2)
-        area = momentum_so2(a, b)
-        if abs(area) > 0.05:
-            return a, b, area
-
-
 def _construct_so3(rng, count):
-    # draws go in index order, as one point at a time would take them
+    # The one-point loop reads three things per point, in index order: a
+    # parallel point a line (3 normals) and four weights (7 together), a planar
+    # one a 3x2 plane (6) and two area pairs (4 each), each pair drawn again
+    # until its signed area is at least 0.05 in size. The normals come in
+    # blocks, each as large as the reads left can still take, so the
+    # generator ends where the one-point loop leaves it.
     parallel = np.arange(1, count) % 6 == 3
-    lines, weights, planes, pairs = [], [], [], []
-    for flat in parallel:
-        if flat:
-            lines.append(rng.standard_normal(3))
-            weights.append(rng.standard_normal(4))
-        else:
-            planes.append(rng.standard_normal((3, 2)))
-            pairs.append(_area_pair(rng) + _area_pair(rng))
+    sizes = np.where(parallel[:, None], [7, 0, 0], [6, 4, 4]).ravel()
+    starts = np.empty(len(sizes), dtype=int)
+    z, done, pos = np.empty(0), 0, 0
+    while done < len(sizes):
+        rest = sizes[done:]
+        z = np.concatenate([z, rng.standard_normal(pos + int(rest.sum()) - len(z))])
+        # each read's start in z[pos:] while no pair is drawn again, and the pair
+        # read, if any, that starts at each position
+        base = np.cumsum(rest) - rest
+        owner = np.full(len(z) - pos, -1)
+        owner[base[rest == 4]] = np.flatnonzero(rest == 4)
+        window = np.lib.stride_tricks.sliding_window_view(z[pos:], 4)
+        small = np.flatnonzero(~(np.abs(momentum_so2(window[:, :2], window[:, 2:])) > 0.05))
+        # a small area at a pair's start draws that pair again 4 normals on,
+        # shifting every later read
+        redrawn, shift, frontier = [], 0, 0
+        for at in small.tolist():
+            if at >= frontier and owner[at - shift] >= 0:
+                redrawn.append(owner[at - shift])
+                shift += 4
+                frontier = at + 4
+        begin = base + 4 * np.cumsum(np.bincount(redrawn, minlength=len(rest)))
+        fits = int(np.count_nonzero(begin + rest <= len(z) - pos))
+        starts[done:done + fits] = pos + begin[:fits]
+        pos = pos + int(begin[fits]) if fits < len(rest) else len(z)
+        done += fits
+    first, pair1, pair2 = starts.reshape(-1, 3).T
     W = np.empty((len(parallel), 12))
-    if lines:
-        # all four slots parallel, every cross product vanishes identically
-        u = np.array(lines)
-        u /= _norm(u)[:, None]
-        W[parallel] = (np.array(weights)[:, :, None] * u[:, None, :]).reshape(-1, 12)
-    if planes:
-        # a common plane with the two signed areas, rescaled to +-1, tuned to cancel
-        a, b, area1, c, d, area2 = (np.array(x) for x in zip(*pairs))
-        scale1 = (1.0 / np.sqrt(np.abs(area1)))[:, None]
-        scale2 = (1.0 / np.sqrt(np.abs(area2)))[:, None]
-        a, b, c, d = scale1 * a, scale1 * b, scale2 * c, scale2 * d
-        d = np.where((np.sign(area1) == np.sign(area2))[:, None], -d, d)
-        basis = np.linalg.qr(np.array(planes))[0]
-        # slots (q1, q2, p1, p2) hold plane coordinates (a, c, b, d)
-        coords = np.stack([a, c, b, d], axis=1)[..., None]
-        W[~parallel] = (basis[:, None] @ coords).reshape(-1, 12)
+    # all four slots parallel, every cross product vanishes identically
+    at = first[parallel, None]
+    u = z[at + np.arange(3)]
+    u /= _norm(u)[:, None]
+    W[parallel] = (z[at + np.arange(3, 7)][:, :, None] * u[:, None, :]).reshape(-1, 12)
+    # a common plane with the two signed areas, rescaled to +-1, tuned to cancel
+    at1, at2 = pair1[~parallel, None], pair2[~parallel, None]
+    a, b, c, d = z[at1 + np.arange(2)], z[at1 + np.arange(2, 4)], z[at2 + np.arange(2)], z[at2 + np.arange(2, 4)]
+    area1, area2 = momentum_so2(a, b), momentum_so2(c, d)
+    scale1 = (1.0 / np.sqrt(np.abs(area1)))[:, None]
+    scale2 = (1.0 / np.sqrt(np.abs(area2)))[:, None]
+    a, b, c, d = scale1 * a, scale1 * b, scale2 * c, scale2 * d
+    d = np.where((np.sign(area1) == np.sign(area2))[:, None], -d, d)
+    basis = np.linalg.qr(z[first[~parallel, None] + np.arange(6)].reshape(-1, 3, 2))[0]
+    # slots (q1, q2, p1, p2) hold plane coordinates (a, c, b, d)
+    coords = np.stack([a, c, b, d], axis=1)[..., None]
+    W[~parallel] = (basis[:, None] @ coords).reshape(-1, 12)
     return W
 
 
@@ -390,18 +427,14 @@ def check_relations(model, point):
     the pass validating the point stored.
     """
     _check_model(model, point)
-    return {k: float(v[point._row]) for k, v in point._relations.items()}
+    return {k: float(v[point._row]) for k, v in point._batch.relations.items()}
 
 
 def relation_residual_max(model, points):
-    """Largest check_relations value over points that pass _point_vectors'
-    check, read from the rows their validating passes stored, one gather per pass."""
-    _point_vectors(model, points)
-    tables = {}
-    for point in points:
-        tables.setdefault(id(point._relations), (point._relations, []))[1].append(point._row)
-    return max(0.0, max(float(np.max(values[rows]))
-                        for relations, rows in tables.values() for values in relations.values()))
+    """Largest check_relations value over points that pass _batches' check,
+    read from the rows their validating passes stored, one gather per pass."""
+    return max(0.0, max(float(np.max(values[rows])) for batch, rows, _ in _batches(model, points)
+                        for values in batch.relations.values()))
 
 
 def _check_model(model, point):
@@ -410,12 +443,32 @@ def _check_model(model, point):
     return point
 
 
-def _point_vectors(model, points):
-    """The points' vectors (k, W_dim), after every point list's check: the list
-    is non-empty and each point is of the reader's model."""
+def _batches(model, points):
+    """The points grouped by the pass that validated them, after every point
+    list's check: the list is non-empty and each point is of the reader's
+    model. One (batch, rows, where) per pass, in first-seen order: the rows its
+    points hold there and where the list holds them."""
     if not points:
         raise ValueError("the point list is empty")
-    return np.stack([_check_model(model, point).w for point in points])
+    rows = np.array([point._row for point in points])
+    keys = [point._batch for point in points]
+    batches = list(dict.fromkeys(keys))
+    for batch in batches:
+        _check_model(model, batch)
+    if len(batches) == 1:
+        return [(batches[0], rows, slice(None))]
+    index = {batch: i for i, batch in enumerate(batches)}
+    label = np.array([index[key] for key in keys])
+    return [(batch, rows[label == i], label == i) for i, batch in enumerate(batches)]
+
+
+def _point_vectors(model, points):
+    """The points' vectors (k, W_dim) after _batches' check, one gather per
+    validating pass."""
+    W = np.empty((len(points), model.W_dim))
+    for batch, rows, where in _batches(model, points):
+        W[where] = batch.W[rows]
+    return W
 
 
 def stratum_histogram(model, points):

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from surfrep.cohomology import GROUP_DEFECT_TOL
-from surfrep.groups import _rank, direct_product, group_from_name, so3, su2, u1
+from surfrep.groups import LieGroupModel, _rank, direct_product, group_from_name, so3, su2, u1
 
 
 def models():
@@ -242,6 +242,16 @@ def test_product_needs_two_factors(factors):
 def test_product_center_is_product_of_centers():
     prod = direct_product(su2(), u1())
     assert len(prod.center_elements) == 4
+
+
+def test_a_group_without_center_elements_is_rejected():
+    # the identity is central in every group; an empty list used to surface as
+    # numpy's AxisError in enumerate_central_reps
+    base = u1()
+    with pytest.raises(ValueError, match="center_elements"):
+        LieGroupModel("U1", base.algebra_basis, [], exp=base._exp, log=base._log,
+                      random_element=base._random_element, project=base._project,
+                      defect=base._defect)
 
 
 def test_group_from_name():
