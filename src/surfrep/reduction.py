@@ -295,8 +295,8 @@ def _construct_so3(rng, count):
     u /= _norm(u)[:, None]
     W[parallel] = (z[at + np.arange(3, 7)][:, :, None] * u[:, None, :]).reshape(-1, 12)
     # a common plane with the two signed areas, rescaled to +-1, tuned to cancel
-    at1, at2 = pair1[~parallel, None], pair2[~parallel, None]
-    a, b, c, d = z[at1 + np.arange(2)], z[at1 + np.arange(2, 4)], z[at2 + np.arange(2)], z[at2 + np.arange(2, 4)]
+    a, b = np.split(z[pair1[~parallel, None] + np.arange(4)], 2, axis=1)
+    c, d = np.split(z[pair2[~parallel, None] + np.arange(4)], 2, axis=1)
     area1, area2 = momentum_so2(a, b), momentum_so2(c, d)
     scale1 = (1.0 / np.sqrt(np.abs(area1)))[:, None]
     scale2 = (1.0 / np.sqrt(np.abs(area2)))[:, None]
