@@ -245,8 +245,7 @@ def test_product_center_is_product_of_centers():
 
 
 def test_a_group_without_center_elements_is_rejected():
-    # the identity is central in every group; an empty list used to surface as
-    # numpy's AxisError in enumerate_central_reps
+    # the identity is central in every group, so an empty list is a mistake
     base = u1()
     with pytest.raises(ValueError, match="center_elements"):
         LieGroupModel("U1", base.algebra_basis, [], exp=base._exp, log=base._log,
