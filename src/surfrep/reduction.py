@@ -125,10 +125,12 @@ def so2_model():
 
     def hilbert(W):
         q, p = W[..., 0:2], W[..., 2:4]
-        # one point takes ndarray.dot, the ddot that np.vecdot calls on a
-        # stack, without the gufunc's per-call cost
-        dot = np.ndarray.dot if W.ndim == 1 else np.vecdot
-        qq, pp, qp = dot(q, q), dot(p, p), dot(q, p)
+        if W.ndim == 1:
+            # one point takes ndarray.dot, the ddot that np.vecdot calls on a
+            # stack, without the gufunc's per-call cost, and its image in floats
+            qq, pp, qp = float(q.dot(q)), float(p.dot(p)), float(q.dot(p))
+        else:
+            qq, pp, qp = np.vecdot(q, q), np.vecdot(p, p), np.vecdot(q, p)
         return np.array([qq - pp, 2.0 * qp, qq + pp]).T
 
     # W.T unpacks the coordinates of one point as scalars, of a stack as columns
@@ -505,11 +507,21 @@ def spanning_configurations(v=None):
     return [np.concatenate([int(k in s) * v for k in range(4)]) for s in slots]
 
 
+def _nan_first(magnitude):
+    # a NaN (an inf image's eigenvalues hold them) sorts first, as it does in
+    # np.sort's order reversed
+    return math.inf if magnitude != magnitude else magnitude
+
+
 def _psd_rank_strata(S):
-    eig = np.linalg.eigvalsh((S + np.swapaxes(S, 1, 2)) / 2.0)
-    ranks = _rank(np.sort(np.abs(eig), axis=1)[:, ::-1], 1e-9)
-    return ["outside" if low < -1e-9 or rank > 2 else rank
-            for low, rank in zip(eig[:, 0].tolist(), ranks)]
+    """The label of each image of a stack (k, 4, 4), from its eigenvalues (one
+    eigvalsh call for the stack) in Python floats: its magnitudes go to _rank in
+    descending order, and the lowest eigenvalue decides PSD."""
+    labels = []
+    for eig in np.linalg.eigvalsh((S + S.mT) / 2.0).tolist():
+        rank = _rank(sorted(map(abs, eig), key=_nan_first, reverse=True), 1e-9)
+        labels.append("outside" if eig[0] < -1e-9 or rank > 2 else rank)
+    return labels
 
 
 def psd_rank_stratum(image):

@@ -175,15 +175,17 @@ def fox_derivative(w: Word, j: int) -> GroupRingElement:
 
 
 def verify_fox_identity(w: Word) -> bool:
-    """Check 1 - w = sum_j (1 - x_j) dw/dx_j exactly over the integers."""
-    _check_fox_budget(w, fox_terms(w))
+    """Check 1 - w = sum_j (1 - x_j) dw/dx_j exactly over the integers, in one
+    pass over fox_terms(w): each term sign * u of dw/dx_j adds sign * u and
+    -sign * x_j u to the right side."""
+    terms = list(fox_terms(w))
+    _check_fox_budget(w, terms)
     lhs = GroupRingElement.one() - GroupRingElement.from_word(w)
     rhs = {}
-    for j in range(1, w.max_generator() + 1):
-        xj = _reduced(((j, 1),))
-        for u, c in fox_derivative(w, j).terms.items():
-            for v, cv in ((u, c), (word_multiply(xj, u), -c)):
-                rhs[v] = rhs.get(v, 0) + cv
+    for j, sign, start in terms:
+        u = _reduced(w.letters[start:])
+        for v, c in ((u, sign), (word_multiply(_reduced(((j, 1),)), u), -sign)):
+            rhs[v] = rhs.get(v, 0) + c
     return lhs == GroupRingElement(rhs)
 
 

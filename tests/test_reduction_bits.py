@@ -1,28 +1,33 @@
-"""The zero-locus sampler and the point readers keep the bits of the code they replaced.
+"""The zero-locus sampler, the point readers and the rank strata keep the bits
+of the code they replaced.
 
 _construct_so3 draws its normals in blocks, momentum_so3 writes the cross
 products out, _point_vectors gathers each validating batch's rows with one
-index, and one SO(2) point takes its Hilbert dots with ndarray.dot. These
-tests hold every array, and the state a caller's generator is left in, to the
-formulas they replaced, copied below as they stood before: the constructor
-that drew one slot and one area pair at a time, np.cross, np.stack over the
-points' vectors and np.vecdot.
+index, one SO(2) point takes its Hilbert dots with ndarray.dot, and _rank and
+the SO(3) strata decide in Python floats. These tests hold every array, rank
+and label, and the state a caller's generator is left in, to the formulas
+they replaced, copied below as they stood before: the constructor that drew
+one slot and one area pair at a time, np.cross, np.stack over the points'
+vectors, np.vecdot, and the numpy rank rule over np.sort's magnitudes.
 """
 
 import numpy as np
 import pytest
 
+from surfrep.groups import _rank
 from surfrep.reduction import (
     ZeroLocusPoint,
     _construct_so3,
     _norm,
     _point_vectors,
+    _psd_rank_strata,
     hilbert_map,
     momentum_so2,
     momentum_so3,
     sample_zero_locus,
     so2_model,
     so3_model,
+    spanning_configurations,
 )
 
 # ---------------------------------------------------------------------------
@@ -72,6 +77,17 @@ def _so2_image_vecdot(w):
     q, p = w[..., 0:2], w[..., 2:4]
     qq, pp, qp = np.vecdot(q, q), np.vecdot(p, p), np.vecdot(q, p)
     return np.array([qq - pp, 2.0 * qp, qq + pp]).T
+
+
+def _rank_numpy(s, tol):
+    return (s > tol * np.maximum(s[..., :1], 1.0)).sum(axis=-1).tolist()
+
+
+def _psd_rank_strata_numpy(S):
+    eig = np.linalg.eigvalsh((S + np.swapaxes(S, 1, 2)) / 2.0)
+    ranks = _rank_numpy(np.sort(np.abs(eig), axis=1)[:, ::-1], 1e-9)
+    return ["outside" if low < -1e-9 or rank > 2 else rank
+            for low, rank in zip(eig[:, 0].tolist(), ranks)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +189,99 @@ def test_one_so2_point_image_is_its_row_of_the_stacked_image():
         image = hilbert_map(model, w)
         assert image.shape == (3,)
         assert image.tobytes() == row.tobytes() == _so2_image_vecdot(w).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Ranks and strata in Python floats
+
+_ULP_BELOW_ONE, _ULP_ABOVE_ONE = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+_LOW = np.nextafter(-1e-9, -1.0)  # one ulp below the PSD cutoff
+
+
+def _edge_spectra(tol):
+    """Descending spectra at the edges of the rule: a magnitude at the cutoff and
+    one ulp either side of it, s[0] one ulp below, at and above 1, a NaN or inf
+    first entry, and an empty spectrum."""
+    spectra = [np.zeros(0), np.array([np.nan, 1.0, 0.5]), np.array([np.inf, 1.0, 0.0]),
+               np.array([np.nan]), np.zeros(4), np.array([1e-16, 1e-17, 0.0])]
+    for top in (_ULP_BELOW_ONE, 1.0, _ULP_ABOVE_ONE, 0.5, 3.0, 1e6):
+        cut = tol * max(top, 1.0)
+        spectra.append(np.array([top, np.nextafter(cut, np.inf), cut, np.nextafter(cut, 0.0), 0.0]))
+    return spectra
+
+
+def _edge_images():
+    """Diagonal images whose eigenvalues are their diagonals: a low eigenvalue at
+    exactly -1e-9 and one ulp below it, PSD images of rank 3 and 4, and
+    magnitudes at the rank cutoff with the largest one ulp about 1."""
+    diagonals = [[-1e-9, 0.0, 1.0, 2.0], [_LOW, 0.0, 1.0, 2.0], [-1e-9, 0.0, 0.0, 0.0],
+                 [_LOW, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0],
+                 [0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
+    for top in (_ULP_BELOW_ONE, 1.0, _ULP_ABOVE_ONE, 5.0):
+        cut = 1e-9 * max(top, 1.0)
+        diagonals += [[0.0, 0.0, cut, top], [0.0, cut, np.nextafter(cut, 1.0), top],
+                      [-cut, 0.0, np.nextafter(cut, 1.0), top], [0.0, 0.0, 0.0, top]]
+    return np.array([np.diag(d) for d in diagonals])
+
+
+def _so3_images():
+    model = so3_model()
+    points = [point for seed in (1, 2) for method, count in (("construct", 1000), ("newton", 150))
+              for point in sample_zero_locus(model, count, seed, method=method)]
+    images = model._hilbert(np.stack([point.w for point in points]))
+    spanning = model._hilbert(np.array(spanning_configurations()))
+    return np.concatenate([images, spanning])
+
+
+def test_rank_keeps_the_numpy_rule_at_its_edges():
+    for tol in (1e-9, 1e-8):
+        spectra = _edge_spectra(tol)
+        for s in spectra:
+            assert _rank(s, tol) == _rank_numpy(s, tol), s
+            assert _rank(s.tolist(), tol) == _rank_numpy(s, tol), s
+        stack = np.array([s for s in spectra if s.shape == (5,)][:6]).reshape(2, 3, 5)
+        assert _rank(stack, tol) == _rank_numpy(stack, tol)
+        assert _rank(stack[..., :0], tol) == _rank_numpy(stack[..., :0], tol) == [[0] * 3] * 2
+
+
+def test_strata_keep_the_numpy_ranks_and_labels():
+    # images off the model too: rank-2 Gram matrices plus an antisymmetric part,
+    # which the rule reads symmetrized
+    rng = np.random.default_rng(5)
+    V, B = rng.standard_normal((200, 4, 2)), rng.standard_normal((200, 4, 4))
+    edges = _edge_images()
+    images = np.concatenate([_so3_images(), edges, V @ V.mT + B - B.mT])
+    # the edges are what they claim: eigvalsh returns each diagonal exactly
+    assert np.linalg.eigvalsh(edges).tobytes() == np.sort(np.diagonal(edges, axis1=1, axis2=2)).tobytes()
+    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(images)), axis=1)[:, ::-1]
+    assert _rank(magnitudes, 1e-9) == _rank_numpy(magnitudes, 1e-9)
+    labels = _psd_rank_strata(images)
+    assert labels == _psd_rank_strata_numpy(images)
+    assert [type(label) for label in labels] == [type(label) for label in _psd_rank_strata_numpy(images)]
+    assert {0, 1, 2, "outside"} <= set(labels)
+    # each image alone gets the label it gets in the stack
+    assert [_psd_rank_strata(S[None])[0] for S in images[::7]] == labels[::7]
+
+
+def test_a_non_finite_image_keeps_its_numpy_label():
+    # an inf on the diagonal (the image of a point past 1e154) gives NaN
+    # eigenvalues, and so does a NaN couple off it, next to finite ones: np.sort
+    # puts a NaN first in the descending magnitudes, so the rank is 0
+    images = [np.diag(d) for d in ([np.inf, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, np.inf],
+                                   [-1.0, 2.0, 3.0, np.inf])]
+    for d, (i, j) in (([1.0, 2.0, 0.0, 0.0], (2, 3)), ([3.0, 1.0, 2.0, 0.0], (1, 2)),
+                      ([-3.0, 1.0, 2.0, 0.0], (1, 2)), ([0.0, 0.0, 1.0, 2.0], (0, 1))):
+        image = np.diag(d)
+        image[i, j] = image[j, i] = np.nan
+        images.append(image)
+    images = np.array(images)
+    eig = np.linalg.eigvalsh(images)
+    assert np.isnan(eig).any(axis=1).all() and not np.isnan(eig).all(axis=1).all()
+    assert _psd_rank_strata(images) == _psd_rank_strata_numpy(images)
+
+
+def test_a_nan_image_stack_raises_as_eigvalsh_does():
+    images = np.array([np.eye(4), np.full((4, 4), np.nan)])
+    for strata in (_psd_rank_strata, _psd_rank_strata_numpy):
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            strata(images)

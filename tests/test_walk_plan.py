@@ -1,9 +1,12 @@
 """The walk plan of the Fox complex: one walk over each relator's letters gives
 both the relator value (start 0) and every suffix D1's Fox terms read, each
 distinct suffix once, and D1 adds the terms in letter order (one np.add.at
-per relator) with the bits of the term-by-term sum. Gauss-Newton walks each
-relator once per trial and builds the next D1 from the accepted trial's walk.
+per relator) with the bits of the term-by-term sum, on the kernels and sizes
+GROUPS names. Gauss-Newton walks each relator once per trial and builds the
+next D1 from the accepted trial's walk.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +23,15 @@ from surfrep.cohomology import (
 from surfrep.groups import _dagger, group_from_name
 from surfrep.words import Presentation, Word, fox_terms, parse_word, surface_presentation
 
-GROUPS = ["SU2", "SO3", "SU2xU1", "U1"]
+# Under OpenBLAS's Haswell kernels a 4x4 walk entry need not have the bits of
+# its one-start walk, and so D1 not those of the per-term sum: the tall block's
+# product rounds by the block's height (600 of 660 entries over 20 points at
+# genus 2, 3 and 5; none for 2x2, 3x3 or 6x6, and none on SkylakeX). The 4x4
+# cases must fail there, and hold everywhere else.
+HASWELL = os.environ.get("OPENBLAS_CORETYPE", "").lower() == "haswell"
+GROUPS = ["SU2", "SO3", "SU2xU1", "U1",
+          pytest.param("SU2xSU2", marks=pytest.mark.xfail(
+              HASWELL, strict=True, reason="4x4 walk bits depend on the block height under Haswell"))]
 # a repeated generator, a leading inverse letter, powers, an empty relator
 ODD_RELATORS = ["x1^-1*x2*x1*x1*x2^-1", "x1^3*x2^-2*x1^-1*x3", "x2^-1*x1^-1*x2*x1", "x3^2"]
 

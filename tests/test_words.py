@@ -192,17 +192,17 @@ def test_fox_identity_on_random_words(u):
 
 
 def test_fox_identity_fails_where_a_derivative_drops_a_term(monkeypatch):
-    # the check reads every derivative from fox_derivative: one lost term fails it
-    full = words.fox_derivative
+    # the check reads every derivative's terms from fox_terms: one lost term of
+    # dw/dx_2 fails it
+    full = words.fox_terms
 
-    def dropped(word, j):
-        terms = dict(full(word, j).terms)
-        if j == 2:
-            terms.pop(next(iter(terms)))
-        return GroupRingElement(terms)
+    def dropped(word):
+        terms = list(full(word))
+        terms.remove(next(term for term in terms if term[0] == 2))
+        return iter(terms)
 
     assert verify_fox_identity(commutator_word())
-    monkeypatch.setattr(words, "fox_derivative", dropped)
+    monkeypatch.setattr(words, "fox_terms", dropped)
     assert not verify_fox_identity(commutator_word())
 
 
