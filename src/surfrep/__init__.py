@@ -17,8 +17,6 @@ from surfrep.cohomology import (
     conjugation_isomorphism_check,
     enumerate_central_reps,
     evaluate_group_ring,
-    finite_diff_check_d0,
-    finite_diff_check_d1,
     newton_project_to_variety,
     obstruction_quadratic,
     relator_defect,

@@ -115,12 +115,9 @@ def _rank(s, tol):
     the count above tol * max(s[0], 1). The cutoff is relative, floored at the
     O(1) scale of the package's operators so that roundoff-only spectra
     (s[0] ~ 1e-16) count as rank zero. Every rank decision goes through here.
-    One spectrum, an array (k,) or a list of floats, gives an int, a stack
-    (..., k) a list of ints per row. The rule is taken in Python floats, with
-    np.maximum's bits: a NaN or inf s[0] keeps nothing."""
+    The spectrum is an array (k,) or a list of floats. The rule is taken in
+    Python floats, with np.maximum's bits: a NaN or inf s[0] keeps nothing."""
     if isinstance(s, np.ndarray):
-        if s.ndim > 1:
-            return [_rank(row, tol) for row in s]
         s = s.tolist()
     if not s:
         return 0

@@ -16,8 +16,8 @@ the top level's (nodes - 1) * MAX_SUBSTEPS step matrices: at MAX_NODES and
 MAX_SUBSTEPS, under 76 MB for the 6x6 matrices of SO3xSU2xU1, held as long as
 the connection is. Next to each level's steps it keeps their product, its
 holonomy at that level (one m x m matrix), so the oracles' repeated holonomy
-of it refines by reading. Transport to t < b, or at a given n_sub (an
-integer, at most MAX_SUBSTEPS), keeps nothing.
+of it refines by reading. Transport at a given n_sub (an integer, at most
+MAX_SUBSTEPS) keeps nothing.
 The finite-difference oracle's two varied connections are transported as one
 stack, each entry refined until it is stable to tol on its own.
 
@@ -96,18 +96,17 @@ class Variation:
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # on [0, 1]
 
 
-def _grid(conn, t_end, n_sub):
-    """Substep length per grid cell up to t_end (the last cell cut at t_end) and
-    the substep times (cells, n_sub + 1)."""
-    t0 = conn.times[:-1][conn.times[:-1] < t_end]
-    h = (np.minimum(conn.times[1:len(t0) + 1], t_end) - t0) / n_sub
+def _grid(conn, n_sub):
+    """Substep length per grid cell and the substep times (cells, n_sub + 1)."""
+    t0 = conn.times[:-1]
+    h = (conn.times[1:] - t0) / n_sub
     return h, t0[:, None] + np.arange(n_sub + 1) * h[:, None]
 
 
-def _steps(conn, values, t_end, n_sub):
-    """Magnus step matrices E_1 ... E_N, n_sub per grid cell up to t_end, of every
-    connection in the stack values (..., nodes, dim) on conn's grid."""
-    h, grid = _grid(conn, t_end, n_sub)
+def _steps(conn, values, n_sub):
+    """Magnus step matrices E_1 ... E_N, n_sub per grid cell, of every connection
+    in the stack values (..., nodes, dim) on conn's grid."""
+    h, grid = _grid(conn, n_sub)
     hs = np.repeat(h, n_sub)[:, None, None]
     gauss = grid[:, :-1].ravel() + np.outer(_GAUSS, hs.ravel())  # (2, substeps)
     A = conn.group.algebra_to_matrix(_interpolate(conn, values, gauss))
@@ -121,8 +120,7 @@ def _steps(conn, values, t_end, n_sub):
 
 def _kept(store, n_sub, build):
     """store[n_sub], made by build() on first use and kept read-only. Only
-    refinement levels over [0, b] ask, so a store holds at most
-    log2(MAX_SUBSTEPS) arrays."""
+    refinement levels ask, so a store holds at most log2(MAX_SUBSTEPS) arrays."""
     kept = store.get(n_sub)
     if kept is None:
         kept = store[n_sub] = build()
@@ -133,7 +131,7 @@ def _kept(store, n_sub, build):
 def _own_steps(conn, n_sub):
     """conn's own step matrices over [0, b] at n_sub substeps per cell, as one
     array, kept on conn."""
-    return _kept(conn._levels, n_sub, lambda: _steps(conn, conn.values, conn.b, n_sub))
+    return _kept(conn._levels, n_sub, lambda: _steps(conn, conn.values, n_sub))
 
 
 def _own_product(conn, n_sub):
@@ -162,11 +160,11 @@ def _product(mats):
     return mats[..., 0, :, :]
 
 
-def _transport(conn, values, t_end, n_sub):
-    """a(t_end) of every connection in the stack values (k, nodes, dim) on conn's
+def _transport(conn, values, n_sub):
+    """a(b) of every connection in the stack values (k, nodes, dim) on conn's
     grid, in passes of at most (MAX_NODES - 1) * MAX_SUBSTEPS step matrices."""
     per_pass = max(1, (MAX_NODES - 1) * MAX_SUBSTEPS // ((len(conn.times) - 1) * n_sub))
-    return np.concatenate([_product(_steps(conn, values[i:i + per_pass], t_end, n_sub))
+    return np.concatenate([_product(_steps(conn, values[i:i + per_pass], n_sub))
                            for i in range(0, len(values), per_pass)])
 
 
@@ -195,41 +193,28 @@ def _refine(compute, k, tol, size):
         f"at {MAX_SUBSTEPS} substeps per cell")
 
 
-def _refined_transport(conn, values, t_end, tol):
-    """a(t_end) of every connection in the stack values on conn's grid, each
-    refined until stable to tol."""
-    return _refine(lambda n, live: _transport(conn, values[live], t_end, n),
-                   len(values), tol, _frobenius)
-
-
-def horizontal_transport(conn, t, n_sub=None, tol=TRANSPORT_TOL):
-    """Group element a(t) solving a' = -A a, a(0) = e; refines until stable to tol
-    (ConvergenceError if it is not by MAX_SUBSTEPS), or takes n_sub substeps
-    per cell when n_sub is given, an integer 1 <= n_sub <= MAX_SUBSTEPS (the
-    refinement's budget, which bounds the step matrices a transport holds)."""
-    if n_sub is not None and (isinstance(n_sub, bool) or not isinstance(n_sub, (int, np.integer))
-                              or not 1 <= n_sub <= MAX_SUBSTEPS):
-        raise ValueError(f"n_sub must be an integer in [1, {MAX_SUBSTEPS}], got {n_sub!r}")
-    if not -1e-12 <= t <= conn.b + 1e-12:
-        raise ValueError(f"t = {t} outside [0, {conn.b}]")
-    t = float(np.clip(t, 0.0, conn.b))
-    if t == 0.0:
-        return conn.group.identity()
-    if n_sub is not None:
-        # as an int: a narrow integer dtype would overflow the pass budget's arithmetic
-        return _transport(conn, conn.values[None], t, int(n_sub))[0]
-    if t == conn.b:
+def horizontal_transport(conn, *, n_sub=None, tol=TRANSPORT_TOL):
+    """Group element a(b) solving a' = -A a, a(0) = e, over the whole path;
+    refines until stable to tol (ConvergenceError if it is not by MAX_SUBSTEPS),
+    or takes n_sub substeps per cell when n_sub is given, an integer
+    1 <= n_sub <= MAX_SUBSTEPS (the refinement's budget, which bounds the step
+    matrices a transport holds)."""
+    if n_sub is None:
         return _refine(lambda n, live: _own_product(conn, n)[None], 1, tol, _frobenius)[0]
-    return _refined_transport(conn, conn.values[None], t, tol)[0]
+    if (isinstance(n_sub, bool) or not isinstance(n_sub, (int, np.integer))
+            or not 1 <= n_sub <= MAX_SUBSTEPS):
+        raise ValueError(f"n_sub must be an integer in [1, {MAX_SUBSTEPS}], got {n_sub!r}")
+    # as an int: a narrow integer dtype would overflow the pass budget's arithmetic
+    return _transport(conn, conn.values[None], int(n_sub))[0]
 
 
 def holonomy(conn, n_sub=None, tol=TRANSPORT_TOL):
-    return horizontal_transport(conn, conn.b, n_sub=n_sub, tol=tol)
+    return horizontal_transport(conn, n_sub=n_sub, tol=tol)
 
 
 def _twisted_integral(conn, var, n_sub):
     group = conn.group
-    _, grid = _grid(conn, conn.b, n_sub)
+    _, grid = _grid(conn, n_sub)
     ts = np.concatenate([[0.0], grid[:, 1:].ravel()])
     mats = np.concatenate([group.identity()[None], _own_steps(conn, n_sub)])
     _prefix(mats[1:])  # in place, on the copy: the kept steps stay as built
@@ -272,7 +257,7 @@ def holonomy_derivative_fd(conn, var, s=FD_STEP, tol=TRANSPORT_TOL):
         varied = conn.values + np.multiply.outer([-s, s], var.values)  # A - s theta, A + s theta
     if not np.isfinite(varied).all():
         raise ValueError("varied connection samples must be finite")
-    gp, gm = _refined_transport(conn, varied, conn.b, tol)
+    gp, gm = _refine(lambda n, live: _transport(conn, varied[live], n), 2, tol, _frobenius)
     yinv = _dagger(holonomy(conn, tol=tol))
     return (conn.group.log(yinv @ gp) - conn.group.log(yinv @ gm)) / (2 * s)
 

@@ -81,23 +81,19 @@ def _excess(x):
 
 class LinearMomentumModel:
     """A compact group acting orthogonally on W with its momentum map. The
-    factories so2_model() and so3_model() supply its kernels: action(g), the
-    orthogonal W_dim x W_dim matrix of a group element, and coad(g), its
-    matrix on the dual algebra coordinates; momentum, hilbert and jacobian of
-    one point or a stack of points, the relation suite relations(image, w) on
-    their Hilbert images, the stratum rule stratum(images), which labels a
-    stack of images, and the zero-locus constructor construct(rng, count),
-    which returns points 1..count-1."""
+    factories so2_model() and so3_model() supply its kernels: momentum,
+    hilbert and jacobian of one point or a stack of points, the relation suite
+    relations(image, w) on their Hilbert images, the stratum rule
+    stratum(images), which labels a stack of images, and the zero-locus
+    constructor construct(rng, count), which returns points 1..count-1."""
 
-    def __init__(self, name, group, W_dim, invariant_count, action, momentum,
-                 coad, hilbert, jacobian, construct, relations, stratum):
+    def __init__(self, name, group, W_dim, invariant_count, momentum, hilbert,
+                 jacobian, construct, relations, stratum):
         self.name = name
         self.group = group
         self.W_dim = W_dim
         self.invariant_count = invariant_count
-        self.action = action
         self._momentum = momentum
-        self.coad = coad
         self._hilbert = hilbert
         self._jacobian = jacobian
         self._construct = construct
@@ -116,12 +112,6 @@ class LinearMomentumModel:
 
 def so2_model():
     """SO(2) acting diagonally on (q, p) in R^2 x R^2."""
-
-    def action(g):
-        g = np.asarray(g)
-        theta = float(np.arctan2(g[0, 0].imag, g[0, 0].real))
-        c, s = np.cos(theta), np.sin(theta)
-        return np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
 
     def hilbert(W):
         q, p = W[..., 0:2], W[..., 2:4]
@@ -147,8 +137,7 @@ def so2_model():
 
     return LinearMomentumModel(
         name="SO2", group=u1(), W_dim=4, invariant_count=3,
-        action=action, momentum=lambda W: momentum_so2(W[..., 0:2], W[..., 2:4])[..., None],
-        coad=lambda g: np.eye(1),
+        momentum=lambda W: momentum_so2(W[..., 0:2], W[..., 2:4])[..., None],
         hilbert=hilbert, jacobian=jacobian, construct=_construct_so2, relations=relations,
         stratum=lambda images: ["0" if r <= 1e-9 else "1" for r in images[:, 2].tolist()],
     )
@@ -156,9 +145,6 @@ def so2_model():
 
 def so3_model():
     """SO(3) acting diagonally on four copies of R^3, slots (q1,q2,p1,p2)."""
-
-    def action(g):
-        return np.kron(np.eye(4), np.asarray(g).real)
 
     def momentum(W):
         q1, q2, p1, p2 = np.moveaxis(_so3_slots(W), -2, 0)
@@ -188,8 +174,8 @@ def so3_model():
 
     return LinearMomentumModel(
         name="SO3", group=so3(), W_dim=12, invariant_count=10,
-        action=action, momentum=momentum, coad=lambda g: np.asarray(g).real,
-        hilbert=hilbert, jacobian=jacobian, construct=_construct_so3, relations=relations,
+        momentum=momentum, hilbert=hilbert, jacobian=jacobian, construct=_construct_so3,
+        relations=relations,
         stratum=lambda images: [str(label) for label in _psd_rank_strata(images)],
     )
 
@@ -222,17 +208,24 @@ class ZeroLocusPoint:
     def _stack(cls, model, W):
         """One point per row of W, validated in one pass that also takes every
         row's relation residuals; W becomes read-only. Each row is checked as
-        one point alone: finite entries, momentum residual below RESIDUAL_TOL.
-        The first failing row raises."""
-        finite = np.isfinite(W).all(axis=1)
-        residuals = _norm(model._momentum(np.where(finite[:, None], W, 0.0)))
-        bad = ~finite | ~(residuals < RESIDUAL_TOL)
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not finite[i]:
-                raise ValueError("point contains non-finite entries")
-            raise ValueError(f"momentum residual {residuals[i]:.3e} exceeds {RESIDUAL_TOL:.0e}")
-        batch = _Batch(model, W, model._relations(model._hilbert(W), W))
+        one point alone: finite entries, momentum residual below RESIDUAL_TOL,
+        then a finite Hilbert image and finite relation residuals (large finite
+        entries can overflow either). The first failing row or check raises."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a ValueError below
+            finite = np.isfinite(W).all(axis=1)
+            residuals = _norm(model._momentum(np.where(finite[:, None], W, 0.0)))
+            bad = ~finite | ~(residuals < RESIDUAL_TOL)
+            if bad.any():
+                i = int(np.argmax(bad))
+                if not finite[i]:
+                    raise ValueError("point contains non-finite entries")
+                raise ValueError(f"momentum residual {residuals[i]:.3e} exceeds {RESIDUAL_TOL:.0e}")
+            images = model._hilbert(W)
+            relations = model._relations(images, W)
+        for name, values in [("Hilbert image", images), *relations.items()]:
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} of a point is not finite (its entries overflow)")
+        batch = _Batch(model, W, relations)
         W.flags.writeable = False
         points = []
         for row, (w, residual) in enumerate(zip(W, residuals.tolist())):
@@ -492,17 +485,15 @@ def zariski_dim_at_origin(model, samples):
     return _rank(np.linalg.svd(rows, compute_uv=False), 1e-8)
 
 
-def spanning_configurations(v=None):
+def spanning_configurations():
     """Ten zero-locus configurations whose Hilbert images span the target.
 
-    Each configuration places a fixed vector v in one or two of the four
+    Each configuration places the unit vector e1 in one or two of the four
     slots (q1, q2, p1, p2): the four single-slot placements followed by the
-    six couples in lexicographic order.  All have zero momentum, and for
-    any unit v the ten Gram images are linearly independent.
+    six couples in lexicographic order.  All have zero momentum, and the ten
+    Gram images are linearly independent.
     """
-    v = np.array([1.0, 0.0, 0.0]) if v is None else np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
+    v = np.array([1.0, 0.0, 0.0])
     slots = [[i] for i in range(4)] + list(_COUPLES)
     return [np.concatenate([int(k in s) * v for k in range(4)]) for s in slots]
 

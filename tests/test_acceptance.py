@@ -17,8 +17,6 @@ from surfrep.cohomology import (
     RepPoint,
     build_complex,
     enumerate_central_reps,
-    finite_diff_check_d0,
-    finite_diff_check_d1,
     obstruction_quadratic,
     rep_from_name,
     relator_defect,
@@ -48,6 +46,8 @@ from surfrep.reduction import (
 )
 from surfrep.reports import irreducible_rep, measure_obstruction_constant
 from surfrep.words import Word, reduce, surface_presentation, verify_fox_identity
+
+from oracles import finite_diff_check_d0, finite_diff_check_d1
 
 
 def _report(number, name):

@@ -33,8 +33,6 @@ from surfrep.cohomology import (
     build_complex,
     classify_orbit_type,
     conjugation_isomorphism_check,
-    finite_diff_check_d0,
-    finite_diff_check_d1,
     newton_project_to_variety,
     obstruction_quadratic,
     relator_defect,
@@ -46,6 +44,8 @@ from surfrep.cohomology import (
 from surfrep.groups import group_from_name, so3, su2
 from surfrep.holonomy import PathConnection, Variation, holonomy, holonomy_derivative
 from surfrep.words import surface_presentation
+
+from oracles import finite_diff_check_d0, finite_diff_check_d1
 
 GROUPS = ("U1", "SO3", "SU2", "SU2xU1")
 GENERA = (1, 2, 3)

@@ -33,8 +33,6 @@ from surfrep.cohomology import (
     conjugation_isomorphism_check,
     enumerate_central_reps,
     evaluate_group_ring,
-    finite_diff_check_d0,
-    finite_diff_check_d1,
     newton_project_to_variety,
     obstruction_quadratic,
     relator_defect,
@@ -43,6 +41,8 @@ from surfrep.cohomology import (
     sample_stabilizer,
     stabilizer_fixed_subspace,
 )
+
+from oracles import finite_diff_check_d0, finite_diff_check_d1
 
 G = su2()
 P1 = surface_presentation(1)

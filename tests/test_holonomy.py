@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from surfrep.cohomology import ConvergenceError
-from surfrep.groups import direct_product, group_from_name, so3, su2, u1
+from surfrep.groups import _frobenius, direct_product, group_from_name, so3, su2, u1
 from surfrep.holonomy import (
     MAX_NODES,
     MAX_SUBSTEPS,
@@ -13,7 +13,7 @@ from surfrep.holonomy import (
     Variation,
     _prefix,
     _product,
-    _refined_transport,
+    _refine,
     _steps,
     _transport,
     conjugation_invariance_check,
@@ -37,7 +37,7 @@ def test_zero_connection_transports_trivially():
     model = su2()
     conn = PathConnection(model, 1.0, np.zeros((4, 3)))
     assert np.allclose(holonomy(conn), np.eye(2), atol=1e-14)
-    assert np.allclose(horizontal_transport(conn, 0.37), np.eye(2), atol=1e-14)
+    assert np.allclose(horizontal_transport(conn), np.eye(2), atol=1e-14)
 
 
 def test_constant_connection_closed_form():
@@ -50,20 +50,8 @@ def test_constant_connection_closed_form():
             conn = PathConnection(model, 1.0, np.tile(x, (n_nodes, 1)))
             assert np.linalg.norm(holonomy(conn) - model.exp(-x)) < 1e-10
             assert np.linalg.norm(holonomy(conn, n_sub=2) - model.exp(-x)) <= 1e-13
-            assert np.linalg.norm(horizontal_transport(conn, 0.5) - model.exp(-0.5 * x)) < 1e-10
-
-
-def test_off_grid_transport_matches_two_node_holonomy():
-    # up to t inside the first cell the path is the two-node segment to its value at t
-    model = su2()
-    conn = random_connection(model, n_nodes=5, seed=15, scale=2.0)
-    t = 0.17
-    end = holonomy_module._interpolate(conn, conn.values, t)
-    segment = PathConnection(model, t, [conn.values[0], end])
-    assert np.linalg.norm(horizontal_transport(conn, t) - holonomy(segment)) < 1e-12
-    for n_sub in (2, 16):
-        assert np.linalg.norm(
-            horizontal_transport(conn, t, n_sub=n_sub) - holonomy(segment, n_sub=n_sub)) < 1e-13
+            half = PathConnection(model, 0.5, np.tile(x, (n_nodes, 1)))
+            assert np.linalg.norm(holonomy(half) - model.exp(-0.5 * x)) < 1e-10
 
 
 def test_transport_concatenation():
@@ -251,7 +239,7 @@ def test_connection_rejects_wrong_dimension_and_nonpositive_length():
 # inputs that cannot work, each with the message it raises before any step is built
 UNWORKABLE = {
     "no-substeps": (lambda conn, var: holonomy(conn, n_sub=0), "n_sub"),
-    "negative-substeps": (lambda conn, var: horizontal_transport(conn, 0.5, n_sub=-2), "n_sub"),
+    "negative-substeps": (lambda conn, var: horizontal_transport(conn, n_sub=-2), "n_sub"),
     "too-many-substeps": (lambda conn, var: holonomy(conn, n_sub=MAX_SUBSTEPS + 1), "n_sub"),
     "zero-tol": (lambda conn, var: holonomy(conn, tol=0.0), "tol"),
     "nan-tol": (lambda conn, var: holonomy(conn, tol=np.nan), "tol"),
@@ -315,12 +303,13 @@ def test_connection_and_variation_keep_their_own_read_only_copy():
             obj.values[0, 0] = 0.0
 
 
-def test_transport_at_zero_is_identity_and_outside_the_path_raises():
+@pytest.mark.parametrize("t", [0.5, 1])
+def test_an_end_time_given_by_position_is_a_type_error(t):
+    # transport runs over the whole path, and n_sub and tol are keyword-only:
+    # a positional 1 would otherwise be taken as one substep per cell
     conn = random_connection(su2(), seed=3)
-    assert np.array_equal(horizontal_transport(conn, 0.0), np.eye(2))
-    for t in (-0.01, conn.b + 0.01):
-        with pytest.raises(ValueError, match="outside"):
-            horizontal_transport(conn, t)
+    with pytest.raises(TypeError):
+        horizontal_transport(conn, t)
 
 
 def test_connection_rejects_more_than_max_nodes():
@@ -450,9 +439,9 @@ def test_product_tree_is_the_last_prefix_product(name):
     group = group_from_name(name)
     rng = np.random.default_rng(17)
     conn = PathConnection(group, 1.0, np.zeros((2, group.dim)))
-    short = _steps(conn, 3 * rng.standard_normal((2, 3, 2, group.dim)), 1.0, 70)
+    short = _steps(conn, 3 * rng.standard_normal((2, 3, 2, group.dim)), 70)
     # 4096 distinct steps, tiled to the longest length
-    steps = _steps(conn, 3 * rng.standard_normal((1, 2, group.dim)), 1.0, 4096)
+    steps = _steps(conn, 3 * rng.standard_normal((1, 2, group.dim)), 4096)
     long = np.tile(steps, (16, 1, 1))
     for mats, lengths in ((short, range(1, 71)), (long, [2 ** p for p in range(17)])):
         scan = _prefix(mats.copy())
@@ -475,8 +464,8 @@ def _counting_steps(monkeypatch):
     """Record (entries, step count) of every _steps pass."""
     passes = []
 
-    def counted(conn, values, t_end, n_sub):
-        mats = _steps(conn, values, t_end, n_sub)
+    def counted(conn, values, n_sub):
+        mats = _steps(conn, values, n_sub)
         passes.append(mats.shape[:-2])
         return mats
 
@@ -489,7 +478,8 @@ def test_stacked_refinement_keeps_each_entry_at_its_own_level(monkeypatch):
     # at 512; each equals its own holonomy bit for bit
     group, stiff, constant = _stiff_and_constant("SU2")
     passes = _counting_steps(monkeypatch)
-    got = _refined_transport(stiff, np.stack([constant.values, stiff.values]), stiff.b, 1e-10)
+    values = np.stack([constant.values, stiff.values])
+    got = _refine(lambda n, live: _transport(stiff, values[live], n), 2, 1e-10, _frobenius)
     cells = len(stiff.values) - 1
     assert passes == [(2, 2 * cells), (2, 4 * cells)] + [
         (1, n * cells) for n in (8, 16, 32, 64, 128, 256, 512)]
@@ -528,7 +518,7 @@ def test_transport_passes_stay_within_the_step_budget(monkeypatch):
     conn = reference_path(group, 8.0, MAX_NODES)
     var = Variation(conn, np.ones_like(conn.values))
     values = np.stack([conn.values, conn.values - 1e-4 * var.values, conn.values + 1e-4 * var.values])
-    whole = _transport(conn, values, conn.b, 16)
+    whole = _transport(conn, values, 16)
     monkeypatch.setattr(holonomy_module, "MAX_SUBSTEPS", 16)
     passes = _counting_steps(monkeypatch)
     with pytest.raises(ConvergenceError):
@@ -537,7 +527,7 @@ def test_transport_passes_stay_within_the_step_budget(monkeypatch):
     assert passes == [(2, 2 * cells), (2, 4 * cells), (2, 8 * cells)] + [(1, 16 * cells)] * 2
     assert max(np.prod(shape) for shape in passes) <= cells * 16
     # chunks keep the bits of one pass
-    assert np.array_equal(_transport(conn, values, conn.b, 16), whole)
+    assert np.array_equal(_transport(conn, values, 16), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +570,7 @@ def test_kept_steps_are_read_only_and_the_scan_leaves_them_unchanged():
     derivative = holonomy_derivative(conn, var)
     assert conn._levels
     for n, steps in conn._levels.items():
-        assert np.array_equal(steps, _steps(conn, conn.values, conn.b, n))
+        assert np.array_equal(steps, _steps(conn, conn.values, n))
         with pytest.raises(ValueError, match="read-only"):
             steps[0, 0, 0] = 0.0
     # the derivative scans again, in place on a copy of the kept steps
@@ -592,13 +582,11 @@ def test_kept_steps_are_read_only_and_the_scan_leaves_them_unchanged():
 
 
 def test_a_connection_keeps_at_most_one_step_array_per_refinement_level():
-    # transport to t < b and at a given n_sub keep nothing; the refinement
-    # levels over the whole path are kept once each, and this path, which never
-    # settles to 1e-14, reaches every one of them
+    # transport at a given n_sub keeps nothing; the refinement levels are kept
+    # once each, and this path, which never settles to 1e-14, reaches every one
+    # of them
     conn = PathConnection(su2(), 1.0, 40 * np.random.default_rng(0).standard_normal((3, 3)))
     var = Variation(conn, np.ones((3, 3)))
-    for t in np.linspace(0.0, conn.b, 51)[:-1]:
-        horizontal_transport(conn, t, tol=1e-6)
     for n_sub in (1, 2, 3, 8, MAX_SUBSTEPS):
         holonomy(conn, n_sub=n_sub)
     with pytest.raises(ValueError, match="n_sub"):
@@ -611,7 +599,7 @@ def test_a_connection_keeps_at_most_one_step_array_per_refinement_level():
     levels = int(np.log2(MAX_SUBSTEPS))
     assert sorted(conn._levels) == [2 ** k for k in range(1, levels + 1)]
     for n, steps in conn._levels.items():
-        assert steps.shape == (2 * n, 2, 2)  # two grid cells up to t = b
+        assert steps.shape == (2 * n, 2, 2)  # two grid cells
 
 
 @pytest.mark.parametrize("x, match", [

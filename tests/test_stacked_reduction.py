@@ -136,6 +136,33 @@ def test_nan_residual_is_rejected():
         ZeroLocusPoint(so2_model(), [1e200, 1e200, 1e200, 1e200])
 
 
+# finite entries (model, {index: value}) whose momentum, Hilbert image or a
+# relation residual overflows, and the reason each must be rejected with: a
+# NaN residual or an inf image would otherwise reach stratum_histogram
+OVERFLOWING_POINTS = {
+    "SO3-momentum": ("SO3", {0: 1e200, 7: 1e200}, "momentum residual inf exceeds"),
+    "SO3-image": ("SO3", {0: 1e200}, "Hilbert image of a point is not finite"),
+    "SO3-psi": ("SO3", {0: 1e78, 3: 1e78, 6: 1e78, 9: 1e78}, "psi of a point is not finite"),
+    "SO2-image": ("SO2", {0: 1e200}, "Hilbert image of a point is not finite"),
+    "SO2-cone": ("SO2", {0: 1e100, 2: 1e100}, "cone of a point is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_POINTS)
+def test_a_point_whose_momentum_image_or_residual_overflows_is_rejected(case):
+    name, entries, match = OVERFLOWING_POINTS[case]
+    model = MODELS[name]
+    w = np.zeros(model.W_dim)
+    w[list(entries)] = list(entries.values())
+    with pytest.raises(ValueError, match=match):
+        ZeroLocusPoint(model, w)
+    # in a stack of finite points, the overflowing row raises the same reason
+    W = np.stack([pt.w for pt in sample_zero_locus(model, 6, seed=3)])
+    W[4] = w
+    with pytest.raises(ValueError, match=match):
+        ZeroLocusPoint._stack(model, W)
+
+
 # ---------------------------------------------------------------------------
 # stored relation rows: a point carries its validating pass's residuals
 

@@ -120,18 +120,17 @@ def test_steps_keep_their_bits(name, nodes):
     conn = _connection(group, nodes, seed=nodes)
     stack = np.random.default_rng(2).standard_normal((2, nodes, group.dim))
     for n in (1, 2, 3, 8):
-        # whole path, t < b (the last cell cut), and a stack
-        for t_end in (conn.b, 0.37 * conn.b):
-            assert _same_bits(_steps(conn, conn.values, t_end, n),
-                              _steps_alone(conn, conn.values, t_end, n))
-        assert _same_bits(_steps(conn, stack, conn.b, n), _steps_alone(conn, stack, conn.b, n))
+        # one connection and a stack, over the whole path
+        assert _same_bits(_steps(conn, conn.values, n), _steps_alone(conn, conn.values, conn.b, n))
+        assert _same_bits(_steps(conn, stack, n), _steps_alone(conn, stack, conn.b, n))
 
 
 @pytest.mark.parametrize("nodes", NODES)
 @pytest.mark.parametrize("name", GROUPS)
 def test_refined_readings_keep_their_bits(name, nodes):
     # every kept level's steps, product and twisted integral, and the
-    # transports that keep nothing, against the formulas built alone
+    # transport at a given n_sub, which keeps nothing, against the formulas
+    # built alone
     group = group_from_name(name)
     conn = _connection(group, nodes, seed=10 + nodes)
     var = Variation(conn, np.random.default_rng(3).standard_normal(conn.values.shape))
@@ -147,12 +146,9 @@ def test_refined_readings_keep_their_bits(name, nodes):
         if n in conn._products:
             assert _same_bits(conn._products[n], _product(alone)), n
     assert _same_bits(H, conn._products[max(conn._products)])
-    t = 0.45 * conn.b
     for n_sub in (1, 2, 6):
         assert _same_bits(holonomy(conn, n_sub=n_sub),
                           _product(_steps_alone(conn, conn.values, conn.b, n_sub)))
-        assert _same_bits(horizontal_transport(conn, t, n_sub=n_sub),
-                          _product(_steps_alone(conn, conn.values, t, n_sub)))
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -164,12 +160,12 @@ def test_chunked_passes_keep_the_bits_of_one_pass(name, monkeypatch):
     monkeypatch.setattr(holonomy_module, "MAX_SUBSTEPS", 16)
     passes = []
 
-    def counted(conn, values, t_end, n_sub):
+    def counted(conn, values, n_sub):
         passes.append(len(values))
-        return _steps(conn, values, t_end, n_sub)
+        return _steps(conn, values, n_sub)
 
     monkeypatch.setattr(holonomy_module, "_steps", counted)
-    got = _transport(conn, stack, conn.b, 16)
+    got = _transport(conn, stack, 16)
     assert passes == [1, 1, 1]
     assert _same_bits(got, _product(_steps_alone(conn, stack, conn.b, 16)))
 
@@ -195,15 +191,13 @@ def test_a_second_holonomy_multiplies_nothing_out(monkeypatch):
 
 
 def test_kept_steps_and_products_are_read_only_and_one_per_refinement_level():
-    # the call mix of the kept-steps test: transport to t < b and at a given
-    # n_sub keep nothing; the refinements over the whole path, which never
-    # settle to 1e-14 on this path, keep one of each per level
+    # the call mix of the kept-steps test: transport at a given n_sub keeps
+    # nothing; the refinements, which never settle to 1e-14 on this path, keep
+    # one of each per level
     values = 40 * np.random.default_rng(0).standard_normal((3, 3))
     conn = PathConnection(group_from_name("SU2"), 1.0, values)
     var = Variation(conn, np.ones((3, 3)))
     stores = (conn._levels, conn._products)
-    for t in np.linspace(0.0, conn.b, 51)[:-1]:
-        horizontal_transport(conn, t, tol=1e-6)
     for n_sub in (1, 2, 3, 8, MAX_SUBSTEPS):
         holonomy(conn, n_sub=n_sub)
     assert not any(stores)
@@ -234,7 +228,7 @@ def test_a_non_integer_n_sub_is_rejected(n_sub, monkeypatch):
 
     monkeypatch.setattr(holonomy_module, "_steps", no_steps)
     for call in (lambda: holonomy(conn, n_sub=n_sub),
-                 lambda: horizontal_transport(conn, 0.1, n_sub=n_sub)):
+                 lambda: horizontal_transport(conn, n_sub=n_sub)):
         with pytest.raises(ValueError, match="n_sub"):
             call()
 
