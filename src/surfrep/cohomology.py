@@ -121,7 +121,8 @@ def _suffixes(group, values, letters, starts):
             raise ValueError(f"word uses generator x{j} but only {len(values)} values given")
         rows = bisect.bisect_right(starts, k) * m
         G[..., :rows, :] = G[..., :rows, :] @ (values if e == 1 else inverses)[j - 1]
-    return np.moveaxis(G.reshape(lead + (len(starts), m, m)), -3, 0)
+    L = len(lead)
+    return G.reshape(lead + (len(starts), m, m)).transpose(L, *range(L), L + 1, L + 2)
 
 
 def _value(group, values, letters):
@@ -174,7 +175,8 @@ def _plan_d1(pres, group, plan, walks, lead):
     each block sums its terms from zeros in letter order."""
     d = group.dim
     D1 = np.zeros(lead + (pres.m * d, pres.n * d))
-    blocks = np.moveaxis(D1.reshape(lead + (pres.m, d, pres.n, d)), (-4, -2), (0, 1))
+    L = len(lead)
+    blocks = D1.reshape(lead + (pres.m, d, pres.n, d)).transpose(L, L + 2, *range(L), L + 1, L + 3)
     for i, (walk, (_, skip, cols, signs, rows)) in enumerate(zip(walks, plan)):
         A = group.Ad_matrix(_dagger(walk[skip:]))
         np.add.at(blocks[i], cols, signs.reshape((-1,) + (1,) * (A.ndim - 1)) * A[rows])
@@ -329,7 +331,7 @@ def obstruction_quadratic(pres, rep, u, data=None):
 
 def _per_sample(x):
     """(relators, ..., k) -> (..., relators * k), relator by relator."""
-    x = np.moveaxis(x, 0, -2)
+    x = x.transpose(*range(1, x.ndim - 1), 0, x.ndim - 1)
     return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
@@ -424,10 +426,10 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
     one chunk, whatever count is: CONE_CHUNK stacked copies of D1 (relators * d
     by n * d floats each), of the point's n matrices and of each relator's
     distinct suffixes (at most its length plus one matrices). Only the returned
-    directions grow with count, by n * d floats each. count must be at least 1
-    and eps finite and positive."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    directions grow with count, by n * d floats each. count must be a positive
+    integer and eps finite and positive."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     group = rep.group

@@ -7,7 +7,8 @@ Algebra vectors are plain coordinate arrays in that basis, read off by matrix_to
 The kernels (exp, log, project, defect, Ad) take stacks: coordinates (..., d)
 and matrices (..., m, m), with any number of leading axes. Each entry of a stack
 gets the same bits as the entry alone, so a batched caller and a one-at-a-time
-caller agree exactly.
+caller agree exactly. Ad moves the stack axis last: einsum's inner loop then
+runs over the stack, not over one matrix's axis, with the same products and sums.
 """
 
 import itertools
@@ -195,8 +196,13 @@ class LieGroupModel:
         return self._Ad(np.asarray(g, dtype=complex))
 
     def _conjugate_basis(self, g):
-        conj = np.einsum("...ab,kbc,...cd->...kad", g, self.algebra_basis, _dagger(g))
-        return self.matrix_to_algebra(conj).swapaxes(-1, -2)
+        # the stack S last and contiguous: einsum's inner loop runs over it
+        lead, m = g.shape[:-2], self.matrix_dim
+        gT = np.ascontiguousarray(g.reshape(-1, m, m).transpose(1, 2, 0))
+        gdT = np.ascontiguousarray(gT.conj().transpose(1, 0, 2))
+        conj = np.einsum("abS,kbc,cdS->kadS", gT, self.algebra_basis, gdT)
+        traces = np.einsum("lij,kjiS->Skl", self.algebra_basis, conj)
+        return (-self._scales * traces.real).swapaxes(-1, -2).reshape(lead + (self.dim, self.dim))
 
     def ad_matrix(self, coords):
         X, B = self.algebra_to_matrix(coords), self.algebra_basis

@@ -208,7 +208,8 @@ def horizontal_transport(conn, *, n_sub=None, tol=TRANSPORT_TOL):
     return _transport(conn, conn.values[None], int(n_sub))[0]
 
 
-def holonomy(conn, n_sub=None, tol=TRANSPORT_TOL):
+def holonomy(conn, *, n_sub=None, tol=TRANSPORT_TOL):
+    """The holonomy of conn over [0, b]: horizontal_transport with the same arguments."""
     return horizontal_transport(conn, n_sub=n_sub, tol=tol)
 
 

@@ -792,6 +792,18 @@ def test_cone_sampling_rejects_inputs_that_draw_nothing(count, eps, monkeypatch)
         sample_cone_directions(P2, torus_rep(), count=count, eps=eps)
 
 
+@pytest.mark.parametrize("count", [2.5, np.float64(3.0), np.nan, True])
+def test_cone_sampling_rejects_a_count_that_is_not_a_positive_integer(count, monkeypatch):
+    # checked before any work: the floats used to raise a TypeError from range
+    # that did not name the count, and True drew one direction
+    def no_complex(*args, **kwargs):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(cohomology, "build_complex", no_complex)
+    with pytest.raises(ValueError, match="count must be a positive integer"):
+        sample_cone_directions(P2, torus_rep(), count=count)
+
+
 @pytest.mark.parametrize("rank_tol", [0.0, -1.0, np.nan, np.inf])
 def test_build_complex_rejects_a_rank_cutoff_that_is_not_finite_and_positive(rank_tol):
     # rank_tol -1 gave h dims (0, 6, 0) and nan (3, 12, 3) at this point, whose

@@ -312,6 +312,13 @@ def test_an_end_time_given_by_position_is_a_type_error(t):
         horizontal_transport(conn, t)
 
 
+def test_holonomy_takes_its_options_by_keyword_only():
+    # as horizontal_transport does: a positional 4 used to be read as n_sub
+    conn = random_connection(su2(), seed=3)
+    with pytest.raises(TypeError):
+        holonomy(conn, 4)
+
+
 def test_connection_rejects_more_than_max_nodes():
     # a refinement level holds (nodes - 1) * MAX_SUBSTEPS step matrices at once
     group = direct_product(so3(), su2(), u1())
