@@ -780,28 +780,18 @@ def test_cone_directions_span(make, expect):
 
 
 @pytest.mark.parametrize("count,eps", [(0, 1e-3), (-5, 1e-3), (10, np.nan), (10, 0.0),
-                                       (10, -1e-3), (10, np.inf)])
+                                       (10, -1e-3), (10, np.inf), (2.5, 1e-3),
+                                       (np.float64(3.0), 1e-3), (np.nan, 1e-3), (True, 1e-3)])
 def test_cone_sampling_rejects_inputs_that_draw_nothing(count, eps, monkeypatch):
-    # checked before the complex is built: these used to return no directions
-    # and spans (0, 0) without an error
+    # checked before the complex is built: the ints and eps used to return no
+    # directions and spans (0, 0) without an error, the float counts to raise a
+    # TypeError from range that did not name the count, and True drew one direction
     def no_complex(*args, **kwargs):
         raise AssertionError("the complex was built")
 
     monkeypatch.setattr(cohomology, "build_complex", no_complex)
     with pytest.raises(ValueError, match="count|eps"):
         sample_cone_directions(P2, torus_rep(), count=count, eps=eps)
-
-
-@pytest.mark.parametrize("count", [2.5, np.float64(3.0), np.nan, True])
-def test_cone_sampling_rejects_a_count_that_is_not_a_positive_integer(count, monkeypatch):
-    # checked before any work: the floats used to raise a TypeError from range
-    # that did not name the count, and True drew one direction
-    def no_complex(*args, **kwargs):
-        raise AssertionError("the complex was built")
-
-    monkeypatch.setattr(cohomology, "build_complex", no_complex)
-    with pytest.raises(ValueError, match="count must be a positive integer"):
-        sample_cone_directions(P2, torus_rep(), count=count)
 
 
 @pytest.mark.parametrize("rank_tol", [0.0, -1.0, np.nan, np.inf])
