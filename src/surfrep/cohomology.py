@@ -11,16 +11,18 @@ each sample taking the steps it would take alone.
 
 One walk over a relator's letters gives both its value and every suffix its
 Fox terms read, each distinct suffix once (_walk_plan), and D1 takes one
-stacked Ad of those suffixes per relator. Gauss-Newton walks each relator once
-per line-search trial and builds the next D1 from the accepted trial's walk.
+stacked Ad of those suffixes per relator. A presentation keeps its walk plan
+under its relators' letters. Gauss-Newton walks each relator once per
+line-search trial and builds the next D1 from the accepted trial's walk.
 
 A point's values are one read-only stack, so nothing built from them can go
-stale: a RepPoint keeps D0 with its SVD and the last complex build_complex made
-of it. That is at most one CochainData and one SVD of D0, all read-only,
+stale: a RepPoint keeps D0 with its SVD, the last complex build_complex made
+of it and its last walk of the relators. Newton leaves its own last walk on
+the point it returns, so relator_defect and build_complex there walk nothing.
+That is at most one CochainData, one SVD of D0 and one walk, all read-only,
 however many presentations or cutoffs are tried.
 """
 
-import bisect
 import dataclasses
 import itertools
 
@@ -42,17 +44,32 @@ MAX_CENTRAL_TUPLES = 4096
 
 class RepPoint:
     """A representation of the free group: one group element per generator,
-    held as one read-only stack (n, m, m), checked as groups._elements checks."""
+    held as one read-only stack (n, m, m), checked as groups._elements checks.
+    It keeps what is built of its values, read-only: D0 with its SVD, the last
+    complex under its relator letters and rank_tol, and the last walk of the
+    relators (one walk per relator over its plan's starts, as _walks gives)
+    under their letters, the walk Newton left or build_complex made."""
 
     def __init__(self, group, values):
         Y = _elements(group, values, "representation matrix")
         if not len(Y):
             raise ValueError("a representation needs at least one value")
+        self._hold(group, Y)
+
+    def _hold(self, group, Y):
         self.group = group
         self.values = Y
         self.n = len(Y)
         self._d0 = None  # (D0, u, s, vt), taken once
         self._complex = None  # ((relator letters, rank_tol), CochainData) of the last build
+        self._walks = None  # (relator letters, walks) of the last walk
+        return self
+
+
+def _checked_point(group, Y):
+    """A RepPoint of a non-empty read-only stack Y that groups._elements made,
+    unchecked (as words._reduced is for words)."""
+    return RepPoint.__new__(RepPoint)._hold(group, Y)
 
 
 class BundleClass:
@@ -115,12 +132,16 @@ def _suffixes(group, values, letters, starts):
     values = np.asarray(values)
     inverses = _dagger(values)
     lead, m = values.shape[1:-2], group.matrix_dim
+    # letter k's block height, the rows of the entries with start <= k; the
+    # letter reads one buffer's top rows and writes their products to the other's
+    heights = (np.searchsorted(starts, np.arange(len(letters)), side="right") * m).tolist()
     G = np.tile(group.identity(), lead + (len(starts), 1))
-    for k, (j, e) in enumerate(letters):
+    H = G.copy()
+    for (j, e), rows in zip(letters, heights):
         if j > len(values):
             raise ValueError(f"word uses generator x{j} but only {len(values)} values given")
-        rows = bisect.bisect_right(starts, k) * m
-        G[..., :rows, :] = G[..., :rows, :] @ (values if e == 1 else inverses)[j - 1]
+        np.matmul(G[..., :rows, :], (values if e == 1 else inverses)[j - 1], out=H[..., :rows, :])
+        G, H = H, G
     L = len(lead)
     return G.reshape(lead + (len(starts), m, m)).transpose(L, *range(L), L + 1, L + 2)
 
@@ -145,20 +166,36 @@ def _d0(group, values):
     return (np.eye(group.dim) - group.Ad_matrix(_dagger(np.stack(values)))).reshape(-1, group.dim)
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only; views taken afterwards are read-only too."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _letters(pres):
+    """The presentation's relators as letters: the key of what is kept of them."""
+    return tuple(r.letters for r in pres.relators)
+
+
 def _walk_plan(pres):
     """How one walk per relator gives both its value and its rows of D1. Per
     relator (starts, skip, cols, signs, rows): starts are the distinct suffix
     starts of its Fox terms (words.fox_terms) and start 0, the relator value,
     first; the terms read walk[skip:] (skip is 1 where no term reads start 0);
     and cols, signs and rows hold the terms in letter order, as generator
-    indices, signs and rows of walk[skip:]."""
-    plan = []
-    for r in pres.relators:
-        j, signs, s = np.array(list(fox_terms(r)), dtype=int).reshape(-1, 3).T
-        starts = sorted({0, *s.tolist()})
-        skip = int(s.all())
-        plan.append((starts, skip, j - 1, signs, np.searchsorted(starts, s) - skip))
-    return plan
+    indices, signs and rows of walk[skip:], read-only. Built on first use and
+    kept on the presentation under its relators' letters."""
+    letters = _letters(pres)
+    if pres._plan is None or pres._plan[0] != letters:
+        plan = []
+        for r in pres.relators:
+            j, signs, s = np.array(list(fox_terms(r)), dtype=int).reshape(-1, 3).T
+            starts = sorted({0, *s.tolist()})
+            skip = int(s.all())
+            plan.append((starts, skip, *_read_only(j - 1, signs, np.searchsorted(starts, s) - skip)))
+        pres._plan = (letters, plan)
+    return pres._plan[1]
 
 
 def _walks(pres, group, values, plan):
@@ -190,11 +227,13 @@ def _d1(pres, group, values):
     return _plan_d1(pres, group, plan, _walks(pres, group, values, plan), np.shape(values[0])[:-2])
 
 
-def _read_only(*arrays):
-    """The arrays, made read-only; views taken afterwards are read-only too."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _point_walks(pres, rep):
+    """The point's walk of each relator, read-only: the kept one when the
+    relator letters match, else walked once and kept."""
+    letters = _letters(pres)
+    if rep._walks is None or rep._walks[0] != letters:
+        rep._walks = (letters, _read_only(*_walks(pres, rep.group, rep.values, _walk_plan(pres))))
+    return rep._walks[1]
 
 
 def _point_d0(rep):
@@ -217,11 +256,12 @@ def build_complex(pres, rep, rank_tol=RANK_TOL):
     bases, ranks cut at rank_tol (finite and positive). The point keeps the
     result under its relator letters (not the presentation, whose list may
     change) and rank_tol: the same key returns the same CochainData, and
-    another builds from the point's kept SVD of D0 and replaces it."""
+    another builds from the point's kept SVD of D0 and its kept walk (walked
+    once and kept where the relator letters differ) and replaces it."""
     if not 0 < rank_tol < np.inf:
         raise ValueError(f"rank_tol must be finite and positive, got {rank_tol}")
     _check_generators(pres, rep.values)
-    key = (tuple(r.letters for r in pres.relators), rank_tol)
+    key = (_letters(pres), rank_tol)
     if rep._complex is not None and rep._complex[0] == key:
         return rep._complex[1]
     D0, u0, s0, vt0 = _point_d0(rep)
@@ -229,7 +269,7 @@ def build_complex(pres, rep, rank_tol=RANK_TOL):
     basis_H0 = vt0[rank0:].T
     basis_B1 = u0[:, :rank0]
 
-    D1 = _d1(pres, rep.group, rep.values)
+    D1 = _plan_d1(pres, rep.group, _walk_plan(pres), _point_walks(pres, rep), ())
     D1, u1, s1, vt1 = _read_only(D1, *np.linalg.svd(D1))
     rank1 = _rank(s1, rank_tol)
     basis_Z1 = vt1[rank1:].T
@@ -263,8 +303,15 @@ def _relators_at(pres, group, values, cm):
 
 
 def relator_defect(pres, rep, c=None):
-    """Largest Frobenius distance between a relator value and the central target."""
-    return float(_relators_at(pres, rep.group, rep.values, _class_matrix(rep.group, c))[1])
+    """Largest Frobenius distance between a relator value and the central
+    target; the values are read from the point's kept walk where its relator
+    letters match, else each relator is walked from start 0 alone."""
+    cm = _class_matrix(rep.group, c)
+    _check_generators(pres, rep.values)
+    kept = rep._walks
+    if kept is not None and kept[0] == _letters(pres):
+        return float(_relators([w[0] for w in kept[1]], rep.values.shape[1:], cm)[1])
+    return float(_relators_at(pres, rep.group, rep.values, cm)[1])
 
 
 def _jet_walk(pres, group, Y, U):
@@ -348,9 +395,11 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
     the columns of slice_basis (the identity: everywhere); newton_project_to_variety
     is its unsliced one-sample case. Each sample takes the steps and halvings it
     takes alone: its own line search, and its own lstsq's bits from one stacked
-    gelsd per iteration (groups._lstsq). Returns (values, errors, moved):
-    errors[s] is the exception sample s ends with, None once its relator defect
-    is below tol, and moved[s] is False where the start was already there."""
+    gelsd per iteration (groups._lstsq). Returns (values, errors, moved,
+    walks): errors[s] is the exception sample s ends with, None once its
+    relator defect is below tol, moved[s] is False where the start was already
+    there, and walks are the relators' walks (starts, S, m, m) at the returned
+    values, from the last accepted trial."""
     n, S, d = values.shape[0], values.shape[1], group.dim
     cmi = _dagger(cm)
     values = values.copy()
@@ -395,23 +444,28 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
         live = live[stepped & ~(defect[live] < tol)]
     for s in live:
         errors[s] = ConvergenceError(f"no convergence after {max_iter} iterations")
-    return values, errors, moved
+    return values, errors, moved, walks
 
 
 def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60):
     """Gauss-Newton on the residual log(r_i(y) c^-1), stepping by y_j exp(delta_j).
     The one-sample case of the stacked iteration that sample_cone_directions runs;
-    tol must be finite and positive, max_iter at least 1."""
+    tol must be finite and positive, max_iter an integer at least 1. A new
+    point keeps Newton's last walk, the walk at its values."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    values, errors, moved = _gauss_newton(
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    values, errors, moved, walks = _gauss_newton(
         pres, group, start.values[:, None], _class_matrix(group, c),
         tol, max_iter, np.eye(pres.n * group.dim))
     if errors[0] is not None:
         raise errors[0]
-    return RepPoint(group, values[:, 0]) if moved[0] else start
+    if not moved[0]:
+        return start
+    rep = RepPoint(group, values[:, 0])
+    rep._walks = (_letters(pres), _read_only(*(w[:, 0] for w in walks)))
+    return rep
 
 
 def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, data=None):
@@ -449,7 +503,7 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
         U = U / _norm(U)[:, None]
         starts = Y @ group.exp((eps * U).reshape(size, n, d).swapaxes(0, 1))
         ok = _on_group(group, starts).all(axis=0)
-        star, errors, _ = _gauss_newton(pres, group, starts[:, ok], cm, 1e-12, 80, slice_basis)
+        star, errors, *_ = _gauss_newton(pres, group, starts[:, ok], cm, 1e-12, 80, slice_basis)
         star = star[:, [e is None for e in errors]]
         star = star[:, _on_group(group, star).all(axis=0)]
         # sample-major, so a cut raises for the sample a one-at-a-time loop reaches first
@@ -553,14 +607,17 @@ def conjugation_isomorphism_check(pres, rep, x):
 
 def enumerate_central_reps(pres, group, c=None):
     """All tuples of center elements whose relator values hit the central target;
-    at most MAX_CENTRAL_TUPLES of them, walked as one stack of samples."""
+    at most MAX_CENTRAL_TUPLES of them, walked as one stack of samples. The
+    center elements are checked once, as groups._elements checks."""
     k = len(group.center_elements)
     if k ** pres.n > MAX_CENTRAL_TUPLES:
         raise ValueError(
             f"{k} ** {pres.n} center tuples exceed the budget of {MAX_CENTRAL_TUPLES}")
-    combos = np.array(list(itertools.product(group.center_elements, repeat=pres.n)))
+    Z = _elements(group, group.center_elements, "center element")
+    combos = Z[np.array(list(itertools.product(range(k), repeat=pres.n)))]
     hit = _relators_at(pres, group, combos.swapaxes(0, 1), _class_matrix(group, c))[1] <= 1e-9
-    return [RepPoint(group, combo) for combo in combos[hit]]
+    (hits,) = _read_only(combos[hit])
+    return [_checked_point(group, Y) for Y in hits]
 
 
 def rep_from_name(pres, group, text):

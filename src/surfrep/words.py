@@ -201,6 +201,10 @@ class Presentation:
         self.n = n
         self.relators = list(relators)
         self.genus = genus
+        # (relator letters, plan) of cohomology._walk_plan: the plan of the
+        # relators it was built from, kept under their letters since the list
+        # may change
+        self._plan = None
 
     @property
     def m(self):

@@ -160,8 +160,8 @@ def test_on_group_over_values_is_the_per_sample_mask(name):
 def test_empty_batches_pass_through():
     empty = np.empty((4, 0, 2, 2), dtype=complex)
     assert _on_group(G, empty).all(axis=0).shape == (0,)
-    values, errors, moved = _gauss_newton(P2, G, empty, np.eye(2, dtype=complex),
-                                          tol=1e-12, max_iter=80, slice_basis=np.eye(12))
+    values, errors, moved, _ = _gauss_newton(P2, G, empty, np.eye(2, dtype=complex),
+                                             tol=1e-12, max_iter=80, slice_basis=np.eye(12))
     assert values.shape == (4, 0, 2, 2) and errors == [] and moved.shape == (0,)
 
 
@@ -181,7 +181,7 @@ def test_mixed_batch_matches_one_sample_calls():
     # [a, b] = -I for anticommuting a, b: the residual log is on its cut locus
     cut = RepPoint(G, [np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]]), np.eye(2), np.eye(2)])
     starts = [solution, far, near, cut]
-    values, errors, moved = _gauss_newton(
+    values, errors, moved, _ = _gauss_newton(
         P2, G, np.stack([np.stack(p.values) for p in starts], axis=1),
         np.eye(2, dtype=complex), tol=1e-10, max_iter=3, slice_basis=np.eye(12))
 
@@ -203,7 +203,7 @@ def _one_sample_in_slice(start, slice_basis):
     """Newton from one start within a slice, run as a stack of one sample and
     read as newton_project_to_variety reads its one sample: a RepPoint, or the
     sample's exception raised."""
-    values, errors, moved = _gauss_newton(
+    values, errors, moved, _ = _gauss_newton(
         P2, G, np.stack(start.values)[:, None], np.eye(2, dtype=complex),
         tol=1e-10, max_iter=30, slice_basis=slice_basis)
     if errors[0] is not None:
@@ -220,7 +220,7 @@ def test_batch_of_far_starts_matches_one_sample_calls(columns):
     rng = np.random.default_rng(37)
     slice_basis, _ = np.linalg.qr(rng.standard_normal((12, columns)))
     starts = [RepPoint(G, [G.random_element(rng) for _ in range(4)]) for _ in range(8)]
-    values, errors, _ = _gauss_newton(
+    values, errors, *_ = _gauss_newton(
         P2, G, np.stack([np.stack(p.values) for p in starts], axis=1),
         np.eye(2, dtype=complex), tol=1e-10, max_iter=30, slice_basis=slice_basis)
     for s, start in enumerate(starts):

@@ -1,6 +1,7 @@
 """Tests for the evaluated Fox complex: twisted cohomology, obstruction cone,
 stabilizer strata, and the finite-difference oracles that pin the conventions."""
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -754,16 +755,26 @@ def test_newton_raises_on_iteration_cap():
 
 
 @pytest.mark.parametrize("tol, max_iter", [(0.0, 60), (-1.0, 60), (np.nan, 60), (np.inf, 60),
-                                           (1e-9, 0), (1e-9, -5)])
+                                           (1e-9, 0), (1e-9, -5), (1e-9, 2.5),
+                                           (1e-9, np.float64(3.0)), (1e-9, np.nan), (1e-9, True)])
 def test_newton_rejects_a_bad_tolerance_or_iteration_cap_first(monkeypatch, tol, max_iter):
     # max_iter -5 raised "no convergence after -5 iterations"; tol -1 ran line
-    # searches until they stalled
+    # searches until they stalled; 2.5, 3.0 and nan walked the start and then
+    # raised TypeError, and True ran one iteration
     def no_work(*args, **kwargs):
         raise AssertionError("started Gauss-Newton before checking tol and max_iter")
 
     monkeypatch.setattr(cohomology, "_gauss_newton", no_work)
     with pytest.raises(ValueError, match="tol must be finite|max_iter must be at least 1"):
         newton_project_to_variety(P2, G, torus_rep(), tol=tol, max_iter=max_iter)
+
+
+def test_newton_takes_a_numpy_integer_iteration_cap():
+    rng = np.random.default_rng(25)
+    start = RepPoint(G, [G.random_element(rng) for _ in range(4)])
+    a = newton_project_to_variety(P2, G, start, tol=1e-9, max_iter=200)
+    b = newton_project_to_variety(P2, G, start, tol=1e-9, max_iter=np.int64(200))
+    assert a.values.tobytes() == b.values.tobytes()
 
 
 # ----------------------------------------------------------------- cone spans
@@ -973,13 +984,18 @@ def swapped_p2():
 
 
 def kept_arrays(rep):
-    """Every array a point holds: its values, its D0 with its SVD, its complex's arrays."""
-    assert set(vars(rep)) == {"group", "values", "n", "_d0", "_complex"}
+    """Every array a point holds: its values, its D0 with its SVD, its complex's
+    arrays and its one kept walk (one array per relator)."""
+    assert set(vars(rep)) == {"group", "values", "n", "_d0", "_complex", "_walks"}
     arrays = [rep.values, *(rep._d0 or ())]
     if rep._complex is not None:
         key, data = rep._complex
         assert isinstance(data, cohomology.CochainData)
         arrays += [a for a in vars(data).values() if isinstance(a, np.ndarray)]
+    if rep._walks is not None:
+        letters, walks = rep._walks
+        assert len(walks) == len(letters)
+        arrays += walks
     return arrays
 
 
@@ -997,10 +1013,10 @@ def test_a_point_keeps_one_complex_per_relator_letters_and_rank_tol():
     swapped = build_complex(swapped_p2(), rep)
     assert not np.array_equal(swapped.D1, data.D1)
     assert np.array_equal(swapped.D1, build_complex(swapped_p2(), torus_rep()).D1)
-    # at most one complex and one SVD of D0, however many keys were tried
+    # at most one complex, one SVD of D0 and one walk, however many keys were tried
     for tol in (1e-5, 1e-7, 1e-9, 1e-10):
         build_complex(P2, rep, tol)
-    assert len(kept_arrays(rep)) == 1 + 4 + 7
+    assert len(kept_arrays(rep)) == 1 + 4 + 7 + 1
     again = build_complex(P2, rep)
     assert again is not data and np.array_equal(again.basis_H1, data.basis_H1)
 
@@ -1126,6 +1142,34 @@ def test_enumerate_central_reps_is_the_one_tuple_loop():
     # x1 x2 hits I, and -I, at two of the four sign pairs: some tuples miss
     assert len(enumerate_central_reps(pair, G)) == 2
     assert len(enumerate_central_reps(pair, G, BundleClass(G, -EYE))) == 2
+
+
+@pytest.mark.parametrize("name, genus", [("SU2", 2), ("SU2", 6), ("SO3", 2), ("SU2xU1", 2)])
+def test_enumerate_central_reps_keeps_each_hits_checked_values(name, genus):
+    # the center is checked once and each hit indexed from that stack: every
+    # hit holds the bytes a RepPoint of its tuple of center elements holds
+    group, pres = group_from_name(name), surface_presentation(genus)
+    combos = np.array(list(itertools.product(group.center_elements, repeat=pres.n)))
+    hit = cohomology._relators_at(pres, group, combos.swapaxes(0, 1), group.identity())[1] <= 1e-9
+    want = [RepPoint(group, combo).values for combo in combos[hit]]
+    got = enumerate_central_reps(pres, group)
+    assert len(got) == len(want) == len(group.center_elements) ** pres.n
+    for rep, values in zip(got, want):
+        assert rep.values.tobytes() == values.tobytes() and rep.values.dtype == values.dtype
+        assert not rep.values.flags.writeable and rep.n == pres.n
+    assert classify_orbit_type(got[-1]) == classify_orbit_type(RepPoint(group, want[-1]))
+
+
+def test_enumerate_checks_the_center_before_walking_a_relator(monkeypatch):
+    off = copy.copy(su2())
+    off.center_elements = [EYE, 2 * EYE]
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a relator before checking the center")
+
+    monkeypatch.setattr(cohomology, "_suffixes", no_walk)
+    with pytest.raises(ValueError, match="center element lies off the group"):
+        enumerate_central_reps(P2, off)
 
 
 def test_enumerate_rejects_too_many_center_tuples_first(monkeypatch):

@@ -3,7 +3,9 @@ both the relator value (start 0) and every suffix D1's Fox terms read, each
 distinct suffix once, and D1 adds the terms in letter order (one np.add.at
 per relator) with the bits of the term-by-term sum, on the kernels and sizes
 GROUPS names. Gauss-Newton walks each relator once per trial and builds the
-next D1 from the accepted trial's walk.
+next D1 from the accepted trial's walk, and the point it returns keeps that
+walk: relator_defect and build_complex there walk nothing and give the bits
+of a fresh point. A presentation keeps its plan under its relators' letters.
 """
 
 import os
@@ -17,7 +19,10 @@ from surfrep.cohomology import (
     _suffixes,
     _walk_plan,
     _walks,
+    build_complex,
+    BundleClass,
     newton_project_to_variety,
+    relator_defect,
     RepPoint,
 )
 from surfrep.groups import _dagger, group_from_name
@@ -150,3 +155,110 @@ def test_one_sample_newton_walks_each_relator_once_per_trial(monkeypatch, name, 
     assert counts["solves"] >= 1 and counts["trials"] >= counts["solves"]
     assert counts["walks"] == pres.m * (1 + counts["trials"])
 
+
+
+def newton_point(pres, group, c=None):
+    """The point Newton returns from the first Haar start (seeds 0, 1, ...)
+    that converges, and its target c."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        start = RepPoint(group, [group.random_element(rng) for _ in range(pres.n)])
+        try:
+            return newton_project_to_variety(pres, group, start, c=c, tol=1e-10, max_iter=200)
+        except cohomology.ConvergenceError:
+            continue
+    raise AssertionError("no start converged")
+
+
+def count_walks(monkeypatch):
+    counts = {"walks": 0}
+
+    def call(*args, **kwargs):
+        counts["walks"] += 1
+        return _suffixes(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "_suffixes", call)
+    return counts
+
+
+def assert_same_bits(pres, rep, fresh, c):
+    assert relator_defect(pres, rep, c).hex() == relator_defect(pres, fresh, c).hex()
+    a, b = build_complex(pres, rep), build_complex(pres, fresh)
+    assert (a.rank0, a.rank1, a.h_dims) == (b.rank0, b.rank1, b.h_dims)
+    for name in ("D0", "D1", "basis_H0", "basis_Z1", "basis_B1", "basis_H1", "basis_H2"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+NEWTON_CASES = [("SU2", 2, False), ("SU2", 4, False), ("SO3", 2, False), ("SO3", 4, False),
+                ("SU2xU1", 2, False), ("SU2xU1", 4, False), ("SU2", 2, True), ("SU2", 4, True)]
+
+
+@pytest.mark.parametrize("name, genus, twisted", NEWTON_CASES,
+                         ids=[f"{n}-g{g}{'-twisted' if t else ''}" for n, g, t in NEWTON_CASES])
+def test_a_newton_point_keeps_its_walk_with_a_fresh_points_bits(monkeypatch, name, genus, twisted):
+    # relator_defect and build_complex at the point Newton returns read its
+    # last walk, and give the defect, D1, ranks and bases of a fresh point
+    group, pres = group_from_name(name), surface_presentation(genus)
+    c = BundleClass(group, -group.identity()) if twisted else None
+    rep = newton_point(pres, group, c)
+    letters, walks = rep._walks
+    assert letters == (pres.relators[0].letters,) and len(walks) == pres.m
+    assert all(not w.flags.writeable for w in walks)
+    counts = count_walks(monkeypatch)
+    relator_defect(pres, rep, c)
+    build_complex(pres, rep)
+    assert counts["walks"] == 0
+    fresh = RepPoint(group, rep.values)
+    assert fresh._walks is None
+    assert_same_bits(pres, rep, fresh, c)
+    # the fresh point walks each relator for its defect, and once more for its complex
+    assert counts["walks"] == 2 * pres.m
+
+
+def test_a_changed_relator_list_gets_neither_the_old_walk_nor_the_old_plan(monkeypatch):
+    group = group_from_name("SU2")
+    pres = surface_presentation(2)
+    rep = newton_point(pres, group)
+    old_plan = _walk_plan(pres)
+    # one relator replaced: x1 x2 x1^-1 x2^-1 x3 x4 x3^-1 x4^-1 read from x3
+    pres.relators[0] = Word(pres.relators[0].letters[4:] + pres.relators[0].letters[:4])
+    same = Presentation(4, list(pres.relators))
+    plan = _walk_plan(pres)
+    assert plan is not old_plan
+    assert [p[0] for p in plan] == [p[0] for p in _walk_plan(same)]
+    assert all((x == y).all() for p, q in zip(plan, _walk_plan(same)) for x, y in zip(p[2:], q[2:]))
+    counts = count_walks(monkeypatch)
+    assert relator_defect(pres, rep) == relator_defect(same, RepPoint(group, rep.values))
+    assert_same_bits(pres, rep, RepPoint(group, rep.values), None)
+    assert rep._walks[0] == (pres.relators[0].letters,)
+    assert counts["walks"] > 0
+    # one relator appended: its walk and plan entry are made too
+    pres.relators.append(parse_word("x1*x2*x1^-1*x2^-1"))
+    assert len(_walk_plan(pres)) == 2
+    assert build_complex(pres, rep).D1.shape == (6, 12)
+    assert len(rep._walks[1]) == 2
+    assert_same_bits(pres, rep, RepPoint(group, rep.values), None)
+
+
+def test_the_same_relator_letters_on_other_generators_still_raise():
+    group = group_from_name("SU2")
+    pres = surface_presentation(2)
+    rep = newton_point(pres, group)
+    wider = Presentation(5, list(pres.relators))
+    assert cohomology._letters(wider) == rep._walks[0]
+    with pytest.raises(ValueError, match="presentation has 5 generators, point has 4 values"):
+        relator_defect(wider, rep)
+    with pytest.raises(ValueError, match="presentation has 5 generators, point has 4 values"):
+        build_complex(wider, rep)
+
+
+def test_a_presentation_keeps_one_read_only_plan():
+    pres = surface_presentation(3)
+    plan = _walk_plan(pres)
+    assert _walk_plan(pres) is plan and pres._plan[0] == cohomology._letters(pres)
+    for starts, skip, *arrays in plan:
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
