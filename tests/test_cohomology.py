@@ -1128,36 +1128,23 @@ def test_enumerate_central_reps_u1():
 
 
 def test_enumerate_central_reps_is_the_one_tuple_loop():
-    # the tuples are walked as one stack; each keeps the verdict and values
-    # that relator_defect gives it alone
+    # the tuples are walked as one stack, from the center checked once; each
+    # keeps the verdict and values that relator_defect gives it alone
     pair, cube = Presentation(2, [parse_word("x1*x2")]), Presentation(2, [parse_word("x1^3*x2")])
     cases = [(P2, G, None), (surface_presentation(3), G, None), (pair, G, None),
              (pair, G, BundleClass(G, -EYE)), (cube, u1(), None),
-             (P2, group_from_name("SU2xU1"), None)]
+             (P2, group_from_name("SU2xU1"), None), (surface_presentation(6), G, None),
+             (P2, group_from_name("SO3"), None)]
     for pres, group, c in cases:
-        want = [np.stack(combo) for combo in itertools.product(group.center_elements, repeat=pres.n)
-                if relator_defect(pres, RepPoint(group, combo), c) <= 1e-9]
+        points = [RepPoint(group, combo)
+                  for combo in itertools.product(group.center_elements, repeat=pres.n)]
+        want = [p.values for p in points if relator_defect(pres, p, c) <= 1e-9]
         got = enumerate_central_reps(pres, group, c)
         assert [rep.values.tobytes() for rep in got] == [w.tobytes() for w in want]
+        assert all(rep.values.dtype == complex and not rep.values.flags.writeable for rep in got)
     # x1 x2 hits I, and -I, at two of the four sign pairs: some tuples miss
     assert len(enumerate_central_reps(pair, G)) == 2
     assert len(enumerate_central_reps(pair, G, BundleClass(G, -EYE))) == 2
-
-
-@pytest.mark.parametrize("name, genus", [("SU2", 2), ("SU2", 6), ("SO3", 2), ("SU2xU1", 2)])
-def test_enumerate_central_reps_keeps_each_hits_checked_values(name, genus):
-    # the center is checked once and each hit indexed from that stack: every
-    # hit holds the bytes a RepPoint of its tuple of center elements holds
-    group, pres = group_from_name(name), surface_presentation(genus)
-    combos = np.array(list(itertools.product(group.center_elements, repeat=pres.n)))
-    hit = cohomology._relators_at(pres, group, combos.swapaxes(0, 1), group.identity())[1] <= 1e-9
-    want = [RepPoint(group, combo).values for combo in combos[hit]]
-    got = enumerate_central_reps(pres, group)
-    assert len(got) == len(want) == len(group.center_elements) ** pres.n
-    for rep, values in zip(got, want):
-        assert rep.values.tobytes() == values.tobytes() and rep.values.dtype == values.dtype
-        assert not rep.values.flags.writeable and rep.n == pres.n
-    assert classify_orbit_type(got[-1]) == classify_orbit_type(RepPoint(group, want[-1]))
 
 
 def test_enumerate_checks_the_center_before_walking_a_relator(monkeypatch):

@@ -156,10 +156,9 @@ def test_one_sample_newton_walks_each_relator_once_per_trial(monkeypatch, name, 
     assert counts["walks"] == pres.m * (1 + counts["trials"])
 
 
-
 def newton_point(pres, group, c=None):
-    """The point Newton returns from the first Haar start (seeds 0, 1, ...)
-    that converges, and its target c."""
+    """The point Newton returns, at the central target c, from the first Haar
+    start (seeds 0, 1, ...) that converges."""
     for seed in range(20):
         rng = np.random.default_rng(seed)
         start = RepPoint(group, [group.random_element(rng) for _ in range(pres.n)])
