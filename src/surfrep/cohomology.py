@@ -11,16 +11,19 @@ each sample taking the steps it would take alone.
 
 One walk over a relator's letters gives both its value and every suffix its
 Fox terms read, each distinct suffix once (_walk_plan), and D1 takes one
-stacked Ad of those suffixes per relator. A presentation keeps its walk plan
-under its relators' letters. Gauss-Newton walks each relator once per
-line-search trial and builds the next D1 from the accepted trial's walk.
+stacked Ad of those suffixes per relator. Every relator value is start 0 of
+a walk, so a point's defect, its D1 and the Newton residual read one path. A
+presentation keeps its walk plan under its relators' letters. Gauss-Newton
+walks each relator once per line-search trial and builds the next D1 from the
+accepted trial's walk.
 
 A point's values are one read-only stack, so nothing built from them can go
 stale: a RepPoint keeps D0 with its SVD, the last complex build_complex made
 of it and its last walk of the relators. Newton leaves its own last walk on
-the point it returns, so relator_defect and build_complex there walk nothing.
-That is at most one CochainData, one SVD of D0 and one walk, all read-only,
-however many presentations or cutoffs are tried.
+the point it returns, so relator_defect and build_complex there walk nothing;
+at another point the first of them walks once and keeps the walk. That is at
+most one CochainData, one SVD of D0 and one walk, all read-only, however many
+presentations or cutoffs are tried.
 """
 
 import dataclasses
@@ -48,7 +51,7 @@ class RepPoint:
     It keeps what is built of its values, read-only: D0 with its SVD, the last
     complex under its relator letters and rank_tol, and the last walk of the
     relators (one walk per relator over its plan's starts, as _walks gives)
-    under their letters, the walk Newton left or build_complex made."""
+    under their letters, the walk Newton left or _point_walks made."""
 
     def __init__(self, group, values):
         Y = _elements(group, values, "representation matrix")
@@ -146,18 +149,13 @@ def _suffixes(group, values, letters, starts):
     return G.reshape(lead + (len(starts), m, m)).transpose(L, *range(L), L + 1, L + 2)
 
 
-def _value(group, values, letters):
-    """Evaluate a word's letters at the representation, left to right."""
-    return _suffixes(group, values, letters, [0])[0]
-
-
 def evaluate_group_ring(e, rep):
     """Sum of coef * Ad(value(w)^-1) over the terms; the right-module convention
     under which D1 matches the finite-difference relator derivative."""
     group = rep.group
     out = np.zeros((group.dim, group.dim))
     for w, c in e.terms.items():
-        out += c * group.Ad_matrix(_dagger(_value(group, rep.values, w.letters)))
+        out += c * group.Ad_matrix(_dagger(_suffixes(group, rep.values, w.letters, [0])[0]))
     return out
 
 
@@ -220,13 +218,6 @@ def _plan_d1(pres, group, plan, walks, lead):
     return D1
 
 
-def _d1(pres, group, values):
-    """D1 at the point, or one per sample (..., m d, n d) for stacked values,
-    from one walk over each relator's letters."""
-    plan = _walk_plan(pres)
-    return _plan_d1(pres, group, plan, _walks(pres, group, values, plan), np.shape(values[0])[:-2])
-
-
 def _point_walks(pres, rep):
     """The point's walk of each relator, read-only: the kept one when the
     relator letters match, else walked once and kept."""
@@ -286,32 +277,20 @@ def build_complex(pres, rep, rank_tol=RANK_TOL):
     return data
 
 
-def _relators(rels, shape, cm):
-    """The relator values rels, one (shape) per relator, as one stack
+def _relators(walks, shape, cm):
+    """The relator values, start 0 of each relator's walk, as one stack
     (relators,) + shape, and per sample their largest Frobenius distance to the
     central target cm (0 where the presentation has no relators)."""
-    rels = np.array(rels, dtype=complex).reshape((len(rels),) + shape)
+    rels = np.array([w[0] for w in walks], dtype=complex).reshape((len(walks),) + shape)
     return rels, _frobenius(rels - cm).max(axis=0, initial=0.0)
-
-
-def _relators_at(pres, group, values, cm):
-    """_relators at the point, or at each sample of stacked values, each
-    relator walked from start 0 alone."""
-    _check_generators(pres, values)
-    return _relators([_value(group, values, r.letters) for r in pres.relators],
-                     np.shape(values[0]), cm)
 
 
 def relator_defect(pres, rep, c=None):
     """Largest Frobenius distance between a relator value and the central
-    target; the values are read from the point's kept walk where its relator
-    letters match, else each relator is walked from start 0 alone."""
+    target, read off the point's walk of the relators (walked once and kept)."""
     cm = _class_matrix(rep.group, c)
     _check_generators(pres, rep.values)
-    kept = rep._walks
-    if kept is not None and kept[0] == _letters(pres):
-        return float(_relators([w[0] for w in kept[1]], rep.values.shape[1:], cm)[1])
-    return float(_relators_at(pres, rep.group, rep.values, cm)[1])
+    return float(_relators(_point_walks(pres, rep), rep.values.shape[1:], cm)[1])
 
 
 def _jet_walk(pres, group, Y, U):
@@ -405,7 +384,7 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
     values = values.copy()
     plan = _walk_plan(pres)
     walks = _walks(pres, group, values, plan)
-    rels, defect = _relators([w[0] for w in walks], values.shape[1:], cm)
+    rels, defect = _relators(walks, values.shape[1:], cm)
     F, angles = _residual(group, rels, cmi)
     cut = _cut(angles).any(axis=-1)
     moved = ~(defect < tol)
@@ -426,7 +405,7 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
             delta = (alpha[todo, None] * step[todo]).reshape(len(todo), n, d)
             trial = group.project_to_group(Y[:, todo] @ group.exp(delta.swapaxes(0, 1)))
             trial_walks = _walks(pres, group, trial, plan)
-            rels, trial_defect = _relators([w[0] for w in trial_walks], trial.shape[1:], cm)
+            rels, trial_defect = _relators(trial_walks, trial.shape[1:], cm)
             Ft, angles = _residual(group, rels, cmi)
             better = ~_cut(angles).any(axis=-1) & (_norm(Ft) < base[todo])
             done = live[todo[better]]
@@ -450,8 +429,10 @@ def _gauss_newton(pres, group, values, cm, tol, max_iter, slice_basis):
 def newton_project_to_variety(pres, group, start, c=None, tol=1e-9, max_iter=60):
     """Gauss-Newton on the residual log(r_i(y) c^-1), stepping by y_j exp(delta_j).
     The one-sample case of the stacked iteration that sample_cone_directions runs;
-    tol must be finite and positive, max_iter an integer at least 1. A new
-    point keeps Newton's last walk, the walk at its values."""
+    tol must be finite and positive, max_iter an integer at least 1 and start a
+    point of group. A new point keeps Newton's last walk, the walk at its values."""
+    if start.group.name != group.name:
+        raise ValueError(f"start is a point of {start.group.name}, not of {group.name}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
@@ -613,9 +594,12 @@ def enumerate_central_reps(pres, group, c=None):
     if k ** pres.n > MAX_CENTRAL_TUPLES:
         raise ValueError(
             f"{k} ** {pres.n} center tuples exceed the budget of {MAX_CENTRAL_TUPLES}")
+    cm = _class_matrix(group, c)
     Z = _elements(group, group.center_elements, "center element")
     combos = Z[np.array(list(itertools.product(range(k), repeat=pres.n)))]
-    hit = _relators_at(pres, group, combos.swapaxes(0, 1), _class_matrix(group, c))[1] <= 1e-9
+    values = combos.swapaxes(0, 1)
+    walks = [_suffixes(group, values, r.letters, [0]) for r in pres.relators]
+    hit = _relators(walks, values.shape[1:], cm)[1] <= 1e-9
     (hits,) = _read_only(combos[hit])
     return [_checked_point(group, Y) for Y in hits]
 

@@ -1,9 +1,28 @@
 """Finite-difference oracles for the twisted complex: D1 and D0 at a point
-against central differences of the relator and conjugation-orbit maps."""
+against central differences of the relator and conjugation-orbit maps, and
+D1 itself as the library builds it, from one walk plan over the relators."""
+
+import functools
 
 import numpy as np
 
-from surfrep.cohomology import _d0, _d1, _dagger, _norm, _relators_at
+from surfrep.cohomology import _d0, _dagger, _norm, _plan_d1, _walk_plan, _walks
+
+
+def _d1(pres, group, values):
+    """D1 at the point, or one per sample (..., m d, n d) for stacked values,
+    from one walk over each relator's letters."""
+    plan = _walk_plan(pres)
+    return _plan_d1(pres, group, plan, _walks(pres, group, values, plan), np.shape(values[0])[:-2])
+
+
+def _relator_values(pres, group, Y):
+    """Each relator's value at the point Y (n, m, m), its letters multiplied
+    left to right, stacked (relators, m, m): apart from the walk D1 reads."""
+    factors = {1: Y, -1: _dagger(Y)}
+    rels = [functools.reduce(np.matmul, [factors[e][j - 1] for j, e in r.letters], group.identity())
+            for r in pres.relators]
+    return np.array(rels, dtype=complex).reshape((len(rels),) + Y.shape[1:])
 
 
 def finite_diff_check_d1(pres, rep, u, h):
@@ -13,10 +32,10 @@ def finite_diff_check_d1(pres, rep, u, h):
     d = group.dim
     u = np.asarray(u, dtype=float).reshape(pres.n, d)
     lin = (_d1(pres, group, rep.values) @ u.ravel()).reshape(pres.m, d)
-    Y, eye = rep.values, group.identity()
-    r0i = _dagger(_relators_at(pres, group, Y, eye)[0])
-    plus = _relators_at(pres, group, Y @ group.exp(h * u), eye)[0]
-    minus = _relators_at(pres, group, Y @ group.exp(-h * u), eye)[0]
+    Y = rep.values
+    r0i = _dagger(_relator_values(pres, group, Y))
+    plus = _relator_values(pres, group, Y @ group.exp(h * u))
+    minus = _relator_values(pres, group, Y @ group.exp(-h * u))
     xi = (group.log(r0i @ plus) - group.log(r0i @ minus)) / (2 * h)
     return float(_norm(xi - lin).max(initial=0.0))
 

@@ -28,7 +28,6 @@ from surfrep.cohomology import (
     CochainData,
     RepPoint,
     _d0,
-    _d1,
     _orbit_type,
     build_complex,
     classify_orbit_type,
@@ -45,7 +44,7 @@ from surfrep.groups import group_from_name, so3, su2
 from surfrep.holonomy import PathConnection, Variation, holonomy, holonomy_derivative
 from surfrep.words import surface_presentation
 
-from oracles import finite_diff_check_d0, finite_diff_check_d1
+from oracles import _d1, finite_diff_check_d0, finite_diff_check_d1
 
 GROUPS = ("U1", "SO3", "SU2", "SU2xU1")
 GENERA = (1, 2, 3)

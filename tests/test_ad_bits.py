@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from surfrep.cohomology import _d1
 from surfrep.groups import _dagger, group_from_name
 from surfrep.words import surface_presentation
+
+from oracles import _d1
 
 GROUPS = ("SU2", "SO3", "U1", "SU2xU1", "SU2xSU2", "SO3xSU2xU1")
 

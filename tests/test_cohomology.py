@@ -24,7 +24,6 @@ from surfrep import cohomology, reports
 from surfrep.groups import LieGroupModel, group_from_name, su2, u1
 from surfrep.cohomology import (
     _point_centralizer,
-    _d1,
     _suffixes,
     BundleClass,
     ConvergenceError,
@@ -43,7 +42,7 @@ from surfrep.cohomology import (
     stabilizer_fixed_subspace,
 )
 
-from oracles import finite_diff_check_d0, finite_diff_check_d1
+from oracles import _d1, finite_diff_check_d0, finite_diff_check_d1
 
 G = su2()
 P1 = surface_presentation(1)
@@ -769,6 +768,26 @@ def test_newton_rejects_a_bad_tolerance_or_iteration_cap_first(monkeypatch, tol,
         newton_project_to_variety(P2, G, torus_rep(), tol=tol, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("start_name, name, on_variety", [("SO3", "SU2xU1", True),
+                                                           ("SO3", "SU2xU1", False),
+                                                           ("SU2", "SO3", False)])
+def test_newton_rejects_a_start_of_another_group_first(monkeypatch, start_name, name, on_variety):
+    # an SO3 start on the variety came back from SU2xU1's Newton unchanged,
+    # still an SO3 point (both are 3x3); off it, a cut-locus error or a numpy
+    # matmul error was raised from inside the iteration
+    other = group_from_name(start_name)
+    rng = np.random.default_rng(3)
+    start = RepPoint(other, [other.identity() if on_variety else other.random_element(rng)
+                             for _ in range(4)])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("started Gauss-Newton before checking the start's group")
+
+    monkeypatch.setattr(cohomology, "_gauss_newton", no_work)
+    with pytest.raises(ValueError, match=f"start is a point of {start_name}, not of {name}"):
+        newton_project_to_variety(P2, group_from_name(name), start)
+
+
 def test_newton_takes_a_numpy_integer_iteration_cap():
     rng = np.random.default_rng(25)
     start = RepPoint(G, [G.random_element(rng) for _ in range(4)])
@@ -1166,13 +1185,21 @@ def test_enumerate_rejects_too_many_center_tuples_first(monkeypatch):
     product = group_from_name("SU2xU1")
     assert len(enumerate_central_reps(surface_presentation(3), product)) == 4096
 
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked a center tuple before checking the count")
+    # a class of another group, or no BundleClass at all, is rejected before
+    # the center elements are stacked into tuples
+    bad_classes = (BundleClass(group_from_name("SO3"), np.eye(3)), -EYE)
 
-    monkeypatch.setattr(cohomology, "_relators_at", no_walk)
+    def no_walk(*args, **kwargs):
+        raise AssertionError("built or walked a center tuple before checking the count and c")
+
+    monkeypatch.setattr(cohomology, "_suffixes", no_walk)
+    monkeypatch.setattr(cohomology, "_elements", no_walk)
     for pres, group in ((surface_presentation(4), product), (surface_presentation(7), G)):
         with pytest.raises(ValueError, match="center tuples exceed the budget of 4096"):
             enumerate_central_reps(pres, group)
+    for c in bad_classes:
+        with pytest.raises(ValueError, match="c must be None or a BundleClass of SU2"):
+            enumerate_central_reps(P2, G, c)
 
 
 def test_enumerate_against_twisted_class_is_empty():

@@ -1,6 +1,6 @@
 """The package's public names: ``from surfrep import *`` exports what the
 package imports from its modules, and nothing else, and each of them is used
-outside the tests."""
+outside the tests; so is each private module-level function."""
 
 import re
 from pathlib import Path
@@ -47,5 +47,22 @@ def test_every_export_is_named_outside_the_tests():
     text = "\n".join(path.read_text() for path in sources)
     unnamed = [name for name in surfrep.__all__
                if not re.search(rf"\b{name}\b", re.sub(rf"^(?:def|class) {name}\b.*$", "", text,
+                                                       flags=re.MULTILINE))]
+    assert unnamed == []
+
+
+def test_every_private_function_is_named_outside_the_tests():
+    # the same for private helpers (as D1 from the walk plan is in
+    # tests/oracles.py): each module-level function of src/surfrep whose name
+    # starts with "_" must be named in src/surfrep other than by its own def,
+    # or in demos/ or perfbench/
+    modules = sorted((ROOT / "src" / "surfrep").glob("*.py"))
+    sources = [*modules, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    text = "\n".join(path.read_text() for path in sources)
+    private = [name for path in modules
+               for name in re.findall(r"^def (_\w+)", path.read_text(), flags=re.MULTILINE)]
+    assert private
+    unnamed = [name for name in private
+               if not re.search(rf"\b{name}\b", re.sub(rf"^def {name}\b.*$", "", text,
                                                        flags=re.MULTILINE))]
     assert unnamed == []

@@ -4,8 +4,10 @@ distinct suffix once, and D1 adds the terms in letter order (one np.add.at
 per relator) with the bits of the term-by-term sum, on the kernels and sizes
 GROUPS names. Gauss-Newton walks each relator once per trial and builds the
 next D1 from the accepted trial's walk, and the point it returns keeps that
-walk: relator_defect and build_complex there walk nothing and give the bits
-of a fresh point. A presentation keeps its plan under its relators' letters.
+walk: relator_defect and build_complex there walk nothing. A fresh point walks
+each relator once for both and keeps the walk, and every relator value is
+start 0 of a walk, so the two points give the same bits on every kernel. A
+presentation keeps its plan under its relators' letters.
 """
 
 import os
@@ -13,9 +15,8 @@ import os
 import numpy as np
 import pytest
 
-from surfrep import cohomology
+from surfrep import cohomology, reports
 from surfrep.cohomology import (
-    _d1,
     _suffixes,
     _walk_plan,
     _walks,
@@ -27,6 +28,8 @@ from surfrep.cohomology import (
 )
 from surfrep.groups import _dagger, group_from_name
 from surfrep.words import Presentation, Word, fox_terms, parse_word, surface_presentation
+
+from oracles import _d1
 
 # Under OpenBLAS's Haswell kernels a 4x4 walk entry need not have the bits of
 # its one-start walk, and so D1 not those of the per-term sum: the tall block's
@@ -190,14 +193,16 @@ def assert_same_bits(pres, rep, fresh, c):
 
 
 NEWTON_CASES = [("SU2", 2, False), ("SU2", 4, False), ("SO3", 2, False), ("SO3", 4, False),
-                ("SU2xU1", 2, False), ("SU2xU1", 4, False), ("SU2", 2, True), ("SU2", 4, True)]
+                ("SU2xU1", 2, False), ("SU2xU1", 4, False), ("SU2", 2, True), ("SU2", 4, True),
+                ("SU2xSU2", 2, False), ("SU2xSU2", 4, False)]
 
 
 @pytest.mark.parametrize("name, genus, twisted", NEWTON_CASES,
                          ids=[f"{n}-g{g}{'-twisted' if t else ''}" for n, g, t in NEWTON_CASES])
 def test_a_newton_point_keeps_its_walk_with_a_fresh_points_bits(monkeypatch, name, genus, twisted):
     # relator_defect and build_complex at the point Newton returns read its
-    # last walk, and give the defect, D1, ranks and bases of a fresh point
+    # last walk, and give the defect, D1, ranks and bases of a fresh point;
+    # both read start 0 of a walk, so this holds for 4x4 values under Haswell too
     group, pres = group_from_name(name), surface_presentation(genus)
     c = BundleClass(group, -group.identity()) if twisted else None
     rep = newton_point(pres, group, c)
@@ -211,8 +216,19 @@ def test_a_newton_point_keeps_its_walk_with_a_fresh_points_bits(monkeypatch, nam
     fresh = RepPoint(group, rep.values)
     assert fresh._walks is None
     assert_same_bits(pres, rep, fresh, c)
-    # the fresh point walks each relator for its defect, and once more for its complex
-    assert counts["walks"] == 2 * pres.m
+    # the fresh point walks each relator once, for its defect and its complex
+    assert counts["walks"] == pres.m
+
+
+@pytest.mark.parametrize("report, args", [
+    (reports.cohomology_report, ("SU2", 2, "torus:[0.7,1.1,-0.5,0.3]", 1e-8, 1e-9)),
+    (reports.stratify_report, ("SU2", 2, "central:[+,-,+,-]", 0, 1e-8, 1e-9)),
+], ids=["cohomology-torus", "stratify-central"])
+def test_a_named_points_report_walks_each_relator_once(monkeypatch, report, args):
+    # the defect and the complex of a point the report names read one walk
+    counts = count_walks(monkeypatch)
+    assert report(*args)[1] == "pass"
+    assert counts["walks"] == surface_presentation(2).m
 
 
 def test_a_changed_relator_list_gets_neither_the_old_walk_nor_the_old_plan(monkeypatch):
