@@ -11,7 +11,6 @@ import numpy as np
 from surfrep import (
     check_relations,
     hilbert_map,
-    psd_rank_stratum,
     sample_zero_locus,
     so2_cone_model_report,
     so2_model,
@@ -49,4 +48,4 @@ images = [hilbert_map(model, w).ravel() for w in spanning_configurations()]
 rank = np.linalg.matrix_rank(np.array(images), tol=1e-8)
 print("  rank of the stacked images:", rank)
 print("  stratum of a single-slot image:",
-      psd_rank_stratum(hilbert_map(model, spanning_configurations()[0])))
+      stratum_label(model, hilbert_map(model, spanning_configurations()[0])))

@@ -50,7 +50,6 @@ from surfrep.reduction import (
     hilbert_map,
     momentum_so2,
     momentum_so3,
-    psd_rank_stratum,
     psi_quadratic,
     sample_zero_locus,
     so2_cone_model_report,

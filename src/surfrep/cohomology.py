@@ -11,7 +11,7 @@ each sample taking the steps it would take alone.
 
 One walk over a relator's letters gives both its value and every suffix its
 Fox terms read, each distinct suffix once (_walk_plan), and D1 takes one
-stacked Ad of those suffixes per relator. Every relator value is start 0 of
+stacked Ad of that walk per relator. Every relator value is start 0 of
 a walk, so a point's defect, its D1 and the Newton residual read one path. A
 presentation keeps its walk plan under its relators' letters. Gauss-Newton
 walks each relator once per line-search trial and builds the next D1 from the
@@ -178,11 +178,10 @@ def _letters(pres):
 
 def _walk_plan(pres):
     """How one walk per relator gives both its value and its rows of D1. Per
-    relator (starts, skip, cols, signs, rows): starts are the distinct suffix
-    starts of its Fox terms (words.fox_terms) and start 0, the relator value,
-    first; the terms read walk[skip:] (skip is 1 where no term reads start 0);
+    relator (starts, cols, signs, rows): starts are the distinct suffix starts
+    of its Fox terms (words.fox_terms) and start 0, the relator value, first;
     and cols, signs and rows hold the terms in letter order, as generator
-    indices, signs and rows of walk[skip:], read-only. Built on first use and
+    indices, signs and rows of the walk, read-only. Built on first use and
     kept on the presentation under its relators' letters."""
     letters = _letters(pres)
     if pres._plan is None or pres._plan[0] != letters:
@@ -190,8 +189,7 @@ def _walk_plan(pres):
         for r in pres.relators:
             j, signs, s = np.array(list(fox_terms(r)), dtype=int).reshape(-1, 3).T
             starts = sorted({0, *s.tolist()})
-            skip = int(s.all())
-            plan.append((starts, skip, *_read_only(j - 1, signs, np.searchsorted(starts, s) - skip)))
+            plan.append((starts, *_read_only(j - 1, signs, np.searchsorted(starts, s))))
         pres._plan = (letters, plan)
     return pres._plan[1]
 
@@ -206,14 +204,14 @@ def _walks(pres, group, values, plan):
 def _plan_d1(pres, group, plan, walks, lead):
     """D1 (lead + (relators d, n d)) from the relators' walks: block (i, j) is
     dr_i/dx_j evaluated as in evaluate_group_ring. Per relator one stacked Ad
-    of the suffixes its terms read, then one unbuffered add (np.add.at), so
-    each block sums its terms from zeros in letter order."""
+    of its walk, then one unbuffered add (np.add.at) of the entries its terms
+    read, so each block sums its terms from zeros in letter order."""
     d = group.dim
     D1 = np.zeros(lead + (pres.m * d, pres.n * d))
     L = len(lead)
     blocks = D1.reshape(lead + (pres.m, d, pres.n, d)).transpose(L, L + 2, *range(L), L + 1, L + 3)
-    for i, (walk, (_, skip, cols, signs, rows)) in enumerate(zip(walks, plan)):
-        A = group.Ad_matrix(_dagger(walk[skip:]))
+    for i, (walk, (_, cols, signs, rows)) in enumerate(zip(walks, plan)):
+        A = group.Ad_matrix(_dagger(walk))
         np.add.at(blocks[i], cols, signs.reshape((-1,) + (1,) * (A.ndim - 1)) * A[rows])
     return D1
 
@@ -484,9 +482,9 @@ def sample_cone_directions(pres, rep, c=None, count=200, seed=0, eps=CONE_EPS, d
         U = U / _norm(U)[:, None]
         starts = Y @ group.exp((eps * U).reshape(size, n, d).swapaxes(0, 1))
         ok = _on_group(group, starts).all(axis=0)
+        # an error-free sample is a start kept above or a trial project_to_group made
         star, errors, *_ = _gauss_newton(pres, group, starts[:, ok], cm, 1e-12, 80, slice_basis)
         star = star[:, [e is None for e in errors]]
-        star = star[:, _on_group(group, star).all(axis=0)]
         # sample-major, so a cut raises for the sample a one-at-a-time loop reaches first
         xi = group.log((_dagger(Y) @ star).swapaxes(0, 1)).reshape(-1, n * d)
         xi = np.matmul(Z1, np.matmul(Z1.T, xi[..., None]))[..., 0]
@@ -509,8 +507,9 @@ def sample_stabilizer(rep, count=8, seed=0, data=None):
     group = rep.group
     els = [z.copy() for z in group.center_elements]
     Zc = _point_centralizer(rep) if data is None else data.basis_H0
+    rng = np.random.default_rng(seed)
     if Zc.shape[1]:
-        X = np.random.default_rng(seed).standard_normal((count, Zc.shape[1]))
+        X = rng.standard_normal((count, Zc.shape[1]))
         els.extend(group.exp(np.matmul(Zc, X[..., None])[..., 0]))
     return els
 

@@ -63,15 +63,16 @@ def _so3_slots(W):
     return W.reshape(W.shape[:-1] + (4, 3))
 
 
-def _image(image, shape):
-    """A Hilbert image as a float array, of the given shape with finite entries."""
-    image = np.asarray(image, dtype=float)
-    if image.shape != shape:
-        raise ValueError(f"expected a Hilbert image of shape {shape}, got {image.shape}")
+def _finite(x, shape, name):
+    """x as a float array of the given shape with finite entries, else a
+    ValueError naming it."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"expected {name} of shape {shape}, got {x.shape}")
     # a scan of the entries costs less than np.isfinite at one point
-    if not all(map(math.isfinite, image.ravel().tolist())):
-        raise ValueError("image contains non-finite entries")
-    return image
+    if not all(map(math.isfinite, x.ravel().tolist())):
+        raise ValueError(f"{name} contains non-finite entries")
+    return x
 
 
 def _excess(x):
@@ -102,12 +103,7 @@ class LinearMomentumModel:
         self._image_shape = hilbert(np.zeros(W_dim)).shape
 
     def _point(self, w):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.W_dim,):
-            raise ValueError(f"expected a vector of length {self.W_dim}")
-        if not all(map(math.isfinite, w.tolist())):
-            raise ValueError("point contains non-finite entries")
-        return w
+        return _finite(w, (self.W_dim,), f"a point of length {self.W_dim}")
 
 
 def so2_model():
@@ -353,10 +349,10 @@ def sample_zero_locus(model, count, seed, method="construct"):
     projects random ambient starts onto mu = 0 and is kept as an independent
     cross-check of the parametrization. Both draw every point's randoms
     first and then compute and validate all points in one stacked pass;
-    `count` above MAX_SAMPLES is rejected before anything is drawn.
+    `count` must be an integer, 1 to MAX_SAMPLES, checked before anything is drawn.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be at least 1 and an integer, got {count!r}")
     if count > MAX_SAMPLES:
         raise ValueError(f"count must be at most {MAX_SAMPLES} (MAX_SAMPLES)")
     if method not in ("construct", "newton"):
@@ -505,9 +501,10 @@ def _nan_first(magnitude):
 
 
 def _psd_rank_strata(S):
-    """The label of each image of a stack (k, 4, 4), from its eigenvalues (one
-    eigvalsh call for the stack) in Python floats: its magnitudes go to _rank in
-    descending order, and the lowest eigenvalue decides PSD."""
+    """The label of each image of a stack (k, 4, 4): its rank if PSD, else
+    "outside" (an eigenvalue below -1e-9, or rank 3 and higher). From its
+    eigenvalues (one eigvalsh call for the stack) in Python floats: its
+    magnitudes go to _rank, cutoff 1e-9, in descending order."""
     labels = []
     for eig in np.linalg.eigvalsh((S + S.mT) / 2.0).tolist():
         rank = _rank(sorted(map(abs, eig), key=_nan_first, reverse=True), 1e-9)
@@ -515,21 +512,10 @@ def _psd_rank_strata(S):
     return labels
 
 
-def psd_rank_stratum(image):
-    """Stratum label of a symmetric 4x4 image: its rank if PSD, else "outside".
-
-    Rank uses the relative cutoff 1e-9 * max(largest eigenvalue, 1); matrices
-    with a negative eigenvalue below -1e-9 or rank 3 and higher lie outside
-    the closure of the reduced space. An image of another shape, or with a
-    non-finite entry, raises ValueError.
-    """
-    return _psd_rank_strata(_image(image, (4, 4))[None])[0]
-
-
 def stratum_label(model, image):
     """String stratum key for report histograms. The image must have the shape
     of the model's Hilbert images and finite entries, else ValueError."""
-    return model._stratum(_image(image, model._image_shape)[None])[0]
+    return model._stratum(_finite(image, model._image_shape, "a Hilbert image")[None])[0]
 
 
 def so2_cone_model_report(count=60, seed=0):

@@ -99,8 +99,9 @@ def measure_obstruction_constant(pres, rep, count, seed, data=None):
     relative error). seed is a seed or a numpy Generator, which is then
     advanced; data is the point's cochain data (built with the default rank
     cutoff when omitted). The obstructions and the fit are taken as one stack."""
-    if count < 1:
-        raise ValueError("the obstruction fit needs at least one cochain")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError("the obstruction fit needs at least one cochain: count must be "
+                         f"a positive integer, got {count!r}")
     if data is None:
         data = build_complex(pres, rep)
     U = np.random.default_rng(seed).standard_normal((count, 4, 3))

@@ -40,9 +40,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def __mul__(self, other):
-        return word_multiply(self, other)
-
     def __repr__(self):
         return format_word(self)
 

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from surfrep import cohomology
 from surfrep.cohomology import (
     BundleClass,
     CochainData,
@@ -40,7 +41,7 @@ from surfrep.cohomology import (
     sample_stabilizer,
     stabilizer_fixed_subspace,
 )
-from surfrep.groups import group_from_name, so3, su2
+from surfrep.groups import _on_group, group_from_name, so3, su2
 from surfrep.holonomy import PathConnection, Variation, holonomy, holonomy_derivative
 from surfrep.words import surface_presentation
 
@@ -189,6 +190,39 @@ def test_twisted_su2_class_is_irreducible(genus):
     assert relator_defect(pres, rep, twist) <= 1e-9
     assert build_complex(pres, rep).h_dims == (0, 6 * genus - 6, 0)
     check_fd_gaps(pres, rep, seed=genus)
+
+
+CONE_CASES = [case for case in CASES if case[0] != "U1"] + [
+    ("SU2 c=-I", genus, "random") for genus in GENERA]
+
+
+@pytest.mark.parametrize("name, genus, kind", CONE_CASES,
+                         ids=[f"{n}-g{g}-{k}" for n, g, k in CONE_CASES])
+def test_every_error_free_cone_sample_is_a_point_of_the_group(monkeypatch, name, genus, kind):
+    # the cone keeps Newton's error-free samples without checking them again:
+    # each is a start it checked or an accepted trial project_to_group made
+    pres = surface_presentation(genus)
+    if name == "SU2 c=-I":
+        group = su2()
+        twist = BundleClass(group, -group.identity())
+        rng = np.random.default_rng(genus)
+        start = RepPoint(group, [group.random_element(rng) for _ in range(pres.n)])
+        rep = newton_project_to_variety(pres, group, start, c=twist, tol=1e-10, max_iter=200)
+    else:
+        group, twist = group_from_name(name), None
+        rep = rep_from_name(pres, group, rep_text(group, genus, kind))
+    gauss_newton, kept = cohomology._gauss_newton, []
+
+    def spy(*args):
+        values, errors, *rest = gauss_newton(*args)
+        samples = values[:, [e is None for e in errors]]
+        assert _on_group(group, samples).all()
+        kept.append(samples.shape[1])
+        return values, errors, *rest
+
+    monkeypatch.setattr(cohomology, "_gauss_newton", spy)
+    sample_cone_directions(pres, rep, c=twist, count=8, seed=genus)
+    assert sum(kept) > 0
 
 
 # genus 4-5, where the relator has 16-20 letters: each example projects a Haar

@@ -19,6 +19,7 @@ from surfrep.words import (
     parse_word,
     reduce,
     surface_presentation,
+    word_multiply,
 )
 from surfrep import cohomology, reports
 from surfrep.groups import LieGroupModel, group_from_name, su2, u1
@@ -191,7 +192,7 @@ def test_evaluate_reverses_products(lu, lv, seed):
     u, v = reduce(lu), reduce(lv)
     au = evaluate_group_ring(GroupRingElement.from_word(u), rep)
     av = evaluate_group_ring(GroupRingElement.from_word(v), rep)
-    auv = evaluate_group_ring(GroupRingElement.from_word(u * v), rep)
+    auv = evaluate_group_ring(GroupRingElement.from_word(word_multiply(u, v)), rep)
     assert np.allclose(auv, av @ au, atol=1e-10)
 
 
@@ -932,6 +933,14 @@ def test_stabilizer_sample_rejects_a_non_integer_count_at_every_point():
             sample_stabilizer(rep, count=count)
     for (rep, size), count in itertools.product(zip(points, (5, 5, 2)), (3, np.int64(3))):
         assert len(sample_stabilizer(rep, count=count)) == size
+
+
+def test_stabilizer_sample_checks_its_seed_at_every_point():
+    # at the irreducible point the centralizer is discrete and nothing is
+    # drawn, so seed=-1 used to return the two centre elements there
+    for rep in (torus_rep(), irreducible_rep()):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_stabilizer(rep, seed=-1)
 
 
 def test_stabilizer_rejects_noncommuting_element():

@@ -21,7 +21,7 @@ EXPORTS = {
     "group_from_name", "hilbert_map", "holonomy", "holonomy_derivative",
     "holonomy_derivative_fd", "horizontal_transport", "momentum_so2",
     "momentum_so3", "newton_project_to_variety", "obstruction_quadratic", "parse_word",
-    "psd_rank_stratum", "psi_quadratic", "reduce", "relator_defect", "rep_from_name",
+    "psi_quadratic", "reduce", "relator_defect", "rep_from_name",
     "sample_cone_directions", "sample_stabilizer", "sample_zero_locus",
     "so2_cone_model_report", "so2_model", "so3", "so3_model", "spanning_configurations",
     "stabilizer_fixed_subspace", "stratum_label", "su2", "surface_presentation", "u1",

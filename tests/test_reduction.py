@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from surfrep import reduction
+from surfrep.groups import su2
 from surfrep.reduction import (
     _couples,
     _minors,
@@ -21,7 +21,6 @@ from surfrep.reduction import (
     hilbert_map,
     momentum_so2,
     momentum_so3,
-    psd_rank_stratum,
     psi_quadratic,
     sample_zero_locus,
     so2_cone_model_report,
@@ -31,6 +30,8 @@ from surfrep.reduction import (
     stratum_label,
     zariski_dim_at_origin,
 )
+from surfrep.reports import irreducible_rep, measure_obstruction_constant
+from surfrep.words import surface_presentation
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -167,6 +168,23 @@ def test_sampler_rejects_unknown_method():
 def test_sampler_rejects_an_empty_sample():
     with pytest.raises(ValueError, match="count must be at least 1"):
         sample_zero_locus(so2_model(), 0, seed=0)
+
+
+@pytest.mark.parametrize("count", [2.5, np.float64(3.0), True, "3"],
+                         ids=["2.5", "float64", "True", "str"])
+@pytest.mark.parametrize("sample", [
+    lambda count, seed: sample_zero_locus(so3_model(), count, seed),
+    lambda count, seed: so2_cone_model_report(count, seed),
+    lambda count, seed: measure_obstruction_constant(
+        surface_presentation(2), irreducible_rep(su2()), count, seed),
+], ids=["zero-locus", "cone-model", "obstruction-fit"])
+def test_a_count_that_is_not_an_integer_is_rejected_before_any_draw(sample, count):
+    # each raised a TypeError that did not name the count (numpy's, or a comparison's)
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="count"):
+        sample(count, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("model", [so2_model, so3_model], ids=["so2", "so3"])
@@ -394,18 +412,18 @@ def test_spanning_double_slot_display():
 
 
 def test_psd_rank_stratum_examples():
-    assert psd_rank_stratum(np.zeros((4, 4))) == 0
+    assert stratum_label(so3_model(), np.zeros((4, 4))) == "0"
     configs = spanning_configurations()
-    assert psd_rank_stratum(hilbert_map(so3_model(), configs[0])) == 1
+    assert stratum_label(so3_model(), hilbert_map(so3_model(), configs[0])) == "1"
     # generic balanced coplanar configuration has a rank-two image
     w = np.concatenate([E1, E1 + E2, E2, -E2])
     pt = ZeroLocusPoint(so3_model(), w)
-    assert psd_rank_stratum(hilbert_map(so3_model(), pt.w)) == 2
+    assert stratum_label(so3_model(), hilbert_map(so3_model(), pt.w)) == "2"
 
 
 def test_psd_rank_stratum_outside():
-    assert psd_rank_stratum(np.diag([1.0, 1.0, -1.0, 0.0])) == "outside"
-    assert psd_rank_stratum(np.diag([1.0, 1.0, 1.0, 0.0])) == "outside"
+    assert stratum_label(so3_model(), np.diag([1.0, 1.0, -1.0, 0.0])) == "outside"
+    assert stratum_label(so3_model(), np.diag([1.0, 1.0, 1.0, 0.0])) == "outside"
 
 
 def test_stratum_labels():
@@ -470,24 +488,13 @@ def fail_if_called(*args, **kwargs):
     (so2_model, np.array([np.inf, 0.0, 1.0]), "non-finite"),
     (so3_model, np.eye(3), r"shape \(4, 4\), got \(3, 3\)"),
     (so3_model, np.zeros(10), r"shape \(4, 4\), got \(10,\)"),
+    (so3_model, np.zeros(16), r"shape \(4, 4\), got \(16,\)"),
     (so3_model, np.full((4, 4), np.nan), "non-finite"),
     (so3_model, np.diag([1.0, 1.0, -np.inf, 0.0]), "non-finite"),
 ], ids=["so2-5", "so2-2", "so2-1x3", "so2-nan", "so2-inf", "so3-eye3", "so3-10",
-        "so3-nan", "so3-inf"])
+        "so3-16", "so3-nan", "so3-inf"])
 def test_stratum_label_rejects_an_image_it_cannot_label(monkeypatch, model, image, message):
     model = model()
     monkeypatch.setattr(model, "_stratum", fail_if_called)
     with pytest.raises(ValueError, match=message):
         stratum_label(model, image)
-
-
-@pytest.mark.parametrize("image, message", [
-    (np.eye(3), r"shape \(4, 4\), got \(3, 3\)"),
-    (np.zeros(16), r"shape \(4, 4\), got \(16,\)"),
-    (np.full((4, 4), np.nan), "non-finite"),
-    (np.diag([np.inf, 1.0, 0.0, 0.0]), "non-finite"),
-], ids=["eye3", "flat", "nan", "inf"])
-def test_psd_rank_stratum_rejects_an_image_it_cannot_label(monkeypatch, image, message):
-    monkeypatch.setattr(reduction, "_psd_rank_strata", fail_if_called)
-    with pytest.raises(ValueError, match=message):
-        psd_rank_stratum(image)

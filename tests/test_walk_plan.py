@@ -98,11 +98,11 @@ def test_plan_walks_each_distinct_suffix_once(genus):
     # a commutator's 4 terms read 3 distinct suffixes; its terms stay in
     # letter order, x_a, x_b, x_a^-1, x_b^-1, each with its generator and sign
     pres = surface_presentation(genus)
-    ((starts, skip, cols, signs, rows),) = _walk_plan(pres)
-    assert len(starts) == 3 * genus + 1 and skip == 1
+    ((starts, cols, signs, rows),) = _walk_plan(pres)
+    assert len(starts) == 3 * genus + 1
     assert cols.tolist() == [c for h in range(genus) for c in (2 * h, 2 * h + 1) * 2]
     assert signs.tolist() == [1, 1, -1, -1] * genus
-    assert [starts[k + skip] for k in rows] == [s for _, _, s in fox_terms(pres.relators[0])]
+    assert [starts[k] for k in rows] == [s for _, _, s in fox_terms(pres.relators[0])]
 
 
 @pytest.mark.parametrize("samples", [None, 5], ids=["point", "stack"])
@@ -242,7 +242,7 @@ def test_a_changed_relator_list_gets_neither_the_old_walk_nor_the_old_plan(monke
     plan = _walk_plan(pres)
     assert plan is not old_plan
     assert [p[0] for p in plan] == [p[0] for p in _walk_plan(same)]
-    assert all((x == y).all() for p, q in zip(plan, _walk_plan(same)) for x, y in zip(p[2:], q[2:]))
+    assert all((x == y).all() for p, q in zip(plan, _walk_plan(same)) for x, y in zip(p[1:], q[1:]))
     counts = count_walks(monkeypatch)
     assert relator_defect(pres, rep) == relator_defect(same, RepPoint(group, rep.values))
     assert_same_bits(pres, rep, RepPoint(group, rep.values), None)
@@ -272,7 +272,7 @@ def test_a_presentation_keeps_one_read_only_plan():
     pres = surface_presentation(3)
     plan = _walk_plan(pres)
     assert _walk_plan(pres) is plan and pres._plan[0] == cohomology._letters(pres)
-    for starts, skip, *arrays in plan:
+    for starts, *arrays in plan:
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

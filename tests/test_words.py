@@ -72,9 +72,9 @@ def test_word_multiply_checks_reduces_budget_even_where_letters_cancel(monkeypat
     u, v = w((1, 1), (2, 1), (3, 1)), w((3, -1), (2, -1), (1, -1))
     assert word_multiply(u, v) == Word()
     with pytest.raises(ValueError, match="exceeds 6"):
-        word_multiply(u, v * w((4, 1)))
+        word_multiply(u, word_multiply(v, w((4, 1))))
     with pytest.raises(ValueError, match="exceeds 6"):
-        word_multiply(u * w((4, 1)), v)
+        word_multiply(word_multiply(u, w((4, 1))), v)
 
 
 @given(raw_letters)
