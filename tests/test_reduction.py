@@ -488,13 +488,26 @@ def fail_if_called(*args, **kwargs):
     (so2_model, np.array([np.inf, 0.0, 1.0]), "non-finite"),
     (so3_model, np.eye(3), r"shape \(4, 4\), got \(3, 3\)"),
     (so3_model, np.zeros(10), r"shape \(4, 4\), got \(10,\)"),
-    (so3_model, np.zeros(16), r"shape \(4, 4\), got \(16,\)"),
     (so3_model, np.full((4, 4), np.nan), "non-finite"),
     (so3_model, np.diag([1.0, 1.0, -np.inf, 0.0]), "non-finite"),
 ], ids=["so2-5", "so2-2", "so2-1x3", "so2-nan", "so2-inf", "so3-eye3", "so3-10",
-        "so3-16", "so3-nan", "so3-inf"])
+        "so3-nan", "so3-inf"])
 def test_stratum_label_rejects_an_image_it_cannot_label(monkeypatch, model, image, message):
     model = model()
+    monkeypatch.setattr(model, "_stratum", fail_if_called)
+    with pytest.raises(ValueError, match=message):
+        stratum_label(model, image)
+
+
+@pytest.mark.parametrize("image, message", [
+    (np.eye(3), r"shape \(4, 4\), got \(3, 3\)"),
+    (np.zeros(16), r"shape \(4, 4\), got \(16,\)"),
+    (np.full((4, 4), np.nan), "non-finite"),
+    (np.diag([np.inf, 1.0, 0.0, 0.0]), "non-finite"),
+], ids=["eye3", "flat", "nan", "inf"])
+def test_psd_rank_stratum_rejects_an_image_it_cannot_label(monkeypatch, image, message):
+    # the SO(3) model's positive-semidefinite rank rule checks the image before ranking it
+    model = so3_model()
     monkeypatch.setattr(model, "_stratum", fail_if_called)
     with pytest.raises(ValueError, match=message):
         stratum_label(model, image)
