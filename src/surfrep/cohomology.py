@@ -41,7 +41,7 @@ CONE_CHUNK = 64
 CONE_EPS = 1e-3  # step along a unit cocycle before a cone sample is projected back
 # Center tuples enumerate_central_reps may walk, as one stack of relator
 # evaluations: len(center) ** n, four times more per genus for SU(2). 4096 is
-# SU(2) at genus 6 (about 0.3 s on a 2-vCPU host); the genus-2 report walks 16.
+# SU(2) at genus 6 (about 35 ms on a 2-vCPU host); the genus-2 report walks 16.
 MAX_CENTRAL_TUPLES = 4096
 
 

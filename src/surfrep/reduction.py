@@ -101,9 +101,10 @@ class LinearMomentumModel:
         self._relations = relations
         self._stratum = stratum
         self._image_shape = hilbert(np.zeros(W_dim)).shape
+        self._point_shape, self._point_name = (W_dim,), f"a point of length {W_dim}"
 
     def _point(self, w):
-        return _finite(w, (self.W_dim,), f"a point of length {self.W_dim}")
+        return _finite(w, self._point_shape, self._point_name)
 
 
 def so2_model():
@@ -172,7 +173,7 @@ def so3_model():
         name="SO3", group=so3(), W_dim=12, invariant_count=10,
         momentum=momentum, hilbert=hilbert, jacobian=jacobian, construct=_construct_so3,
         relations=relations,
-        stratum=lambda images: [str(label) for label in _psd_rank_strata(images)],
+        stratum=_psd_rank_strata,
     )
 
 
@@ -245,40 +246,27 @@ def _construct_so2(rng, count):
 
 
 def _construct_so3(rng, count):
-    # The one-point loop reads three things per point, in index order: a
-    # parallel point a line (3 normals) and four weights (7 together), a planar
-    # one a 3x2 plane (6) and two area pairs (4 each), each pair drawn again
-    # until its signed area is at least 0.05 in size. The normals come in
-    # blocks, each as large as the reads left can still take, so the
-    # generator ends where the one-point loop leaves it.
+    # The one-point loop reads, per point in index order, a line (3 normals)
+    # and four weights (7 in all) for a parallel point, or a 3x2 plane (6) and
+    # two area pairs (4 each), each pair drawn again until its signed area is
+    # more than 0.05 in size. The walk draws once the normals every read takes
+    # and tests the pair reads in that order: a small area draws 4 more and
+    # moves that pair and every later read 4 on, as the one-point loop does.
     parallel = np.arange(1, count) % 6 == 3
     sizes = np.where(parallel[:, None], [7, 0, 0], [6, 4, 4]).ravel()
-    starts = np.empty(len(sizes), dtype=int)
-    z, done, pos = np.empty(0), 0, 0
-    while done < len(sizes):
-        rest = sizes[done:]
-        z = np.concatenate([z, rng.standard_normal(pos + int(rest.sum()) - len(z))])
-        # each read's start in z[pos:] while no pair is drawn again, and the pair
-        # read, if any, that starts at each position
-        base = np.cumsum(rest) - rest
-        owner = np.full(len(z) - pos, -1)
-        owner[base[rest == 4]] = np.flatnonzero(rest == 4)
-        window = np.lib.stride_tricks.sliding_window_view(z[pos:], 4)
-        small = np.flatnonzero(~(np.abs(momentum_so2(window[:, :2], window[:, 2:])) > 0.05))
-        # a small area at a pair's start draws that pair again 4 normals on,
-        # shifting every later read
-        redrawn, shift, frontier = [], 0, 0
-        for at in small.tolist():
-            if at >= frontier and owner[at - shift] >= 0:
-                redrawn.append(owner[at - shift])
-                shift += 4
-                frontier = at + 4
-        begin = base + 4 * np.cumsum(np.bincount(redrawn, minlength=len(rest)))
-        fits = int(np.count_nonzero(begin + rest <= len(z) - pos))
-        starts[done:done + fits] = pos + begin[:fits]
-        pos = pos + int(begin[fits]) if fits < len(rest) else len(z)
-        done += fits
-    first, pair1, pair2 = starts.reshape(-1, 3).T
+    default = np.cumsum(sizes) - sizes
+    z = rng.standard_normal(int(sizes.sum()))
+    walk, rereads, moved = z.tolist(), np.zeros(len(sizes), dtype=int), 0
+    for read, at in zip(np.flatnonzero(sizes == 4).tolist(), default[sizes == 4].tolist()):
+        at += moved
+        # momentum_so2's products and difference in Python floats: it stays the
+        # owner for stacks, and a scalar branch there would not be simpler
+        while not abs(walk[at] * walk[at + 3] - walk[at + 1] * walk[at + 2]) > 0.05:
+            walk += rng.standard_normal(4).tolist()
+            at, moved = at + 4, moved + 4
+            rereads[read] += 1
+    z = np.concatenate([z, walk[len(z):]])
+    first, pair1, pair2 = (default + 4 * np.cumsum(rereads)).reshape(-1, 3).T
     W = np.empty((len(parallel), 12))
     # all four slots parallel, every cross product vanishes identically
     at = first[parallel, None]
@@ -501,14 +489,14 @@ def _nan_first(magnitude):
 
 
 def _psd_rank_strata(S):
-    """The label of each image of a stack (k, 4, 4): its rank if PSD, else
-    "outside" (an eigenvalue below -1e-9, or rank 3 and higher). From its
-    eigenvalues (one eigvalsh call for the stack) in Python floats: its
-    magnitudes go to _rank, cutoff 1e-9, in descending order."""
+    """The label of each image of a stack (k, 4, 4): its rank as a string if
+    PSD, else "outside" (an eigenvalue below -1e-9, or rank 3 and higher).
+    From its eigenvalues (one eigvalsh call for the stack) in Python floats:
+    its magnitudes go to _rank, cutoff 1e-9, in descending order."""
     labels = []
     for eig in np.linalg.eigvalsh((S + S.mT) / 2.0).tolist():
         rank = _rank(sorted(map(abs, eig), key=_nan_first, reverse=True), 1e-9)
-        labels.append("outside" if eig[0] < -1e-9 or rank > 2 else rank)
+        labels.append("outside" if eig[0] < -1e-9 or rank > 2 else str(rank))
     return labels
 
 

@@ -1,14 +1,16 @@
 """The zero-locus sampler, the point readers and the rank strata keep the bits
 of the code they replaced.
 
-_construct_so3 draws its normals in blocks, momentum_so3 writes the cross
-products out, _point_vectors gathers each validating batch's rows with one
-index, one SO(2) point takes its Hilbert dots with ndarray.dot, and _rank and
-the SO(3) strata decide in Python floats. These tests hold every array, rank
-and label, and the state a caller's generator is left in, to the formulas
-they replaced, copied below as they stood before: the constructor that drew
-one slot and one area pair at a time, np.cross, np.stack over the points'
-vectors, np.vecdot, and the numpy rank rule over np.sort's magnitudes.
+_construct_so3 draws its normals up front and walks its area-pair reads in
+order, momentum_so3 writes the cross products out, _point_vectors gathers
+each validating batch's rows with one index, one SO(2) point takes its
+Hilbert dots with ndarray.dot, and _rank and the SO(3) strata decide in
+Python floats. These tests hold every array, rank and label, and the state a
+caller's generator is left in, to the formulas they replaced, copied below as
+they stood before: the constructor that drew one slot and one area pair at a
+time, np.cross, np.stack over the points' vectors, np.vecdot, and the numpy
+rank rule over np.sort's magnitudes (its ranks named as strings, as the
+stratum rule names them).
 """
 
 import numpy as np
@@ -90,12 +92,44 @@ def _psd_rank_strata_numpy(S):
             for low, rank in zip(eig[:, 0].tolist(), ranks)]
 
 
+def _numpy_labels(S):
+    # the numpy rule's labels as the model's stratum rule names them, ranks as strings
+    return [str(label) for label in _psd_rank_strata_numpy(S)]
+
+
 # ---------------------------------------------------------------------------
-# Chunked draws
+# The walk over the pair reads
+
+
+class _LoggedGenerator:
+    """A generator that keeps every array it draws, in order."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def standard_normal(self, size):
+        self.draws.append(self.rng.standard_normal(size))
+        return self.draws[-1]
+
+
+def _rereads_alone(seed, count):
+    """How often the one-draw loop reads each area pair again, in the order it
+    reads the pairs, from the halves of the pairs _construct_so3_alone draws."""
+    rng = _LoggedGenerator(seed)
+    _construct_so3_alone(rng, count)
+    halves = [x for x in rng.draws if x.shape == (2,)]
+    rereads, run = [], 0
+    for a, b in zip(halves[::2], halves[1::2]):
+        if abs(momentum_so2(a, b)) > 0.05:
+            rereads.append(run)
+            run = 0
+        else:
+            run += 1
+    return rereads
 
 
 # 2 and 4 hold one and three points, 7 a parallel point between planar ones;
-# at 150 and 1000 points some pair is drawn again and the blocks refill
+# at 150 and 1000 points some pairs are read again
 @pytest.mark.parametrize("count", [2, 4, 5, 7, 150, 1000])
 def test_construct_so3_keeps_the_one_draw_bytes_and_generator_state(count):
     for seed in range(200):
@@ -104,6 +138,23 @@ def test_construct_so3_keeps_the_one_draw_bytes_and_generator_state(count):
         assert W.shape == want.shape == (count - 1, 12)
         assert W.tobytes() == want.tobytes(), seed
         assert rng.standard_normal() == alone.standard_normal(), seed
+
+
+# count 3 holds two planar points (four pair reads), count 4 a parallel point
+# after them; each seed is one whose one-draw loop shows the edge
+@pytest.mark.parametrize("count, seed, shows_edge", [
+    (3, 308, lambda rereads: rereads[0] >= 2),
+    (3, 19, lambda rereads: rereads[-1] >= 1),
+    (4, 19, lambda rereads: rereads[-1] >= 1),
+], ids=["a pair read again twice, later reads 8 on", "a re-read at the last read",
+        "a parallel point after a re-read"])
+def test_the_walk_keeps_the_one_draw_bytes_at_its_edges(count, seed, shows_edge):
+    rereads = _rereads_alone(seed, count)
+    assert len(rereads) == 4 and shows_edge(rereads), rereads
+    rng, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+    W, want = _construct_so3(rng, count), _construct_so3_alone(alone, count)
+    assert W.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == alone.bit_generator.state
 
 
 @pytest.mark.parametrize("count", [1, 2, 150])
@@ -253,9 +304,9 @@ def test_strata_keep_the_numpy_ranks_and_labels():
     magnitudes = np.sort(np.abs(np.linalg.eigvalsh(images)), axis=1)[:, ::-1]
     assert [_rank(row, 1e-9) for row in magnitudes] == _rank_numpy(magnitudes, 1e-9)
     labels = _psd_rank_strata(images)
-    assert labels == _psd_rank_strata_numpy(images)
-    assert [type(label) for label in labels] == [type(label) for label in _psd_rank_strata_numpy(images)]
-    assert {0, 1, 2, "outside"} <= set(labels)
+    assert labels == _numpy_labels(images)
+    assert [type(label) for label in labels] == [str] * len(images)
+    assert {"0", "1", "2", "outside"} <= set(labels)
     # each image alone gets the label it gets in the stack
     assert [_psd_rank_strata(S[None])[0] for S in images[::7]] == labels[::7]
 
@@ -274,7 +325,9 @@ def test_a_non_finite_image_keeps_its_numpy_label():
     images = np.array(images)
     eig = np.linalg.eigvalsh(images)
     assert np.isnan(eig).any(axis=1).all() and not np.isnan(eig).all(axis=1).all()
-    assert _psd_rank_strata(images) == _psd_rank_strata_numpy(images)
+    labels = _psd_rank_strata(images)
+    assert labels == _numpy_labels(images)
+    assert [type(label) for label in labels] == [str] * len(images)
 
 
 def test_a_nan_image_stack_raises_as_eigvalsh_does():
